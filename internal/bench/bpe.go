@@ -25,10 +25,11 @@ const (
 	bpeMaxTokenLen = 7
 )
 
-// The cache probe is likewise fixed: cache_hit_pct is measured by one
-// cold-stream pass over this input, so the column is fully deterministic
-// (piece mix and cache behavior depend only on the bytes) and CI can
-// gate it across machines and -scale settings.
+// The cache probe is likewise fixed: cache_hit_pct, backtrack_pct and
+// fallback_pct are measured by one cold-stream pass over this input, so
+// the columns are fully deterministic (piece mix, cache behavior and
+// search outcomes depend only on the bytes) and CI can gate them across
+// machines and -scale settings.
 const (
 	bpeProbeSeed  = 77
 	bpeProbeBytes = 1 << 20
@@ -43,9 +44,10 @@ const (
 // certified resident footprint of the full pipeline (vocab DFA +
 // pretokenizer engine); which engine the pretokenizer got under the
 // shared fused budget; train and compile time; streaming encode
-// throughput; the piece-cache hit rate on a fixed cold-stream probe;
-// and the fraction of pieces that fell back from the certified greedy
-// scan to the exact merge loop. The 8k row is the operating point the
+// throughput; and, on a fixed cold-stream probe, the piece-cache hit
+// rate, the fraction of pieces whose greedy scan the backtracking
+// search had to repair, and the fraction that ran the merge-loop
+// safety net. The 8k row is the operating point the
 // fused-budget admission test pins: vocab DFA and fused pretokenizer
 // together under the default 16 MB budget; with the sparse tables even
 // the 32k vocabulary fits it.
@@ -54,7 +56,7 @@ func BPE(cfg Config) Table {
 		Title: "BPE: vocab-DFA compile and streaming encode, 1k–32k merges",
 		Header: []string{"merges", "tokens", "dfa_states", "classes",
 			"dense_dfa_bytes", "dfa_bytes", "ratio", "resident_bytes", "mode",
-			"train_s", "compile_s", "mbps", "cache_hit_pct", "fallback_pct"},
+			"train_s", "compile_s", "mbps", "cache_hit_pct", "backtrack_pct", "fallback_pct"},
 	}
 	corpus := workload.Prompts(bpeTrainSeed, bpeTrainBytes)
 	in := workload.Prompts(cfg.Seed, cfg.size(1<<20))
@@ -95,10 +97,8 @@ func BPE(cfg Config) Table {
 		ps.Feed(probe, emit)
 		ps.Close(emit)
 		hits, misses, _ := tok.CacheCounters()
-		hitPct := "0.0"
-		if hits+misses > 0 {
-			hitPct = fmt.Sprintf("%.1f", 100*float64(hits)/float64(hits+misses))
-		}
+		pieces, fallbacks := tok.Counters()
+		backtracks := tok.Backtracks()
 
 		elapsed := timeIt(cfg.Trials, func() {
 			s := tok.AcquireStream()
@@ -106,11 +106,6 @@ func BPE(cfg Config) Table {
 			s.Close(emit)
 			tok.ReleaseStream(s)
 		})
-		pieces, fallbacks := tok.Counters()
-		fallbackPct := "0.0"
-		if pieces > 0 {
-			fallbackPct = fmt.Sprintf("%.1f", 100*float64(fallbacks)/float64(pieces))
-		}
 		dense := cert.DenseDFABytes(vm)
 
 		t.Rows = append(t.Rows, []string{
@@ -126,11 +121,20 @@ func BPE(cfg Config) Table {
 			secs(train),
 			secs(compile),
 			mbps(len(in), elapsed),
-			hitPct,
-			fallbackPct,
+			pct(hits, hits+misses),
+			pct(backtracks, pieces),
+			pct(fallbacks, pieces),
 		})
 	}
-	t.Note = fmt.Sprintf("vocabularies trained on a fixed %d B workload.Prompts corpus (seed %d, max token %d B; the 32k row saturates the token-length cap below its merge budget); dense_dfa_bytes is the 256-ary vocab-DFA layout, dfa_bytes is the serving table (row-displacement sparse once adopted), ratio = dfa_bytes/dense; resident_bytes is the certified vocab-DFA + pretokenizer footprint; cache_hit_pct is piece-cache hits per piece on one cold-stream pass over a fixed %d B workload.Prompts probe (seed %d); fallback_pct is merge-loop fallbacks per pretokenizer piece; encode input %d B per row",
+	t.Note = fmt.Sprintf("vocabularies trained on a fixed %d B workload.Prompts corpus (seed %d, max token %d B; the 32k row saturates the token-length cap below its merge budget); dense_dfa_bytes is the 256-ary vocab-DFA layout, dfa_bytes is the serving table (row-displacement sparse once adopted), ratio = dfa_bytes/dense; resident_bytes is the certified vocab-DFA + pretokenizer footprint; cache_hit_pct, backtrack_pct and fallback_pct come from one cold-stream pass over a fixed %d B workload.Prompts probe (seed %d): piece-cache hits per piece, pieces whose greedy scan the local-validity check rejected and the backtracking search then certified, and pieces that ran the merge-loop safety net, each per pretokenizer piece; encode input %d B per row",
 		bpeTrainBytes, bpeTrainSeed, bpeMaxTokenLen, bpeProbeBytes, bpeProbeSeed, len(in))
 	return t
+}
+
+// pct renders n/of as a percentage with one decimal ("0.0" when of is 0).
+func pct(n, of uint64) string {
+	if of == 0 {
+		return "0.0"
+	}
+	return fmt.Sprintf("%.1f", 100*float64(n)/float64(of))
 }

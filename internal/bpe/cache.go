@@ -2,15 +2,15 @@ package bpe
 
 // The piece-encoding cache. Prompt-shaped traffic is overwhelmingly
 // repeated pretokenizer pieces (Zipfian words, the same punctuation and
-// indentation over and over), but the streaming encoder paid the full
-// vocab-DFA scan plus the mutex-guarded local-validity lookups — or the
-// merge-loop fallback — for every occurrence. The cache memoizes the
-// certified encoding per distinct piece so each one is computed once:
-// hits emit straight from the cached ranks, bypassing the scan, the
-// validity check, and the fallback alike. Because the cache stores the
-// final certified output (post-validity or post-fallback), a hit is
-// byte-identical to a recomputation by construction — the differential
-// and fuzz pins are unchanged.
+// indentation over and over), but without a memo the streaming encoder
+// pays the backtracking search — vocab-DFA scans plus mutex-guarded
+// local-validity lookups, or the merge-loop safety net — for every
+// occurrence. The cache memoizes the certified encoding per distinct
+// piece so each one is computed once: hits emit straight from the
+// cached ranks, bypassing the search entirely. Because the cache stores
+// the final certified output, a hit is byte-identical to a
+// recomputation by construction — the differential and fuzz pins are
+// unchanged.
 //
 // The structure is an open-addressed hash table backed entirely by
 // fixed-capacity arenas: one byte arena for keys, one int32 arena for

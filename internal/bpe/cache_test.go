@@ -85,6 +85,38 @@ func TestBPETurnoverZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestBPEMissPathZeroAllocs gates the uncached encode path: with the
+// piece cache off every multi-byte piece runs the backtracking search,
+// so once the local-validity memo has seen the traffic, Feed must still
+// not allocate — the token stack and dead-boundary bitfield are
+// per-stream scratch. (The merge-loop safety net is not gated: it is
+// the container/heap oracle, which boxes its candidates, and trained
+// vocabularies never reach it.)
+func TestBPEMissPathZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	chunk := workload.Prompts(21, 2048)
+	sink := func(token.Token, []byte) {}
+	tok, err := Compile(testTok.Vocab(), Options{DisablePieceCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := tok.AcquireStream()
+	defer tok.ReleaseStream(s)
+	for i := 0; i < 4; i++ {
+		s.Feed(chunk, sink)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.Feed(chunk, sink)
+	}); allocs != 0 {
+		t.Errorf("warm miss-path Feed allocates %.1f per run, want 0", allocs)
+	}
+	if _, backtracks, _, _, _, _ := s.Counters(); backtracks == 0 {
+		t.Error("no piece backtracked; the gate misses the search")
+	}
+}
+
 // TestCompileAblations pins the optimization ablations byte-identical:
 // the sparse vocab-DFA scan and the piece cache are pure speedups, so
 // disabling either (or both) must not change a single emitted token.

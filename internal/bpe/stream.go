@@ -21,14 +21,16 @@ import (
 //
 // The pretokenizer grammar (PretokGrammar) runs as an ordinary
 // bounded-memory StreamTok engine — it is tiny (15 states) and fuses.
-// Each emitted piece is scanned greedily by the vocab DFA (maximal
-// munch, longest token first), and the greedy segmentation is accepted
-// iff it passes the local-validity check (every adjacent pair
-// Compatible) — by the BPE-DFA theorem this certifies it IS the BPE
-// encoding. When the check fails (greedy ≠ BPE, possible but rare on
-// trained vocabularies) the piece falls back to the exact O(n log n)
-// merge-loop encoder. Either way the emitted ranks are exactly the
-// reference encoding: the fast path is verified, not trusted.
+// Each emitted piece is encoded by the backtracking search of
+// backtrack.go: a greedy scan on the vocab DFA (maximal munch, longest
+// token first) whose local-validity check (every adjacent pair
+// Compatible) steers the search — a rejected pair makes it try shorter
+// tokens and back up, rather than discarding the scan. By the BPE-DFA
+// theorem the certified segmentation it ends with IS the BPE encoding.
+// Only a search that overruns its linear step budget, or finds
+// nothing, falls back to the exact O(n log n) merge loop. Either way
+// the emitted ranks are exactly the reference encoding: the fast path
+// is verified, not trusted.
 //
 // Tokens are emitted with Token.Rule = rank and offsets into the
 // stream; emission latency is the pretokenizer's (a piece is encoded
@@ -57,8 +59,8 @@ type Options struct {
 	// tests of the sparse scan path).
 	DisableSparse bool
 	// DisablePieceCache turns off the piece-encoding memo cache, paying
-	// the full DFA scan + validity check per piece occurrence (ablation
-	// and differential tests of the uncached path).
+	// the backtracking search per piece occurrence (ablation and
+	// differential tests of the uncached path).
 	DisablePieceCache bool
 }
 
@@ -82,10 +84,13 @@ type Tokenizer struct {
 	pres  analysis.Result // pretokenizer analysis
 	ptok  *core.Tokenizer // pretokenizer engine
 
-	noCache bool // Options.DisablePieceCache
+	nextPrefix   []int32 // rank -> longest proper prefix token, -1 for a byte
+	stepsPerByte int     // search budget per piece byte (searchStepsPerByte; tests starve it)
+	noCache      bool    // Options.DisablePieceCache
 
-	pieces    atomic.Uint64 // pieces encoded
-	fallbacks atomic.Uint64 // pieces that took the merge-loop fallback
+	pieces     atomic.Uint64 // pieces encoded
+	backtracks atomic.Uint64 // pieces the search certified after backtracking
+	fallbacks  atomic.Uint64 // pieces that ran the merge-loop safety net
 
 	cacheHits      atomic.Uint64 // piece-cache hits (byte pieces included)
 	cacheMisses    atomic.Uint64 // piece-cache misses (uncacheable included)
@@ -133,7 +138,8 @@ func Compile(v *Vocab, opts Options) (*Tokenizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tokenizer{vocab: v, vm: vm, pm: pm, pres: pres, ptok: ptok, noCache: opts.DisablePieceCache}, nil
+	return &Tokenizer{vocab: v, vm: vm, pm: pm, pres: pres, ptok: ptok,
+		nextPrefix: v.prefixTable(), stepsPerByte: searchStepsPerByte, noCache: opts.DisablePieceCache}, nil
 }
 
 // Vocab returns the vocabulary the tokenizer encodes with.
@@ -164,12 +170,18 @@ func (t *Tokenizer) K() int { return t.ptok.K() }
 func (t *Tokenizer) TableBytes() int { return t.vm.TableBytes() + t.ptok.TableBytes() }
 
 // Counters reports how many pieces have been encoded and how many of
-// them fell back to the merge loop (greedy segmentation failed the
-// local-validity check). The fallback fraction is a quality measure of
-// the greedy fast path on the traffic actually served.
+// them ran the merge-loop safety net (the backtracking search spent its
+// budget or found nothing). On trained vocabularies the fallback
+// fraction is ~0; a rising one flags a hostile rank table.
 func (t *Tokenizer) Counters() (pieces, fallbacks uint64) {
 	return t.pieces.Load(), t.fallbacks.Load()
 }
+
+// Backtracks reports how many pieces had their greedy scan rejected by
+// the local-validity check and were then certified by the backtracking
+// search. Disjoint from the fallbacks: a piece is greedy, backtracked,
+// or a fallback, and only cache misses are any of them.
+func (t *Tokenizer) Backtracks() uint64 { return t.backtracks.Load() }
 
 // CacheCounters reports the piece-encoding cache's aggregate activity:
 // hits (single-byte pieces, served from the byte table, count as hits
@@ -193,14 +205,14 @@ type Stream struct {
 
 	cache *pieceCache // per-stream piece-encoding memo (kept across pooling)
 
-	seg []int32 // greedy scan / fallback: the piece's ranks
-	enc []int   // fallback merge-loop scratch
-	sc  encodeScratch
+	search searchScratch // backtracking search: token stack, dead boundaries
+	enc    []int         // merge-loop safety net scratch
+	sc     encodeScratch
 
 	batch     []token.Token // batched emission buffer
 	batchSink core.BatchFunc
 
-	pieces, fallbacks uint64 // folded into the tokenizer on release/close
+	pieces, backtracks, fallbacks uint64 // folded into the tokenizer on release/close
 }
 
 // NewStream starts a fresh stream.
@@ -242,6 +254,10 @@ func (s *Stream) foldCounters() {
 		s.t.pieces.Add(s.pieces)
 		s.pieces = 0
 	}
+	if s.backtracks != 0 {
+		s.t.backtracks.Add(s.backtracks)
+		s.backtracks = 0
+	}
 	if s.fallbacks != 0 {
 		s.t.fallbacks.Add(s.fallbacks)
 		s.fallbacks = 0
@@ -263,11 +279,11 @@ func (s *Stream) foldCounters() {
 }
 
 // Counters reports the stream's not-yet-folded activity: pieces encoded,
-// merge-loop fallbacks, and cache hits/misses/evictions since the last
-// fold (Close, CloseBatch, Reset, or release zero these into the
-// tokenizer's aggregates).
-func (s *Stream) Counters() (pieces, fallbacks, hits, misses, evictions uint64) {
-	return s.pieces, s.fallbacks, s.cache.hits, s.cache.misses, s.cache.evictions
+// backtracked pieces, merge-loop fallbacks, and cache
+// hits/misses/evictions since the last fold (Close, CloseBatch, Reset,
+// or release zero these into the tokenizer's aggregates).
+func (s *Stream) Counters() (pieces, backtracks, fallbacks, hits, misses, evictions uint64) {
+	return s.pieces, s.backtracks, s.fallbacks, s.cache.hits, s.cache.misses, s.cache.evictions
 }
 
 func discardEmit(token.Token, []byte) {}
@@ -401,75 +417,25 @@ func (s *Stream) emitRanks(ptok token.Token, text []byte, ranks []int32) {
 }
 
 // encodeUncached computes the certified BPE encoding of a multi-byte
-// piece: greedy maximal-munch scan on the vocab DFA, accepted iff it
-// passes the local-validity check, else the exact merge loop. The
-// returned slice is s.seg scratch — valid until the next piece.
+// piece with the backtracking search, or with the exact merge loop when
+// the search gives up. The returned slice is search scratch — valid
+// until the next piece.
 func (s *Stream) encodeUncached(text []byte) []int32 {
-	v, m := s.t.vocab, s.t.vm
-	seg := s.seg[:0]
-	if sp := m.Sparse; sp != nil {
-		// Row-displacement sparse scan (the class table was dropped).
-		for i := 0; i < len(text); {
-			q := sp.Start
-			lastEnd, lastRank := -1, -1
-			for j := i; j < len(text); j++ {
-				q = sp.Step(q, text[j])
-				if m.IsDead(q) {
-					break
-				}
-				if sp.IsFinal(q) {
-					lastEnd, lastRank = j+1, sp.Rule(q)
-				}
-			}
-			// lastEnd >= i+1 always: every single byte is a token.
-			seg = append(seg, int32(lastRank))
-			i = lastEnd
-		}
-	} else {
-		d := m.DFA
-		for i := 0; i < len(text); {
-			q := d.Start
-			lastEnd, lastRank := -1, -1
-			for j := i; j < len(text); j++ {
-				q = d.Step(q, text[j])
-				if m.IsDead(q) {
-					break
-				}
-				if d.IsFinal(q) {
-					lastEnd, lastRank = j+1, d.Rule(q)
-				}
-			}
-			seg = append(seg, int32(lastRank))
-			i = lastEnd
-		}
-	}
-	s.seg = seg
-
-	// Local-validity check: accept the greedy segmentation iff it is
-	// certifiably the BPE encoding.
-	valid := true
-	if len(seg) == 1 {
-		valid = v.SelfEncodes(int(seg[0]))
-	} else {
-		for i := 0; i+1 < len(seg); i++ {
-			if !v.Compatible(int(seg[i]), int(seg[i+1])) {
-				valid = false
-				break
-			}
-		}
-	}
-	if valid {
+	seg, how, _ := s.t.search(text, &s.search)
+	switch how {
+	case searchGreedy:
+		return seg
+	case searchBacktracked:
+		s.backtracks++
 		return seg
 	}
-
-	// Greedy is not the BPE encoding of this piece: exact merge loop.
 	s.fallbacks++
-	s.enc = v.encodePiece(s.enc[:0], text, &s.sc)
+	s.enc = s.t.vocab.encodePiece(s.enc[:0], text, &s.sc)
 	seg = seg[:0]
 	for _, r := range s.enc {
 		seg = append(seg, int32(r))
 	}
-	s.seg = seg
+	s.search.seg = seg
 	return seg
 }
 

@@ -203,6 +203,11 @@ func FuzzBPEDifferential(f *testing.F) {
 	// Cache churn: >1000 distinct near-max-length pieces drive heavy
 	// insert traffic through the piece cache's arenas.
 	f.Add(distinctWords(1200, 50))
+	// Greedy misfits: pieces whose longest-token scan the local-validity
+	// check rejects on the test vocabulary, so the search backtracks.
+	f.Add([]byte(" exvocion inverting disscribs Outdictions vertions"))
+	f.Add([]byte(" Semistructment intermitment encedment injectment"))
+	f.Add([]byte(" convocness dejectness subcedions autovener antimem"))
 	f.Fuzz(func(t *testing.T, input []byte) {
 		if len(input) > 1<<16 {
 			input = input[:1<<16]

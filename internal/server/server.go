@@ -200,6 +200,18 @@ func (e errTooLarge) Error() string {
 // by a deadline or byte budget returns a cursor the same way, so the
 // client can reconnect and resume instead of re-uploading.
 func (s *Server) handleTokenize(w http.ResponseWriter, r *http.Request) {
+	// A cut stream (byte budget, deadline, dead input) returns with its
+	// body unread. Under full duplex net/http leaves that body alone
+	// until the handler is done and then drains it after stopping the
+	// connection's background reader; reaching EOF there restarts the
+	// reader under the next keep-alive read, which panics ("invalid
+	// concurrent Body.Read call") and kills the connection. Closing the
+	// body here does the same bounded drain (up to 256 KiB, beyond that
+	// the connection closes after the reply) while the handler still
+	// owns the connection. Deferred first, it runs last: the stream and
+	// its concurrency slot are released before the drain waits on the
+	// client.
+	defer r.Body.Close()
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		http.Error(w, "POST a body to tokenize", http.StatusMethodNotAllowed)
@@ -725,8 +737,8 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(w, "  streams:  %d started, %d done; %d tokens, %d bytes in\n",
 			g.Stats.Streams, g.Stats.StreamsDone, g.Stats.TokensOut, g.Stats.BytesIn)
 		if g.Stats.BPEPieces > 0 {
-			fmt.Fprintf(w, "  bpe:      %d pieces, %d fallbacks, cache %d hits / %d misses / %d evictions\n",
-				g.Stats.BPEPieces, g.Stats.BPEFallbacks,
+			fmt.Fprintf(w, "  bpe:      %d pieces, %d backtracks, %d fallbacks, cache %d hits / %d misses / %d evictions\n",
+				g.Stats.BPEPieces, g.Stats.BPEBacktracks, g.Stats.BPEFallbacks,
 				g.Stats.BPECacheHits, g.Stats.BPECacheMisses, g.Stats.BPECacheEvictions)
 		}
 	}

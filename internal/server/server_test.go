@@ -2,14 +2,17 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"net/url"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -253,6 +256,57 @@ func TestTokenizeMaxBytes(t *testing.T) {
 	_, sum2 := readNDJSON(t, resp2.Body)
 	if sum2.Error == "" {
 		t.Error("max_bytes must not raise the server limit")
+	}
+}
+
+// TestTokenizeCutKeepAlive pins the full-duplex early-return path:
+// streams cut by the byte budget or by dead input return with their
+// bodies unread, and the kept-alive connection must carry the next
+// request cleanly. (net/http drained such a body after the handler
+// returned, restarted its background reader, and panicked with "invalid
+// concurrent Body.Read call" on the next keep-alive read; the client saw
+// its follow-up request fail on a closed connection.)
+func TestTokenizeCutKeepAlive(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxBodyBytes: 4 << 10})
+	client := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1}}
+	defer client.CloseIdleConnections()
+	var reused atomic.Int32
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		GotConn: func(info httptrace.GotConnInfo) {
+			if info.Reused {
+				reused.Add(1)
+			}
+		},
+	})
+	post := func(query, body string) tokenLine {
+		t.Helper()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/tokenize?"+query, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		_, sum := readNDJSON(t, resp.Body)
+		return sum
+	}
+	over := strings.Repeat("a b ", 16<<10)    // 64 KiB against a 4 KiB budget
+	dead := "c" + strings.Repeat("a", 64<<10) // matches no rule from its first byte
+	for i := 0; i < 20; i++ {
+		if sum := post("rule=a&rule=b&rule=%5B%20%5D%2B&count=1", over); !strings.Contains(sum.Error, "limit") {
+			t.Fatalf("round %d: over-budget summary %+v, want a byte-limit error", i, sum)
+		}
+		if sum := post("rule=a&rule=b&count=1", dead); sum.Done == nil || sum.Complete == nil || *sum.Complete {
+			t.Fatalf("round %d: dead-input summary %+v, want done and incomplete", i, sum)
+		}
+		if sum := post("grammar=json", `{"k": [1, 2]}`); sum.Done == nil || sum.Complete == nil || !*sum.Complete {
+			t.Fatalf("round %d: follow-up summary %+v, want complete", i, sum)
+		}
+	}
+	if reused.Load() == 0 {
+		t.Error("no request reused the kept-alive connection")
 	}
 }
 

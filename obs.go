@@ -75,15 +75,19 @@ type Stats struct {
 	ParallelReScanned uint64
 
 	// BPE counters, nonzero only on vocabulary tokenizers. BPEPieces is
-	// how many pretokenizer pieces the vocab stage encoded and
-	// BPEFallbacks how many of them needed the exact merge loop (greedy
-	// failed the local-validity check). The cache trio describes the
+	// how many pretokenizer pieces the vocab stage encoded.
+	// BPEBacktracks counts pieces whose greedy scan the local-validity
+	// check rejected and the backtracking search then certified;
+	// BPEFallbacks counts pieces that ran the exact merge loop (the
+	// search spent its budget or found nothing). The two are disjoint,
+	// and only cache misses are either. The cache trio describes the
 	// piece-encoding memo: hits (single-byte pieces included — the byte
 	// table is the degenerate always-warm cache), misses (uncacheable
 	// oversize pieces included), and entries discarded by wholesale cache
 	// resets. Every piece is exactly one hit or one miss, so
 	// BPECacheHits+BPECacheMisses == BPEPieces.
 	BPEPieces         uint64
+	BPEBacktracks     uint64
 	BPEFallbacks      uint64
 	BPECacheHits      uint64
 	BPECacheMisses    uint64
@@ -133,6 +137,7 @@ func (t *Tokenizer) AggregateStats() Stats {
 	st := t.statsFrom(t.inner.Counters())
 	if t.bpe != nil {
 		st.BPEPieces, st.BPEFallbacks = t.bpe.Counters()
+		st.BPEBacktracks = t.bpe.Backtracks()
 		st.BPECacheHits, st.BPECacheMisses, st.BPECacheEvictions = t.bpe.CacheCounters()
 	}
 	return st
@@ -146,7 +151,7 @@ func (t *Tokenizer) AggregateStats() Stats {
 func (s *Streamer) Stats() Stats {
 	st := s.tok.statsFrom(s.inner.StreamCounters())
 	if s.b != nil {
-		st.BPEPieces, st.BPEFallbacks, st.BPECacheHits, st.BPECacheMisses, st.BPECacheEvictions = s.b.Counters()
+		st.BPEPieces, st.BPEBacktracks, st.BPEFallbacks, st.BPECacheHits, st.BPECacheMisses, st.BPECacheEvictions = s.b.Counters()
 	}
 	return st
 }
@@ -201,8 +206,8 @@ func (s Stats) String() string {
 			s.ParallelRuns, s.ParallelSegments, s.ParallelSynced, s.ParallelReScanned)
 	}
 	if s.BPEPieces > 0 {
-		fmt.Fprintf(&b, "bpe:          %d pieces, %d fallbacks, cache %d hits / %d misses / %d evictions\n",
-			s.BPEPieces, s.BPEFallbacks, s.BPECacheHits, s.BPECacheMisses, s.BPECacheEvictions)
+		fmt.Fprintf(&b, "bpe:          %d pieces, %d backtracks, %d fallbacks, cache %d hits / %d misses / %d evictions\n",
+			s.BPEPieces, s.BPEBacktracks, s.BPEFallbacks, s.BPECacheHits, s.BPECacheMisses, s.BPECacheEvictions)
 	}
 	return b.String()
 }
@@ -242,6 +247,7 @@ func (s Stats) MarshalJSON() ([]byte, error) {
 		ParallelSynced    uint64      `json:"parallel_synced"`
 		ParallelReScanned uint64      `json:"parallel_rescanned"`
 		BPEPieces         uint64      `json:"bpe_pieces"`
+		BPEBacktracks     uint64      `json:"bpe_backtracks"`
 		BPEFallbacks      uint64      `json:"bpe_fallbacks"`
 		BPECacheHits      uint64      `json:"bpe_cache_hits"`
 		BPECacheMisses    uint64      `json:"bpe_cache_misses"`
@@ -256,7 +262,7 @@ func (s Stats) MarshalJSON() ([]byte, error) {
 		EmitLatency: s.EmitLatency[:], MaxLatency: s.MaxLatency(),
 		ParallelRuns: s.ParallelRuns, ParallelSegments: s.ParallelSegments,
 		ParallelSynced: s.ParallelSynced, ParallelReScanned: s.ParallelReScanned,
-		BPEPieces: s.BPEPieces, BPEFallbacks: s.BPEFallbacks,
+		BPEPieces: s.BPEPieces, BPEBacktracks: s.BPEBacktracks, BPEFallbacks: s.BPEFallbacks,
 		BPECacheHits: s.BPECacheHits, BPECacheMisses: s.BPECacheMisses,
 		BPECacheEvictions: s.BPECacheEvictions,
 	})

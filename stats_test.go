@@ -236,8 +236,9 @@ func TestAggregateStats(t *testing.T) {
 // TestBPEStatsReconciliation checks the vocabulary tokenizer's BPE
 // counters against their invariants: every piece is exactly one cache
 // hit or one miss (hits+misses == pieces, at the stream level and after
-// folding into the aggregate), fallbacks never exceed pieces, and the
-// repetitive prompt workload actually hits the cache.
+// folding into the aggregate), only misses reach the search, so
+// backtracks+fallbacks <= misses <= pieces, and the repetitive prompt
+// workload actually hits the cache and backtracks on some misses.
 func TestBPEStatsReconciliation(t *testing.T) {
 	v, err := streamtok.TrainVocab(workload.Prompts(3, 1<<18), 800, 7)
 	if err != nil {
@@ -268,8 +269,12 @@ func TestBPEStatsReconciliation(t *testing.T) {
 		t.Errorf("cache hits %d + misses %d != pieces %d",
 			live.BPECacheHits, live.BPECacheMisses, live.BPEPieces)
 	}
-	if live.BPEFallbacks > live.BPEPieces {
-		t.Errorf("fallbacks %d > pieces %d", live.BPEFallbacks, live.BPEPieces)
+	if live.BPEBacktracks+live.BPEFallbacks > live.BPECacheMisses || live.BPECacheMisses > live.BPEPieces {
+		t.Errorf("backtracks %d + fallbacks %d <= misses %d <= pieces %d does not hold",
+			live.BPEBacktracks, live.BPEFallbacks, live.BPECacheMisses, live.BPEPieces)
+	}
+	if live.BPEBacktracks == 0 {
+		t.Error("prompt workload backtracked on no piece")
 	}
 	if live.BPECacheHits == 0 {
 		t.Error("prompt workload produced no cache hits")
@@ -283,6 +288,10 @@ func TestBPEStatsReconciliation(t *testing.T) {
 	if agg.BPECacheHits+agg.BPECacheMisses != agg.BPEPieces {
 		t.Errorf("aggregate hits %d + misses %d != pieces %d",
 			agg.BPECacheHits, agg.BPECacheMisses, agg.BPEPieces)
+	}
+	if agg.BPEBacktracks < live.BPEBacktracks || agg.BPEBacktracks+agg.BPEFallbacks > agg.BPECacheMisses {
+		t.Errorf("aggregate backtracks %d (stream %d) + fallbacks %d vs misses %d",
+			agg.BPEBacktracks, live.BPEBacktracks, agg.BPEFallbacks, agg.BPECacheMisses)
 	}
 
 	// The aggregate must be stable across identical snapshots, and the
@@ -380,7 +389,7 @@ func TestStatsJSONKeys(t *testing.T) {
 		"tokens_by_rule", "accel_attempts", "accel_skipped_bytes",
 		"accel_backoffs", "fused_fallbacks", "carry_max", "ring_max",
 		"emit_latency", "max_latency",
-		"bpe_pieces", "bpe_fallbacks", "bpe_cache_hits",
+		"bpe_pieces", "bpe_backtracks", "bpe_fallbacks", "bpe_cache_hits",
 		"bpe_cache_misses", "bpe_cache_evictions",
 	} {
 		if _, ok := m[key]; !ok {
