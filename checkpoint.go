@@ -38,16 +38,16 @@ var ErrCursor = errors.New("streamtok: cursor rejected")
 // current token's carried prefix) and the stream's observability
 // counters. Stopped or closed streams cannot be checkpointed.
 func (s *Streamer) Checkpoint() ([]byte, error) {
-	if s.inner == nil {
+	if s.s == nil {
 		return nil, errors.New("streamtok: checkpoint of a released streamer")
 	}
-	cs, err := s.inner.CheckpointState()
+	cs, err := s.s.CheckpointState()
 	if err != nil {
 		return nil, err
 	}
 	return machinefile.EncodeCursor(&machinefile.Cursor{
 		GrammarHash: s.tok.cert.GrammarHash,
-		EngineMode:  s.tok.inner.EngineMode(),
+		EngineMode:  s.tok.eng.EngineMode(),
 		Boundary:    int64(cs.Boundary),
 		QA:          int64(cs.QA),
 		Pending:     cs.Pending,
@@ -81,11 +81,11 @@ func Resume(t *Tokenizer, cursor []byte) (*Streamer, error) {
 		// undelayed, so its live state leads the split engines' by the
 		// lookahead); across modes the replay verification alone
 		// decides.
-		CheckQA:  cur.EngineMode == t.inner.EngineMode(),
+		CheckQA:  cur.EngineMode == t.eng.EngineMode(),
 		Counters: cur.Counters,
 	}
 	s := t.AcquireStreamer()
-	if err := s.inner.Restore(cs); err != nil {
+	if err := s.s.Restore(cs); err != nil {
 		t.ReleaseStreamer(s)
 		return nil, fmt.Errorf("%w: %w", ErrCursor, err)
 	}

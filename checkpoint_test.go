@@ -48,16 +48,85 @@ func feedChunks(t *testing.T, s *streamtok.Streamer, input, full []byte, chunk i
 	}
 }
 
+// checkpointSource is one row of the resumable-stream matrices: a
+// tokenizer builder and an input for it. ranks, set for a vocabulary,
+// is Vocab.Encode of the input — the ranks the tokens must carry.
+type checkpointSource struct {
+	name    string
+	compile func(t *testing.T, opts streamtok.Options) *streamtok.Tokenizer
+	input   []byte
+	ranks   []int
+}
+
+func catalogSource(t *testing.T, name string, seed int64, n int) checkpointSource {
+	t.Helper()
+	input, err := workload.Generate(name, seed, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return checkpointSource{
+		name: name,
+		compile: func(t *testing.T, opts streamtok.Options) *streamtok.Tokenizer {
+			return compileCatalog(t, name, opts)
+		},
+		input: input,
+	}
+}
+
+// vocabSource is the trained test vocabulary over a prompt input of n
+// bytes.
+func vocabSource(t *testing.T, seed int64, n int) checkpointSource {
+	t.Helper()
+	v := trainTestVocab(t)
+	input := workload.Prompts(seed, n)
+	return checkpointSource{
+		name: "vocab",
+		compile: func(t *testing.T, opts streamtok.Options) *streamtok.Tokenizer {
+			t.Helper()
+			tok, err := streamtok.Compile(v, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tok
+		},
+		input: input,
+		ranks: v.Encode(nil, input),
+	}
+}
+
+// checkRanks verifies a vocabulary source's tokens carry the reference
+// encoding's ranks.
+func (src checkpointSource) checkRanks(t *testing.T, toks []streamtok.Token) {
+	t.Helper()
+	if src.ranks == nil {
+		return
+	}
+	if len(toks) != len(src.ranks) {
+		t.Fatalf("%d tokens, Vocab.Encode gives %d ranks", len(toks), len(src.ranks))
+	}
+	for i, tk := range toks {
+		if tk.Rule != src.ranks[i] {
+			t.Fatalf("token %d: rank %d, Vocab.Encode gives %d", i, tk.Rule, src.ranks[i])
+		}
+	}
+}
+
 // TestCheckpointResumeDifferential is the tentpole correctness test:
-// for every bounded catalog grammar, under both the fused and the split
-// engines, a single pass feeds the input in small chunks and takes a
-// cursor at every chunk boundary (proving Checkpoint does not perturb
-// the live stream), then every cursor is resumed on a second tokenizer
-// of the same build and driven to EOF. Each resumed stream must emit
-// exactly the reference tokens the suspended stream had not yet
-// emitted, with identical offsets, texts, and Rest.
+// for every bounded catalog grammar and a trained vocabulary, under
+// both the fused and the split engines, a single pass feeds the input
+// in small chunks and takes a cursor at every chunk boundary (proving
+// Checkpoint does not perturb the live stream), then every cursor is
+// resumed on a second tokenizer of the same build and driven to EOF.
+// Each resumed stream must emit exactly the reference tokens the
+// suspended stream had not yet emitted, with identical offsets, texts,
+// and Rest; vocabulary tokens must also carry Vocab.Encode's ranks.
 func TestCheckpointResumeDifferential(t *testing.T) {
+	var sources []checkpointSource
 	for _, name := range checkpointFormats {
+		sources = append(sources, catalogSource(t, name, 7, 600))
+	}
+	sources = append(sources, vocabSource(t, 7, 3<<10))
+	for _, src := range sources {
 		for _, mode := range []struct {
 			label string
 			opts  streamtok.Options
@@ -65,14 +134,12 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 			{"fused", streamtok.Options{}},
 			{"split", streamtok.Options{DisableFused: true}},
 		} {
-			t.Run(name+"/"+mode.label, func(t *testing.T) {
-				input, err := workload.Generate(name, 7, 600)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tokA := compileCatalog(t, name, mode.opts)
-				tokB := compileCatalog(t, name, mode.opts)
+			t.Run(src.name+"/"+mode.label, func(t *testing.T) {
+				input := src.input
+				tokA := src.compile(t, mode.opts)
+				tokB := src.compile(t, mode.opts)
 				wantToks, wantRest := tokA.TokenizeBytes(input)
+				src.checkRanks(t, wantToks)
 
 				const chunk = 3
 				// Single pass: cursor at every chunk boundary.
@@ -145,56 +212,68 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 }
 
 // TestResumeCrossEngine: a cursor taken under the fused engine resumes
-// on a split-engine build of the same grammar (and vice versa). The
-// cursor carries byte-level state only, so it is portable across engine
-// representations; the QA cross-check is skipped when modes differ.
+// on a split-engine build of the same source (and vice versa), for a
+// grammar and for a vocabulary (whose pretokenizer is what the options
+// switch). The cursor carries byte-level state only, so it is portable
+// across engine representations; the QA cross-check is skipped when
+// modes differ.
 func TestResumeCrossEngine(t *testing.T) {
-	input, err := workload.Generate("json", 11, 800)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fused := compileCatalog(t, "json", streamtok.Options{})
-	split := compileCatalog(t, "json", streamtok.Options{DisableFused: true})
-	if fused.Engine().Mode == split.Engine().Mode {
-		t.Skipf("json compiles to %q under both option sets; cross-engine resume not exercisable", fused.Engine().Mode)
-	}
-	wantToks, wantRest := fused.TokenizeBytes(input)
-
-	for _, dir := range []struct {
-		label      string
-		from, onto *streamtok.Tokenizer
-	}{
-		{"fused->split", fused, split},
-		{"split->fused", split, fused},
+	for _, src := range []checkpointSource{
+		catalogSource(t, "json", 11, 800),
+		vocabSource(t, 11, 3<<10),
 	} {
-		t.Run(dir.label, func(t *testing.T) {
-			cut := 413 // mid-token on purpose: any byte offset is checkpointable
-			s := dir.from.AcquireStreamer()
-			var prefix []streamtok.Token
-			feedChunks(t, s, input[:cut], input, 7, &prefix)
-			cur, err := s.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			dir.from.ReleaseStreamer(s)
+		fused := src.compile(t, streamtok.Options{})
+		split := src.compile(t, streamtok.Options{DisableFused: true})
+		if fused.Engine().Mode == split.Engine().Mode {
+			t.Run(src.name, func(t *testing.T) {
+				t.Skipf("%s compiles to %q under both option sets; cross-engine resume not exercisable", src.name, fused.Engine().Mode)
+			})
+			continue
+		}
+		input := src.input
+		wantToks, wantRest := fused.TokenizeBytes(input)
+		src.checkRanks(t, wantToks)
 
-			r, err := streamtok.Resume(dir.onto, cur)
-			if err != nil {
-				t.Fatal(err)
+		for _, dir := range []struct {
+			label      string
+			from, onto *streamtok.Tokenizer
+		}{
+			{"fused->split", fused, split},
+			{"split->fused", split, fused},
+		} {
+			name := dir.label
+			if src.ranks != nil {
+				name = src.name + "/" + name
 			}
-			got := append([]streamtok.Token(nil), prefix...)
-			feedChunks(t, r, input[cut:], input, 7, &got)
-			rest := r.Close(func(tk streamtok.Token, _ []byte) { got = append(got, tk) })
-			dir.onto.ReleaseStreamer(r)
-			if rest != wantRest || len(got) != len(wantToks) {
-				t.Fatalf("rest %d tokens %d, want %d/%d", rest, len(got), wantRest, len(wantToks))
-			}
-			for i := range wantToks {
-				if got[i] != wantToks[i] {
-					t.Fatalf("token %d = %+v, want %+v", i, got[i], wantToks[i])
+			t.Run(name, func(t *testing.T) {
+				cut := 413 // mid-token on purpose: any byte offset is checkpointable
+				s := dir.from.AcquireStreamer()
+				var prefix []streamtok.Token
+				feedChunks(t, s, input[:cut], input, 7, &prefix)
+				cur, err := s.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-		})
+				dir.from.ReleaseStreamer(s)
+
+				r, err := streamtok.Resume(dir.onto, cur)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := append([]streamtok.Token(nil), prefix...)
+				feedChunks(t, r, input[cut:], input, 7, &got)
+				rest := r.Close(func(tk streamtok.Token, _ []byte) { got = append(got, tk) })
+				dir.onto.ReleaseStreamer(r)
+				if rest != wantRest || len(got) != len(wantToks) {
+					t.Fatalf("rest %d tokens %d, want %d/%d", rest, len(got), wantRest, len(wantToks))
+				}
+				for i := range wantToks {
+					if got[i] != wantToks[i] {
+						t.Fatalf("token %d = %+v, want %+v", i, got[i], wantToks[i])
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -305,50 +384,6 @@ func TestCheckpointStopped(t *testing.T) {
 	tok.ReleaseStreamer(s2)
 	if _, err := s2.Checkpoint(); err == nil {
 		t.Error("Checkpoint of a released streamer should fail")
-	}
-}
-
-// TestCheckpointBPE: cursors work for BPE tokenizers — the pretokenizer
-// boundary state is the only cross-chunk state, so a resumed stream's
-// pieces match the reference encoding exactly (the piece cache restarts
-// cold and re-earns its hits).
-func TestCheckpointBPE(t *testing.T) {
-	v := trainTestVocab(t)
-	tok, err := streamtok.Compile(v, streamtok.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	input := workload.Prompts(5, 1<<13)
-	want := v.Encode(nil, input)
-
-	cut := len(input) / 3
-	s := tok.AcquireStreamer()
-	var ids []int
-	emit := func(tk streamtok.Token, _ []byte) { ids = append(ids, tk.Rule) }
-	s.Feed(input[:cut], emit)
-	cur, err := s.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tok.ReleaseStreamer(s)
-
-	r, err := streamtok.Resume(tok, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Feed(input[cut:], emit)
-	rest := r.Close(emit)
-	tok.ReleaseStreamer(r)
-	if rest != len(input) {
-		t.Fatalf("rest %d, want %d", rest, len(input))
-	}
-	if len(ids) != len(want) {
-		t.Fatalf("resumed BPE stream produced %d pieces, want %d", len(ids), len(want))
-	}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("piece %d = %d, want %d", i, ids[i], want[i])
-		}
 	}
 }
 

@@ -110,8 +110,9 @@ func LoadCompiledWithOptions(r io.Reader, opts Options) (*Tokenizer, *Grammar, e
 		}
 	}
 	return &Tokenizer{
-		inner: inner,
-		cert:  c,
+		eng:       inner,
+		ruleNames: grammarRuleNames(mf.Machine.Grammar),
+		cert:      c,
 		an: Analysis{
 			MaxTND:  mf.MaxTND,
 			Bounded: true,

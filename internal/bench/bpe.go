@@ -96,9 +96,7 @@ func BPE(cfg Config) Table {
 		ps := tok.NewStream()
 		ps.Feed(probe, emit)
 		ps.Close(emit)
-		hits, misses, _ := tok.CacheCounters()
-		pieces, fallbacks := tok.Counters()
-		backtracks := tok.Backtracks()
+		probed := tok.AggregateCounters()
 
 		elapsed := timeIt(cfg.Trials, func() {
 			s := tok.AcquireStream()
@@ -121,9 +119,9 @@ func BPE(cfg Config) Table {
 			secs(train),
 			secs(compile),
 			mbps(len(in), elapsed),
-			pct(hits, hits+misses),
-			pct(backtracks, pieces),
-			pct(fallbacks, pieces),
+			pct(probed.BPECacheHits, probed.BPECacheHits+probed.BPECacheMisses),
+			pct(probed.BPEBacktracks, probed.BPEPieces),
+			pct(probed.BPEFallbacks, probed.BPEPieces),
 		})
 	}
 	t.Note = fmt.Sprintf("vocabularies trained on a fixed %d B workload.Prompts corpus (seed %d, max token %d B; the 32k row saturates the token-length cap below its merge budget); dense_dfa_bytes is the 256-ary vocab-DFA layout, dfa_bytes is the serving table (row-displacement sparse once adopted), ratio = dfa_bytes/dense; resident_bytes is the certified vocab-DFA + pretokenizer footprint; cache_hit_pct, backtrack_pct and fallback_pct come from one cold-stream pass over a fixed %d B workload.Prompts probe (seed %d): piece-cache hits per piece, pieces whose greedy scan the local-validity check rejected and the backtracking search then certified, and pieces that ran the merge-loop safety net, each per pretokenizer piece; encode input %d B per row",

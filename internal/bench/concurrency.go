@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -139,7 +138,7 @@ func Concurrency(cfg Config) Table {
 	}
 	seqMB, seqAllocs := runReader(func() {
 		rd.Reset(input)
-		if _, err := tok.TokenizeContext(context.Background(), rd, chunk, emitNoop); err != nil {
+		if _, err := tok.Tokenize(rd, chunk, emitNoop); err != nil {
 			panic(err)
 		}
 	})

@@ -49,12 +49,12 @@ func TestSearchMatchesSlow(t *testing.T) {
 					}
 				})
 				if steps == 0 {
-					if s.fallbacks != 0 {
-						t.Errorf("%s vocab %d: %d pieces ran the merge loop under the default budget", tc.alphabet, vi, s.fallbacks)
+					if s.c.BPEFallbacks != 0 {
+						t.Errorf("%s vocab %d: %d pieces ran the merge loop under the default budget", tc.alphabet, vi, s.c.BPEFallbacks)
 					}
-					backtracked += s.backtracks
+					backtracked += s.c.BPEBacktracks
 				} else if vi >= 3 { // smallVocabs: 3 trained, then adversarial
-					netFired += s.fallbacks
+					netFired += s.c.BPEFallbacks
 				}
 			}
 		}

@@ -66,8 +66,6 @@ type pieceCache struct {
 	entries []cacheEntry
 	keys    []byte
 	ranks   []int32
-
-	hits, misses, evictions uint64
 }
 
 func newPieceCache() *pieceCache {
@@ -107,11 +105,13 @@ func (c *pieceCache) lookup(piece []byte, h uint32) []int32 {
 }
 
 // insert memoizes piece -> ranks, resetting the cache first if any
-// arena is out of room. piece must be at most maxCachedPieceLen bytes.
-func (c *pieceCache) insert(piece []byte, h uint32, ranks []int32) {
+// arena is out of room, and returns how many entries that reset
+// evicted. piece must be at most maxCachedPieceLen bytes.
+func (c *pieceCache) insert(piece []byte, h uint32, ranks []int32) (evicted uint64) {
 	if len(c.entries) == cacheMaxEntries ||
 		len(c.keys)+len(piece) > cacheKeyArenaBytes ||
 		len(c.ranks)+len(ranks) > cacheRankArenaLen {
+		evicted = uint64(len(c.entries))
 		c.reset()
 	}
 	keyOff, rankOff := len(c.keys), len(c.ranks)
@@ -130,12 +130,12 @@ func (c *pieceCache) insert(piece []byte, h uint32, ranks []int32) {
 		i = (i + 1) & mask
 	}
 	c.slots[i] = int32(len(c.entries))
+	return evicted
 }
 
-// reset discards every entry (counted as evictions) and clears the
-// arenas in place — no allocation, O(slots).
+// reset discards every entry and clears the arenas in place — no
+// allocation, O(slots).
 func (c *pieceCache) reset() {
-	c.evictions += uint64(len(c.entries))
 	clear(c.slots)
 	c.entries = c.entries[:0]
 	c.keys = c.keys[:0]

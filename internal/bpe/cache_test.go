@@ -3,6 +3,7 @@ package bpe
 import (
 	"testing"
 
+	"streamtok/internal/core"
 	"streamtok/internal/token"
 	"streamtok/internal/workload"
 )
@@ -112,7 +113,7 @@ func TestBPEMissPathZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("warm miss-path Feed allocates %.1f per run, want 0", allocs)
 	}
-	if _, backtracks, _, _, _, _ := s.Counters(); backtracks == 0 {
+	if s.StreamCounters().BPEBacktracks == 0 {
 		t.Error("no piece backtracked; the gate misses the search")
 	}
 }
@@ -153,8 +154,8 @@ func TestCompileAblations(t *testing.T) {
 			}
 			for _, in := range inputs {
 				checkAgainstReference(t, tok, in)
-				want, wrest := testTok.TokenizeBytes(in)
-				got, grest := tok.TokenizeBytes(in)
+				want, wrest := core.TokenizeBytes(testTok, in)
+				got, grest := core.TokenizeBytes(tok, in)
 				if wrest != grest || len(want) != len(got) {
 					t.Fatalf("%s: %d tokens rest %d, default %d tokens rest %d",
 						vr.name, len(got), grest, len(want), wrest)

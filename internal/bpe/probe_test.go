@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"streamtok/internal/core"
 	"streamtok/internal/workload"
 )
 
@@ -49,7 +50,7 @@ func TestCompileFusedUnderDefaultBudget(t *testing.T) {
 	// held-out sample (different seed than the training corpus).
 	sample := workload.Prompts(1234, 1<<16)
 	want := v.Encode(nil, sample)
-	toks, rest := tok.TokenizeBytes(sample)
+	toks, rest := core.TokenizeBytes(tok, sample)
 	if rest != len(sample) {
 		t.Fatalf("rest = %d, want %d", rest, len(sample))
 	}

@@ -1,14 +1,12 @@
 package bpe
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"sync"
-	"sync/atomic"
 
 	"streamtok/internal/analysis"
 	"streamtok/internal/core"
+	"streamtok/internal/obs"
 	"streamtok/internal/tepath"
 	"streamtok/internal/tokdfa"
 	"streamtok/internal/token"
@@ -88,17 +86,13 @@ type Tokenizer struct {
 	stepsPerByte int     // search budget per piece byte (searchStepsPerByte; tests starve it)
 	noCache      bool    // Options.DisablePieceCache
 
-	pieces     atomic.Uint64 // pieces encoded
-	backtracks atomic.Uint64 // pieces the search certified after backtracking
-	fallbacks  atomic.Uint64 // pieces that ran the merge-loop safety net
-
-	cacheHits      atomic.Uint64 // piece-cache hits (byte pieces included)
-	cacheMisses    atomic.Uint64 // piece-cache misses (uncacheable included)
-	cacheEvictions atomic.Uint64 // entries discarded by wholesale resets
-
-	pool    sync.Pool // recycles *Stream
-	bufPool sync.Pool // recycles reader-driver buffers
+	pool sync.Pool // recycles *Stream
 }
+
+var (
+	_ core.Engine = (*Tokenizer)(nil)
+	_ core.Stream = (*Stream)(nil)
+)
 
 // Compile builds the streaming BPE tokenizer: the vocab trie DFA
 // through the class-native path, the pretokenizer StreamTok engine, and
@@ -169,19 +163,23 @@ func (t *Tokenizer) K() int { return t.ptok.K() }
 // (sparse when adopted) plus the pretokenizer engine's tables.
 func (t *Tokenizer) TableBytes() int { return t.vm.TableBytes() + t.ptok.TableBytes() }
 
+// AccelStates is the pretokenizer engine's count of accelerated states.
+func (t *Tokenizer) AccelStates() int { return t.ptok.AccelStates() }
+
+// AggregateCounters snapshots the counters of every stream the
+// tokenizer started. Streams count into their pretokenizer stream's
+// block, so this is the pretokenizer engine's aggregate: bytes, chunks,
+// pieces as its tokens, and the BPE piece, search and cache counters.
+func (t *Tokenizer) AggregateCounters() obs.Counters { return t.ptok.AggregateCounters() }
+
 // Counters reports how many pieces have been encoded and how many of
 // them ran the merge-loop safety net (the backtracking search spent its
 // budget or found nothing). On trained vocabularies the fallback
 // fraction is ~0; a rising one flags a hostile rank table.
 func (t *Tokenizer) Counters() (pieces, fallbacks uint64) {
-	return t.pieces.Load(), t.fallbacks.Load()
+	c := t.AggregateCounters()
+	return c.BPEPieces, c.BPEFallbacks
 }
-
-// Backtracks reports how many pieces had their greedy scan rejected by
-// the local-validity check and were then certified by the backtracking
-// search. Disjoint from the fallbacks: a piece is greedy, backtracked,
-// or a fallback, and only cache misses are any of them.
-func (t *Tokenizer) Backtracks() uint64 { return t.backtracks.Load() }
 
 // CacheCounters reports the piece-encoding cache's aggregate activity:
 // hits (single-byte pieces, served from the byte table, count as hits
@@ -190,14 +188,16 @@ func (t *Tokenizer) Backtracks() uint64 { return t.backtracks.Load() }
 // piece is exactly one hit or one miss, so hits+misses always equals
 // the pieces counter — the reconciliation stats tests pin.
 func (t *Tokenizer) CacheCounters() (hits, misses, evictions uint64) {
-	return t.cacheHits.Load(), t.cacheMisses.Load(), t.cacheEvictions.Load()
+	c := t.AggregateCounters()
+	return c.BPECacheHits, c.BPECacheMisses, c.BPECacheEvictions
 }
 
 // Stream is a push-mode BPE encoder for one stream. Not safe for
 // concurrent use.
 type Stream struct {
 	t  *Tokenizer
-	ps *core.Streamer
+	ps *core.Streamer // pretokenizer stream, owned for the Stream's life
+	c  *obs.Counters  // ps's live counter block, which the encoder counts into
 
 	emit    core.EmitFunc // user sink for the current Feed/Close call
 	pieceFn core.EmitFunc // cached closure over onPiece
@@ -211,13 +211,12 @@ type Stream struct {
 
 	batch     []token.Token // batched emission buffer
 	batchSink core.BatchFunc
-
-	pieces, backtracks, fallbacks uint64 // folded into the tokenizer on release/close
 }
 
 // NewStream starts a fresh stream.
 func (t *Tokenizer) NewStream() *Stream {
 	s := &Stream{t: t, ps: t.ptok.NewStreamer(), cache: newPieceCache()}
+	s.c = s.ps.LayerCounters()
 	s.pieceFn = s.onPiece
 	s.batchFn = s.batchEmit
 	return s
@@ -226,64 +225,24 @@ func (t *Tokenizer) NewStream() *Stream {
 // AcquireStream returns a pooled stream (pair with ReleaseStream; the
 // warm serving loop allocates nothing per stream). Pooled streams keep
 // their piece cache, so reacquired streams start warm.
-func (t *Tokenizer) AcquireStream() *Stream {
+func (t *Tokenizer) AcquireStream() core.Stream {
 	if v := t.pool.Get(); v != nil {
 		s := v.(*Stream)
-		s.ps = t.ptok.AcquireStreamer()
+		s.ps.Reset()
 		return s
 	}
-	s := &Stream{t: t, ps: t.ptok.AcquireStreamer(), cache: newPieceCache()}
-	s.pieceFn = s.onPiece
-	s.batchFn = s.batchEmit
-	return s
+	return t.NewStream()
 }
 
-// ReleaseStream recycles s. s must not be used afterwards.
-func (t *Tokenizer) ReleaseStream(s *Stream) {
-	if s == nil || s.t != t || s.ps == nil {
+// ReleaseStream retires s (folding its counters into the aggregate if
+// it did not finish) and recycles it. s must not be used afterwards.
+func (t *Tokenizer) ReleaseStream(cs core.Stream) {
+	s, ok := cs.(*Stream)
+	if !ok || s == nil || s.t != t {
 		return
 	}
-	s.foldCounters()
-	t.ptok.ReleaseStreamer(s.ps)
-	s.ps = nil
+	s.ps.Discard()
 	t.pool.Put(s)
-}
-
-func (s *Stream) foldCounters() {
-	if s.pieces != 0 {
-		s.t.pieces.Add(s.pieces)
-		s.pieces = 0
-	}
-	if s.backtracks != 0 {
-		s.t.backtracks.Add(s.backtracks)
-		s.backtracks = 0
-	}
-	if s.fallbacks != 0 {
-		s.t.fallbacks.Add(s.fallbacks)
-		s.fallbacks = 0
-	}
-	if c := s.cache; c != nil {
-		if c.hits != 0 {
-			s.t.cacheHits.Add(c.hits)
-			c.hits = 0
-		}
-		if c.misses != 0 {
-			s.t.cacheMisses.Add(c.misses)
-			c.misses = 0
-		}
-		if c.evictions != 0 {
-			s.t.cacheEvictions.Add(c.evictions)
-			c.evictions = 0
-		}
-	}
-}
-
-// Counters reports the stream's not-yet-folded activity: pieces encoded,
-// backtracked pieces, merge-loop fallbacks, and cache
-// hits/misses/evictions since the last fold (Close, CloseBatch, Reset,
-// or release zero these into the tokenizer's aggregates).
-func (s *Stream) Counters() (pieces, backtracks, fallbacks, hits, misses, evictions uint64) {
-	return s.pieces, s.backtracks, s.fallbacks, s.cache.hits, s.cache.misses, s.cache.evictions
 }
 
 func discardEmit(token.Token, []byte) {}
@@ -311,7 +270,6 @@ func (s *Stream) Close(emit core.EmitFunc) int {
 	s.emit = emit
 	rest := s.ps.Close(s.pieceFn)
 	s.emit = nil
-	s.foldCounters()
 	return rest
 }
 
@@ -335,7 +293,6 @@ func (s *Stream) CloseBatch(sink core.BatchFunc) int {
 	s.flushBatch()
 	s.emit = nil
 	s.batchSink = nil
-	s.foldCounters()
 	return rest
 }
 
@@ -354,30 +311,46 @@ func (s *Stream) flushBatch() {
 }
 
 // Reset abandons the current stream and readies s for a fresh one.
-func (s *Stream) Reset() {
-	s.foldCounters()
-	s.ps.Reset()
-}
+func (s *Stream) Reset() { s.ps.Reset() }
 
-// PretokStreamer returns the underlying pretokenizer streamer — the
-// component that owns the stream's observability counters (bytes,
-// chunks, pieces-as-tokens, carry/ring high water).
-func (s *Stream) PretokStreamer() *core.Streamer { return s.ps }
+// Stopped reports whether the stream has terminated (Close was called;
+// the pretokenizer is total, so input never dies).
+func (s *Stream) Stopped() bool { return s.ps.Stopped() }
 
 // Rest returns the offset of the first unconsumed byte after Close.
 func (s *Stream) Rest() int { return s.ps.Rest() }
+
+// Offset returns the stream offset of the next byte Feed will consume.
+func (s *Stream) Offset() int { return s.ps.Offset() }
+
+// PendingStart returns the start of the pending pretokenizer piece: a
+// piece boundary, so a BPE token boundary too.
+func (s *Stream) PendingStart() int { return s.ps.PendingStart() }
+
+// CheckpointState captures the stream's live state, which is the
+// pretokenizer's: the encoder keeps nothing across pieces but its
+// cache, and a cache is never part of a cursor.
+func (s *Stream) CheckpointState() (core.CheckpointState, error) { return s.ps.CheckpointState() }
+
+// Restore rebases a fresh stream onto a checkpoint by restoring its
+// pretokenizer stream (see core.Streamer.Restore).
+func (s *Stream) Restore(cs core.CheckpointState) error { return s.ps.Restore(cs) }
+
+// StreamCounters snapshots this stream's counters: the pretokenizer's
+// block, which the encoder's piece, search and cache counters ride in.
+func (s *Stream) StreamCounters() obs.Counters { return s.ps.StreamCounters() }
 
 // onPiece receives one pretokenizer piece and emits its BPE encoding.
 // The cache front-ends everything: a hit replays the certified ranks
 // without touching the DFA, the validity caches, or the merge loop.
 func (s *Stream) onPiece(ptok token.Token, text []byte) {
-	s.pieces++
+	s.c.BPEPieces++
 	v := s.t.vocab
 	if len(text) == 1 {
 		// A single byte is always its byte token: the byte table is the
 		// degenerate always-warm cache, so this counts as a hit (keeping
 		// hits+misses == pieces exact).
-		s.cache.hits++
+		s.c.BPECacheHits++
 		r := int(v.byteRank[text[0]])
 		s.emit(token.Token{Start: ptok.Start, End: ptok.End, Rule: r}, text)
 		return
@@ -387,15 +360,15 @@ func (s *Stream) onPiece(ptok token.Token, text []byte) {
 	if cacheable {
 		h = pieceHash(text)
 		if ranks := s.cache.lookup(text, h); ranks != nil {
-			s.cache.hits++
+			s.c.BPECacheHits++
 			s.emitRanks(ptok, text, ranks)
 			return
 		}
 	}
-	s.cache.misses++
+	s.c.BPECacheMisses++
 	ranks := s.encodeUncached(text)
 	if cacheable {
-		s.cache.insert(text, h, ranks)
+		s.c.BPECacheEvictions += s.cache.insert(text, h, ranks)
 	}
 	s.emitRanks(ptok, text, ranks)
 }
@@ -426,10 +399,10 @@ func (s *Stream) encodeUncached(text []byte) []int32 {
 	case searchGreedy:
 		return seg
 	case searchBacktracked:
-		s.backtracks++
+		s.c.BPEBacktracks++
 		return seg
 	}
-	s.fallbacks++
+	s.c.BPEFallbacks++
 	s.enc = s.t.vocab.encodePiece(s.enc[:0], text, &s.sc)
 	seg = seg[:0]
 	for _, r := range s.enc {
@@ -437,79 +410,4 @@ func (s *Stream) encodeUncached(text []byte) []int32 {
 	}
 	s.search.seg = seg
 	return seg
-}
-
-// Tokenize reads the stream block-by-block (bufSize 0 = 64 KB) and
-// emits every BPE token; it returns the offset of the first unconsumed
-// byte and any read error.
-func (t *Tokenizer) Tokenize(r io.Reader, bufSize int, emit core.EmitFunc) (rest int, err error) {
-	return t.TokenizeContextChunks(context.Background(), r, bufSize, emit, nil)
-}
-
-// TokenizeContext is Tokenize with cancellation, checked at chunk
-// boundaries.
-func (t *Tokenizer) TokenizeContext(ctx context.Context, r io.Reader, bufSize int, emit core.EmitFunc) (rest int, err error) {
-	return t.TokenizeContextChunks(ctx, r, bufSize, emit, nil)
-}
-
-// TokenizeContextChunks mirrors core.Tokenizer.TokenizeContextChunks:
-// the boundary hook runs after every fed block, and both cancellation
-// and boundary errors cut at chunk boundaries only.
-func (t *Tokenizer) TokenizeContextChunks(ctx context.Context, r io.Reader, bufSize int, emit core.EmitFunc, boundary core.BoundaryFunc) (rest int, err error) {
-	if bufSize <= 0 {
-		bufSize = core.DefaultBufferSize
-	}
-	s := t.AcquireStream()
-	defer t.ReleaseStream(s)
-	bp := t.acquireBuf(bufSize)
-	defer t.bufPool.Put(bp)
-	buf := *bp
-	consumed := 0
-	for {
-		if cerr := ctx.Err(); cerr != nil {
-			s.Close(nil)
-			return s.Rest(), cerr
-		}
-		n, rerr := r.Read(buf)
-		if n > 0 {
-			consumed += n
-			s.Feed(buf[:n], emit)
-			if boundary != nil {
-				if berr := boundary(consumed); berr != nil {
-					s.Close(nil)
-					return s.Rest(), berr
-				}
-			}
-		}
-		if rerr == io.EOF {
-			return s.Close(emit), nil
-		}
-		if rerr != nil {
-			s.Close(nil)
-			return s.Rest(), rerr
-		}
-	}
-}
-
-func (t *Tokenizer) acquireBuf(n int) *[]byte {
-	if v := t.bufPool.Get(); v != nil {
-		bp := v.(*[]byte)
-		if cap(*bp) >= n {
-			*bp = (*bp)[:n]
-			return bp
-		}
-	}
-	b := make([]byte, n)
-	return &b
-}
-
-// TokenizeBytes encodes an in-memory input in one Feed and returns the
-// tokens and the offset of the first unconsumed byte.
-func (t *Tokenizer) TokenizeBytes(input []byte) (toks []token.Token, rest int) {
-	s := t.AcquireStream()
-	collect := func(batch []token.Token) { toks = append(toks, batch...) }
-	s.FeedBatch(input, collect)
-	rest = s.CloseBatch(collect)
-	t.ReleaseStream(s)
-	return toks, rest
 }

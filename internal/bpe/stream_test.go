@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"streamtok/internal/core"
 	"streamtok/internal/token"
 	"streamtok/internal/workload"
 )
@@ -175,7 +176,7 @@ func TestStreamReuse(t *testing.T) {
 			in   []byte
 			want []int
 		}{{in1, want1}, {in2, want2}} {
-			toks, rest := testTok.TokenizeBytes(tc.in)
+			toks, rest := core.TokenizeBytes(testTok, tc.in)
 			if rest != len(tc.in) {
 				t.Fatalf("round %d: rest %d != %d", round, rest, len(tc.in))
 			}

@@ -298,7 +298,7 @@ func TestPoolConcurrentReconciliation(t *testing.T) {
 	wantToks, _ := tok.TokenizeBytes(input)
 	// TokenizeBytes above already retired one stream into the aggregate;
 	// measure deltas from here.
-	base := tok.Counters()
+	base := tok.AggregateCounters()
 
 	var wg sync.WaitGroup
 	counts := make([]uint64, goroutines)
@@ -331,7 +331,7 @@ func TestPoolConcurrentReconciliation(t *testing.T) {
 	if want := uint64(goroutines * streams * len(wantToks)); tokens != want {
 		t.Fatalf("emitted %d tokens across goroutines, want %d", tokens, want)
 	}
-	agg := tok.Counters()
+	agg := tok.AggregateCounters()
 	if got := agg.Streams - base.Streams; got != goroutines*streams {
 		t.Errorf("aggregate Streams delta = %d, want %d", got, goroutines*streams)
 	}

@@ -46,8 +46,8 @@ const batchCap = 512
 // Its tables are immutable and it is safe for concurrent use; each
 // stream gets its own Streamer. The tokenizer additionally keeps an
 // always-on observability registry (internal/obs): every Streamer's
-// counters fold into it when the stream finishes, and Counters()
-// snapshots the aggregate at any time.
+// counters fold into it when the stream finishes, and
+// AggregateCounters snapshots the aggregate at any time.
 type Tokenizer struct {
 	m    *tokdfa.Machine
 	k    int
@@ -63,8 +63,6 @@ type Tokenizer struct {
 	// ring, scratch, batch buffer, and per-rule counters, so the
 	// steady-state serving path performs no per-stream allocations.
 	pool sync.Pool
-	// bufPool recycles the read buffers the io.Reader drivers use.
-	bufPool sync.Pool
 
 	obsMu   sync.Mutex
 	live    map[*Streamer]struct{} // streams not yet retired
@@ -379,7 +377,7 @@ func (t *Tokenizer) TableBytes() int {
 // the tokenizer aggregate when it finishes — at Close, when it dies on
 // untokenizable input, or at an explicit Discard. A streamer that is
 // abandoned without any of those stays registered (its counters still
-// appear in Counters() snapshots) but is never freed from the registry,
+// appear in AggregateCounters snapshots) but is never freed from the registry,
 // so long-lived tokenizers should Close or Discard every stream.
 func (t *Tokenizer) NewStreamer() *Streamer {
 	s := &Streamer{m: t.m, k: t.k, te: t.te, k1: t.k1, fe: t.fe, tok: t, noObs: t.noObs}
@@ -493,13 +491,13 @@ func nextPow2(n int) int {
 	return c
 }
 
-// Counters snapshots the tokenizer-wide observability aggregate:
+// AggregateCounters snapshots the tokenizer-wide observability aggregate:
 // finished streams plus the current counters of every live one. It is
 // safe to call from any goroutine; counters of streams being actively
 // fed at the moment of the snapshot are read without synchronization
 // and may be slightly stale or torn — fine for monitoring, so the feed
 // loops never pay for atomics.
-func (t *Tokenizer) Counters() obs.Counters {
+func (t *Tokenizer) AggregateCounters() obs.Counters {
 	t.obsMu.Lock()
 	out := t.retired.Clone()
 	for s := range t.live {
@@ -517,6 +515,13 @@ func (t *Tokenizer) Counters() obs.Counters {
 func (s *Streamer) StreamCounters() obs.Counters {
 	return s.snapshot()
 }
+
+// LayerCounters returns the stream's live counter block, for a stage
+// layered on this streamer's emissions to count into (the BPE encoder's
+// piece and cache counters): what it adds shows in this stream's
+// snapshots, survives Close, and folds into the tokenizer aggregate
+// with the streamer's own counts. Owner-only, like Feed.
+func (s *Streamer) LayerCounters() *obs.Counters { return &s.c }
 
 // snapshot derives the stream's full counter block without mutating the
 // stream (so concurrent registry snapshots stay read-only): it folds in

@@ -56,10 +56,10 @@ type Cursor struct {
 	// suspended under; resuming verifies it against the target
 	// tokenizer's certificate and refuses a mismatch.
 	GrammarHash string
-	// EngineMode names the core engine mode that produced the cursor
-	// (e.g. "fused-general"). Cursors are portable across modes of the
-	// same grammar; the QA cross-check is enforced only when the
-	// resuming mode matches.
+	// EngineMode names the engine mode that produced the cursor (e.g.
+	// "fused-general", or "bpe+fused-k1" for a vocabulary). Cursors are
+	// portable across modes of the same source; the QA cross-check is
+	// enforced only when the resuming mode matches.
 	EngineMode string
 	// Boundary is the stream offset of the pending token's first byte.
 	Boundary int64

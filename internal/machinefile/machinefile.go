@@ -138,18 +138,6 @@ func (e *encoder) writeRules(m *tokdfa.Machine) {
 	e.ints(int64(m.NFASize), int64(m.DFA.NumStates()))
 }
 
-// writeDenseTables writes the version 1/2 table section: dense 256-ary
-// rows plus the accept labels.
-func (e *encoder) writeDenseTables(m *tokdfa.Machine) {
-	d := m.DFA
-	if e.err == nil {
-		e.err = binary.Write(e.out, binary.LittleEndian, d.DenseTrans())
-	}
-	if e.err == nil {
-		e.err = binary.Write(e.out, binary.LittleEndian, d.Accept)
-	}
-}
-
 // writeCompressedTables writes the version 3 table section: the class
 // count, the 256-entry class map, the compressed rows, and the accept
 // labels.
@@ -198,9 +186,9 @@ func (e *encoder) writeSparseTables(m *tokdfa.Machine) {
 }
 
 // writeCert writes the certificate section: the presence flag and, when
-// c is non-nil, the certificate fields. v3 files carry the two
-// compression-era fields (class count, dense-equivalent table bytes)
-// after the original eight; v4 files add the sparse table bytes.
+// c is non-nil, the certificate fields — the original eight, then the
+// two compression-era fields (class count, dense-equivalent table
+// bytes); v4 files add the sparse table bytes.
 func (e *encoder) writeCert(c *cert.Certificate, version int) {
 	if c == nil {
 		e.ints(0)
@@ -211,9 +199,7 @@ func (e *encoder) writeCert(c *cert.Certificate, version int) {
 	e.ints(int64(c.DelayK), int64(c.DichotomyBound),
 		int64(c.RingBytes), int64(c.CarryRetainedCap), int64(c.TableBytes),
 		int64(c.AccelStates), int64(c.AccelSlots), int64(c.ParallelReworkX))
-	if version >= 3 {
-		e.ints(int64(c.NumClasses), int64(c.DenseTableBytes))
-	}
+	e.ints(int64(c.NumClasses), int64(c.DenseTableBytes))
 	if version >= 4 {
 		e.ints(int64(c.SparseTableBytes))
 	}
@@ -270,39 +256,6 @@ func EncodeWithCert(w io.Writer, m *tokdfa.Machine, maxTND int, c *cert.Certific
 	return e.writeTail(w, crc, maxTND)
 }
 
-// EncodeV2 writes the legacy version-2 layout: dense 256-ary rows plus
-// the original eight-field certificate section. It exists for
-// cross-version compatibility tests (v2 → v3 round-trips, fuzz seeds)
-// and for producing files older readers accept.
-func EncodeV2(w io.Writer, m *tokdfa.Machine, maxTND int, c *cert.Certificate) error {
-	crc := crc32.NewIEEE()
-	e := &encoder{out: io.MultiWriter(w, crc)}
-
-	if _, err := e.out.Write(magicV2[:]); err != nil {
-		return err
-	}
-	e.writeRules(m)
-	e.writeDenseTables(m)
-	e.writeCert(c, 2)
-	return e.writeTail(w, crc, maxTND)
-}
-
-// EncodeV1 writes the legacy version-1 layout (dense rows, no
-// certificate section). It exists for cross-version compatibility tests
-// and for producing files older readers accept; new artifacts should use
-// EncodeWithCert.
-func EncodeV1(w io.Writer, m *tokdfa.Machine, maxTND int) error {
-	crc := crc32.NewIEEE()
-	e := &encoder{out: io.MultiWriter(w, crc)}
-
-	if _, err := e.out.Write(magicV1[:]); err != nil {
-		return err
-	}
-	e.writeRules(m)
-	e.writeDenseTables(m)
-	return e.writeTail(w, crc, maxTND)
-}
-
 // tableChunk bounds how many int32s readInt32s decodes per read, so the
 // memory committed to a table tracks the bytes actually present in the
 // file rather than the count its header claims.
@@ -336,8 +289,8 @@ func readInt32s(r io.Reader, total int) ([]int32, error) {
 	return out, nil
 }
 
-// Decode reads a machine written by Encode/EncodeWithCert (or the
-// legacy EncodeV1), verifying the checksum, rebuilding the derived
+// Decode reads a machine written by Encode/EncodeWithCert (or a legacy
+// version 1/2 file), verifying the checksum, rebuilding the derived
 // analyses (co-accessibility, dead state), and statically verifying the
 // resource certificate when one is present — a certificate that does
 // not match the machine it ships with refuses the whole file.

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"streamtok/internal/analysis"
@@ -224,25 +226,16 @@ func FuzzDecode(f *testing.F) {
 		mid := append([]byte(nil), full...)
 		mid[len(mid)/3] ^= 0x10
 		f.Add(mid)
-		// Certificate-bearing and legacy v1 encodings of the same
-		// machine, so the fuzzer mutates the cert section and the
-		// version switch, not just the common layout.
+		// A certificate-bearing encoding of the same machine, so the
+		// fuzzer mutates the cert section, not just the common layout
+		// (the frozen v1/v2 layouts come from the committed seed-v1-*
+		// and seed-v2-* corpus files).
 		c := certFor(f, m, res)
 		var certBuf bytes.Buffer
 		if err := machinefile.EncodeWithCert(&certBuf, m, res.MaxTND, c); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(certBuf.Bytes())
-		var v1 bytes.Buffer
-		if err := machinefile.EncodeV1(&v1, m, res.MaxTND); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(v1.Bytes())
-		var v2 bytes.Buffer
-		if err := machinefile.EncodeV2(&v2, m, res.MaxTND, c); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(v2.Bytes())
 		// v3-specific damage: truncation inside the class map and an
 		// out-of-range class index, so the fuzzer starts from the
 		// compressed-table validation paths.
@@ -429,17 +422,34 @@ func TestCertSemanticTamper(t *testing.T) {
 	}
 }
 
+// legacySeed returns the machine bytes stored in a committed FuzzDecode
+// corpus file: the frozen version 1/2 files live there, written when
+// their encoders still existed.
+func legacySeed(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecode", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, body, _ := strings.Cut(strings.TrimSpace(string(data)), "\n")
+	lit, ok := strings.CutPrefix(body, "[]byte(")
+	if header != "go test fuzz v1" || !ok || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("%s: not a single-[]byte fuzz corpus file", name)
+	}
+	raw, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return []byte(raw)
+}
+
 // TestV1CrossVersionLoad: a legacy version-1 file (no certificate)
 // still decodes — old machine files keep working, they just carry no
 // cost claims (Cert == nil tells the loader to certify fresh).
 func TestV1CrossVersionLoad(t *testing.T) {
 	m := grammars.JSON().Machine()
 	res := analysis.Analyze(m)
-	var buf bytes.Buffer
-	if err := machinefile.EncodeV1(&buf, m, res.MaxTND); err != nil {
-		t.Fatal(err)
-	}
-	got, err := machinefile.Decode(&buf)
+	got, err := machinefile.Decode(bytes.NewReader(legacySeed(t, "seed-v1-json")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +467,9 @@ func TestV1CrossVersionLoad(t *testing.T) {
 // TestRegenFuzzSeeds rewrites the certificate-related fuzz seed corpus
 // under testdata/fuzz/FuzzDecode when MACHINEFILE_REGEN_SEEDS=1 — run
 // it after changing the cert section layout so the committed corpus
-// keeps exercising the current format. A no-op (skip) otherwise.
+// keeps exercising the current format. A no-op (skip) otherwise. The
+// seed-v1-* and seed-v2-* files are not rewritten: those formats are
+// frozen and their writers are gone.
 func TestRegenFuzzSeeds(t *testing.T) {
 	if os.Getenv("MACHINEFILE_REGEN_SEEDS") == "" {
 		t.Skip("set MACHINEFILE_REGEN_SEEDS=1 to rewrite the seed corpus")
@@ -490,16 +502,6 @@ func TestRegenFuzzSeeds(t *testing.T) {
 		flip := append([]byte(nil), full...)
 		flip[len(flip)-(8+4+40)] ^= 0x08
 		write("seed-cert-flip-"+name, flip)
-		var v1 bytes.Buffer
-		if err := machinefile.EncodeV1(&v1, m, res.MaxTND); err != nil {
-			t.Fatal(err)
-		}
-		write("seed-v1-"+name, v1.Bytes())
-		var v2 bytes.Buffer
-		if err := machinefile.EncodeV2(&v2, m, res.MaxTND, c); err != nil {
-			t.Fatal(err)
-		}
-		write("seed-v2-"+name, v2.Bytes())
 		// Compressed-table damage: a cert-free v3 file truncated inside
 		// the class map, and one whose class map names an undeclared
 		// class.
@@ -615,13 +617,7 @@ func TestDecodeClassMapCorruption(t *testing.T) {
 // machine produces a current v3 file carrying the same language.
 func TestV2CrossVersionLoad(t *testing.T) {
 	m := grammars.JSON().Machine()
-	res := analysis.Analyze(m)
-	c := certFor(t, m, res)
-	var buf bytes.Buffer
-	if err := machinefile.EncodeV2(&buf, m, res.MaxTND, c); err != nil {
-		t.Fatal(err)
-	}
-	got, err := machinefile.Decode(&buf)
+	got, err := machinefile.Decode(bytes.NewReader(legacySeed(t, "seed-v2-json")))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,6 +74,20 @@ type Counters struct {
 	ParallelSegments  uint64
 	ParallelSynced    uint64
 	ParallelReScanned uint64
+
+	// BPE* count a vocabulary engine's piece encoding, which runs on the
+	// pretokenizer stream's emissions and counts into that stream's
+	// block: pieces encoded (one per pretokenizer token), pieces the
+	// backtracking search certified after a rejected greedy scan,
+	// pieces that ran the merge-loop safety net, and the piece cache's
+	// hits, misses and wholesale-reset evictions. Zero on grammar
+	// engines.
+	BPEPieces         uint64
+	BPEBacktracks     uint64
+	BPEFallbacks      uint64
+	BPECacheHits      uint64
+	BPECacheMisses    uint64
+	BPECacheEvictions uint64
 }
 
 // ObserveLatency records one token's emission latency in bytes.
@@ -141,6 +155,12 @@ func (c *Counters) Merge(o *Counters) {
 	c.ParallelSegments += o.ParallelSegments
 	c.ParallelSynced += o.ParallelSynced
 	c.ParallelReScanned += o.ParallelReScanned
+	c.BPEPieces += o.BPEPieces
+	c.BPEBacktracks += o.BPEBacktracks
+	c.BPEFallbacks += o.BPEFallbacks
+	c.BPECacheHits += o.BPECacheHits
+	c.BPECacheMisses += o.BPECacheMisses
+	c.BPECacheEvictions += o.BPECacheEvictions
 }
 
 // Clone returns an independent copy (the TokensByRule slice is the only

@@ -181,7 +181,7 @@ func TestParallelUntokenizable(t *testing.T) {
 func TestSequentialFallback(t *testing.T) {
 	m := tokdfa.MustCompile(tokdfa.MustParseGrammar(`[0-9]+`, `[ ]+`), tokdfa.Options{})
 	tok := tokenizer(t, m)
-	base := tok.Counters()
+	base := tok.AggregateCounters()
 	for i, in := range [][]byte{[]byte("12 34"), []byte("7"), []byte(""), []byte(" ")} {
 		got, rest, stats := runParallel(t, tok, in, 8, 64*1024)
 		if stats.Segments != 1 || stats.Synchronized != 0 || stats.ReScanned != 0 {
@@ -192,7 +192,7 @@ func TestSequentialFallback(t *testing.T) {
 			t.Fatalf("input %d: fallback output differs", i)
 		}
 	}
-	after := tok.Counters()
+	after := tok.AggregateCounters()
 	if runs := after.ParallelRuns - base.ParallelRuns; runs != 4 {
 		t.Errorf("aggregate ParallelRuns delta = %d, want 4", runs)
 	}

@@ -97,12 +97,7 @@ type Stats struct {
 // statsFrom converts an internal counter block into the public snapshot,
 // attaching rule names and padding the per-rule slice to the grammar.
 func (t *Tokenizer) statsFrom(c obs.Counters) Stats {
-	g := t.inner.Machine().Grammar
-	names := make([]string, len(g.Rules))
-	for i := range names {
-		names[i] = g.RuleName(i)
-	}
-	byRule := make([]uint64, len(g.Rules))
+	byRule := make([]uint64, len(t.ruleNames))
 	copy(byRule, c.TokensByRule)
 	return Stats{
 		Streams:           c.Streams,
@@ -111,7 +106,7 @@ func (t *Tokenizer) statsFrom(c obs.Counters) Stats {
 		Chunks:            c.Chunks,
 		TokensOut:         c.TokensOut,
 		TokensByRule:      byRule,
-		RuleNames:         names,
+		RuleNames:         append([]string(nil), t.ruleNames...),
 		AccelAttempts:     c.AccelAttempts,
 		AccelSkippedBytes: c.AccelSkippedBytes,
 		AccelBackoffs:     c.AccelBackoffs,
@@ -123,6 +118,12 @@ func (t *Tokenizer) statsFrom(c obs.Counters) Stats {
 		ParallelSegments:  c.ParallelSegments,
 		ParallelSynced:    c.ParallelSynced,
 		ParallelReScanned: c.ParallelReScanned,
+		BPEPieces:         c.BPEPieces,
+		BPEBacktracks:     c.BPEBacktracks,
+		BPEFallbacks:      c.BPEFallbacks,
+		BPECacheHits:      c.BPECacheHits,
+		BPECacheMisses:    c.BPECacheMisses,
+		BPECacheEvictions: c.BPECacheEvictions,
 	}
 }
 
@@ -130,30 +131,16 @@ func (t *Tokenizer) statsFrom(c obs.Counters) Stats {
 // started: finished streams (Close, dead input, Discard) exactly, and
 // still-live streams as an instantaneous approximation — their counters
 // are read without synchronizing with the feeding goroutine, so take
-// authoritative aggregates after the streams close. On vocabulary
-// tokenizers the BPE piece/fallback/cache counters ride along (they
-// fold in when streams close or release).
+// authoritative aggregates after the streams close.
 func (t *Tokenizer) AggregateStats() Stats {
-	st := t.statsFrom(t.inner.Counters())
-	if t.bpe != nil {
-		st.BPEPieces, st.BPEFallbacks = t.bpe.Counters()
-		st.BPEBacktracks = t.bpe.Backtracks()
-		st.BPECacheHits, st.BPECacheMisses, st.BPECacheEvictions = t.bpe.CacheCounters()
-	}
-	return st
+	return t.statsFrom(t.eng.AggregateCounters())
 }
 
 // Stats snapshots this stream's own counters. Like Feed it must be
 // called by the stream's owner, not concurrently with Feed or Close.
-// On vocabulary tokenizers the BPE counters cover activity since the
-// stream's last Close/Reset (those fold the counts into the
-// tokenizer's aggregates and zero the stream's).
+// The counters survive Close; Reset and release start them over.
 func (s *Streamer) Stats() Stats {
-	st := s.tok.statsFrom(s.inner.StreamCounters())
-	if s.b != nil {
-		st.BPEPieces, st.BPEBacktracks, st.BPEFallbacks, st.BPECacheHits, st.BPECacheMisses, st.BPECacheEvictions = s.b.Counters()
-	}
-	return st
+	return s.tok.statsFrom(s.s.StreamCounters())
 }
 
 // LatencyQuantile returns an upper bound on the q-quantile (0 < q ≤ 1)
@@ -321,22 +308,12 @@ type EngineInfo struct {
 // mode, K and the accel count are the pretokenizer's, and TableBytes
 // adds the vocab DFA table to the pretokenizer's tables.
 func (t *Tokenizer) Engine() EngineInfo {
-	if t.bpe != nil {
-		mode := t.bpe.EngineMode()
-		return EngineInfo{
-			Mode:        mode,
-			K:           t.bpe.K(),
-			AccelStates: t.inner.AccelStates(),
-			TableBytes:  t.bpe.TableBytes(),
-			LazyTeDFA:   strings.HasSuffix(mode, "-lazy"),
-		}
-	}
-	mode := t.inner.EngineMode()
+	mode := t.eng.EngineMode()
 	return EngineInfo{
 		Mode:        mode,
-		K:           t.inner.K(),
-		AccelStates: t.inner.AccelStates(),
-		TableBytes:  t.inner.TableBytes(),
+		K:           t.eng.K(),
+		AccelStates: t.eng.AccelStates(),
+		TableBytes:  t.eng.TableBytes(),
 		LazyTeDFA:   strings.HasSuffix(mode, "-lazy"),
 	}
 }

@@ -1,10 +1,12 @@
 package streamtok
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 
+	"streamtok/internal/core"
 	"streamtok/internal/parallel"
 )
 
@@ -37,6 +39,15 @@ func (p ParallelStats) MarshalJSON() ([]byte, error) {
 	}{p.Segments, p.Synchronized, p.ReScanned})
 }
 
+// speculative returns the core engine the segment-parallel stitcher
+// runs on, or nil when the tokenizer's engine has no stitcher (a
+// vocabulary's BPE encoder), which then tokenizes sequentially through
+// the reader driver: one segment, the same token stream.
+func (t *Tokenizer) speculative() *core.Tokenizer {
+	ct, _ := t.eng.(*core.Tokenizer)
+	return ct
+}
+
 // TokenizeParallel tokenizes an in-memory input using multiple CPU cores
 // (the paper's §8 future-work direction): segments are tokenized
 // speculatively in parallel and stitched at token boundaries. Output is
@@ -47,16 +58,12 @@ func (p ParallelStats) MarshalJSON() ([]byte, error) {
 // segments degrade to sequential re-scanning — still correct, just less
 // parallel.
 func (t *Tokenizer) TokenizeParallel(input []byte, workers int, emit EmitFunc) (rest int, stats ParallelStats) {
-	if t.bpe != nil {
-		// The BPE path has no speculative stitcher yet: run sequentially
-		// (one segment, same token stream).
-		s := t.bpe.AcquireStream()
-		s.Feed(input, emit)
-		rest = s.Close(emit)
-		t.bpe.ReleaseStream(s)
+	ct := t.speculative()
+	if ct == nil {
+		rest, _ = t.Tokenize(bytes.NewReader(input), 0, emit)
 		return rest, ParallelStats{Segments: 1}
 	}
-	r, s := parallel.Tokenize(t.inner, input, parallel.Options{Workers: workers}, emit)
+	r, s := parallel.Tokenize(ct, input, parallel.Options{Workers: workers}, emit)
 	return r, ParallelStats{Segments: s.Segments, Synchronized: s.Synchronized, ReScanned: s.ReScanned}
 }
 
@@ -72,10 +79,11 @@ func (t *Tokenizer) TokenizeParallel(input []byte, workers int, emit EmitFunc) (
 // emitted before a read error are valid and rest reports how far
 // tokenization got.
 func (t *Tokenizer) TokenizeParallelReader(r io.Reader, workers int, emit EmitFunc) (rest int, stats ParallelStats, err error) {
-	if t.bpe != nil {
-		rest, err = t.bpe.Tokenize(r, 0, emit)
+	ct := t.speculative()
+	if ct == nil {
+		rest, err = t.Tokenize(r, 0, emit)
 		return rest, ParallelStats{Segments: 1}, err
 	}
-	rr, s, err := parallel.TokenizeReader(t.inner, r, parallel.Options{Workers: workers}, emit)
+	rr, s, err := parallel.TokenizeReader(ct, r, parallel.Options{Workers: workers}, emit)
 	return rr, ParallelStats{Segments: s.Segments, Synchronized: s.Synchronized, ReScanned: s.ReScanned}, err
 }

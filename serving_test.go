@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"streamtok"
+	"streamtok/internal/workload"
 )
 
 // TestAcquireReleasePublic: the pooled serving loop on the public API —
@@ -107,5 +108,64 @@ func TestTokenizeParallelReaderPublic(t *testing.T) {
 	}
 	if stats.Segments < 1 {
 		t.Fatalf("stats not plumbed: %+v", stats)
+	}
+}
+
+// TestPublicAPIZeroAllocs gates the steady-state serving guarantee at
+// the public API, where every source runs behind the one stream
+// contract: for a catalog grammar and a trained vocabulary, a warm
+// Tokenizer.Tokenize over an io.Reader and a warm
+// AcquireStreamer/Feed/Close/ReleaseStreamer turnover allocate nothing.
+func TestPublicAPIZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	v := trainTestVocab(t)
+	for _, src := range []struct {
+		name  string
+		build func() (*streamtok.Tokenizer, error)
+		input []byte
+	}{
+		{"json", func() (*streamtok.Tokenizer, error) {
+			g, err := streamtok.CatalogGrammar("json")
+			if err != nil {
+				return nil, err
+			}
+			return streamtok.New(g)
+		}, statsInput(t, "json", 16<<10)},
+		{"vocab", func() (*streamtok.Tokenizer, error) {
+			return streamtok.Compile(v, streamtok.Options{})
+		}, workload.Prompts(31, 16<<10)},
+	} {
+		t.Run(src.name, func(t *testing.T) {
+			tok, err := src.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			emit := func(streamtok.Token, []byte) {}
+			rd := bytes.NewReader(nil)
+			tokenize := func() {
+				rd.Reset(src.input)
+				if _, err := tok.Tokenize(rd, 0, emit); err != nil {
+					t.Fatal(err)
+				}
+			}
+			turn := func() {
+				s := tok.AcquireStreamer()
+				s.Feed(src.input, emit)
+				s.Close(emit)
+				tok.ReleaseStreamer(s)
+			}
+			for i := 0; i < 16; i++ {
+				tokenize()
+				turn()
+			}
+			if allocs := testing.AllocsPerRun(100, tokenize); allocs != 0 {
+				t.Errorf("warm Tokenize allocates %.1f/op, want 0", allocs)
+			}
+			if allocs := testing.AllocsPerRun(100, turn); allocs != 0 {
+				t.Errorf("warm streamer turnover allocates %.1f/op, want 0", allocs)
+			}
+		})
 	}
 }

@@ -234,11 +234,14 @@ func TestAggregateStats(t *testing.T) {
 }
 
 // TestBPEStatsReconciliation checks the vocabulary tokenizer's BPE
-// counters against their invariants: every piece is exactly one cache
-// hit or one miss (hits+misses == pieces, at the stream level and after
-// folding into the aggregate), only misses reach the search, so
-// backtracks+fallbacks <= misses <= pieces, and the repetitive prompt
-// workload actually hits the cache and backtracks on some misses.
+// counters against their invariants in every snapshot — a live stream,
+// the same stream after Close, a resumed stream, and the aggregate
+// after every stream closed: each pretokenizer token is one encoded
+// piece (BPEPieces == TokensOut; a resumed stream is exempt, since its
+// cursor carries the token counts but not the BPE ones), every piece is
+// exactly one cache hit or one miss, and only misses reach the search,
+// so backtracks+fallbacks <= misses <= pieces. The repetitive prompt
+// workload must actually hit the cache and backtrack on some misses.
 func TestBPEStatsReconciliation(t *testing.T) {
 	v, err := streamtok.TrainVocab(workload.Prompts(3, 1<<18), 800, 7)
 	if err != nil {
@@ -250,29 +253,33 @@ func TestBPEStatsReconciliation(t *testing.T) {
 	}
 	input := workload.Prompts(9, 64<<10)
 	emit := func(streamtok.Token, []byte) {}
-
-	s := tok.NewStreamer()
-	for off := 0; off < len(input); off += 4 << 10 {
-		end := off + 4<<10
-		if end > len(input) {
-			end = len(input)
+	check := func(what string, st streamtok.Stats, resumed bool) {
+		t.Helper()
+		if st.BPEPieces == 0 {
+			t.Fatalf("%s: no pieces counted on a vocabulary tokenizer", what)
 		}
-		s.Feed(input[off:end], emit)
+		if !resumed && st.BPEPieces != st.TokensOut {
+			t.Errorf("%s: pieces %d != pretokenizer tokens %d", what, st.BPEPieces, st.TokensOut)
+		}
+		if st.BPECacheHits+st.BPECacheMisses != st.BPEPieces {
+			t.Errorf("%s: cache hits %d + misses %d != pieces %d",
+				what, st.BPECacheHits, st.BPECacheMisses, st.BPEPieces)
+		}
+		if st.BPEBacktracks+st.BPEFallbacks > st.BPECacheMisses || st.BPECacheMisses > st.BPEPieces {
+			t.Errorf("%s: backtracks %d + fallbacks %d <= misses %d <= pieces %d does not hold",
+				what, st.BPEBacktracks, st.BPEFallbacks, st.BPECacheMisses, st.BPEPieces)
+		}
 	}
-	// Snapshot before Close: Close folds the stream's BPE counters into
-	// the tokenizer aggregate and zeroes them.
+	feed := func(s *streamtok.Streamer, in []byte) {
+		for off := 0; off < len(in); off += 4 << 10 {
+			s.Feed(in[off:min(off+4<<10, len(in))], emit)
+		}
+	}
+
+	s := tok.AcquireStreamer()
+	feed(s, input)
 	live := s.Stats()
-	if live.BPEPieces == 0 {
-		t.Fatal("no pieces counted on a vocabulary tokenizer")
-	}
-	if live.BPECacheHits+live.BPECacheMisses != live.BPEPieces {
-		t.Errorf("cache hits %d + misses %d != pieces %d",
-			live.BPECacheHits, live.BPECacheMisses, live.BPEPieces)
-	}
-	if live.BPEBacktracks+live.BPEFallbacks > live.BPECacheMisses || live.BPECacheMisses > live.BPEPieces {
-		t.Errorf("backtracks %d + fallbacks %d <= misses %d <= pieces %d does not hold",
-			live.BPEBacktracks, live.BPEFallbacks, live.BPECacheMisses, live.BPEPieces)
-	}
+	check("live stream", live, false)
 	if live.BPEBacktracks == 0 {
 		t.Error("prompt workload backtracked on no piece")
 	}
@@ -280,22 +287,46 @@ func TestBPEStatsReconciliation(t *testing.T) {
 		t.Error("prompt workload produced no cache hits")
 	}
 	s.Close(emit)
+	closed := s.Stats()
+	check("closed stream", closed, false)
+	if closed.BPEPieces < live.BPEPieces {
+		t.Errorf("Close lost pieces: %d after, %d before", closed.BPEPieces, live.BPEPieces)
+	}
+	tok.ReleaseStreamer(s)
 
+	// A suspend/resume cycle: the suspended half folds at release, the
+	// resumed half counts only its own pieces.
+	cut := len(input) / 2
+	s = tok.AcquireStreamer()
+	feed(s, input[:cut])
+	cur, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok.ReleaseStreamer(s)
+	r, err := streamtok.Resume(tok, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(r, input[cut:])
+	r.Close(emit)
+	check("resumed stream", r.Stats(), true)
+	tok.ReleaseStreamer(r)
+
+	if _, err := tok.Tokenize(bytes.NewReader(input), 0, emit); err != nil {
+		t.Fatal(err)
+	}
 	agg := tok.AggregateStats()
-	if agg.BPEPieces < live.BPEPieces {
-		t.Errorf("aggregate pieces %d < stream's folded %d", agg.BPEPieces, live.BPEPieces)
+	check("aggregate", agg, false)
+	if agg.StreamsDone != agg.Streams || agg.Streams != 4 {
+		t.Errorf("aggregate streams %d started, %d done, want 4 and 4", agg.Streams, agg.StreamsDone)
 	}
-	if agg.BPECacheHits+agg.BPECacheMisses != agg.BPEPieces {
-		t.Errorf("aggregate hits %d + misses %d != pieces %d",
-			agg.BPECacheHits, agg.BPECacheMisses, agg.BPEPieces)
-	}
-	if agg.BPEBacktracks < live.BPEBacktracks || agg.BPEBacktracks+agg.BPEFallbacks > agg.BPECacheMisses {
-		t.Errorf("aggregate backtracks %d (stream %d) + fallbacks %d vs misses %d",
-			agg.BPEBacktracks, live.BPEBacktracks, agg.BPEFallbacks, agg.BPECacheMisses)
+	if agg.BPEBacktracks < closed.BPEBacktracks {
+		t.Errorf("aggregate backtracks %d < the first stream's %d", agg.BPEBacktracks, closed.BPEBacktracks)
 	}
 
 	// The aggregate must be stable across identical snapshots, and the
-	// folded stream must not double-count.
+	// folded streams must not double-count.
 	again := tok.AggregateStats()
 	if again.BPEPieces != agg.BPEPieces || again.BPECacheHits != agg.BPECacheHits {
 		t.Errorf("aggregate changed between identical snapshots: %+v vs %+v", agg, again)

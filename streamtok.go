@@ -53,7 +53,6 @@ import (
 
 	"streamtok/internal/analysis"
 	"streamtok/internal/analysis/cert"
-	"streamtok/internal/bpe"
 	"streamtok/internal/core"
 	"streamtok/internal/grammars"
 	"streamtok/internal/tepath"
@@ -254,17 +253,27 @@ type Certificate = cert.Certificate
 // Tokenizer is a compiled StreamTok tokenizer. It is immutable and safe
 // for concurrent use; each concurrent stream needs its own Streamer.
 //
-// For a grammar source, inner is the engine tokenizing the grammar
-// itself. For a vocabulary source, bpe carries the BPE pipeline and
-// inner is its pretokenizer engine — which is what the observability
-// counters aggregate over (streams, bytes, pieces-as-tokens), while the
-// token-emitting entry points dispatch to the BPE path.
+// Every source compiles to one engine behind the same stream contract:
+// a grammar to the StreamTok engine that tokenizes it, a vocabulary to
+// the BPE encoder layered on its pretokenizer engine. The tokenizer
+// drives whichever it holds the same way, and reads its observability
+// counters and engine description from it.
 type Tokenizer struct {
-	inner    *core.Tokenizer
-	bpe      *bpe.Tokenizer // non-nil iff compiled from a *Vocab
-	an       Analysis
-	cert     *Certificate
-	wrapPool sync.Pool // recycles the Streamer wrapper structs
+	eng       core.Engine
+	ruleNames []string // the rules Stats.TokensByRule counts (a vocabulary's pretokenizer rules)
+	vocab     *Vocab   // the source, when it was a vocabulary
+	an        Analysis
+	cert      *Certificate
+	wrapPool  sync.Pool // recycles the Streamer wrapper structs
+}
+
+// grammarRuleNames lists g's rule names in rule order.
+func grammarRuleNames(g *tokdfa.Grammar) []string {
+	names := make([]string, len(g.Rules))
+	for i := range names {
+		names[i] = g.RuleName(i)
+	}
+	return names
 }
 
 // New compiles g, runs the static analysis, and builds the StreamTok
@@ -306,8 +315,9 @@ func newWithOptions(g *Grammar, opts Options) (*Tokenizer, error) {
 		return nil, err
 	}
 	return &Tokenizer{
-		inner: inner,
-		cert:  c,
+		eng:       inner,
+		ruleNames: grammarRuleNames(m.Grammar),
+		cert:      c,
 		an: Analysis{
 			MaxTND:  res.MaxTND,
 			Bounded: true,
@@ -328,27 +338,19 @@ func (t *Tokenizer) Certificate() *Certificate { return t.cert }
 
 // K returns the lookahead bound (the grammar's max-TND; for a
 // vocabulary source, the pretokenizer's).
-func (t *Tokenizer) K() int { return t.inner.K() }
+func (t *Tokenizer) K() int { return t.eng.K() }
 
 // Vocab returns the vocabulary this tokenizer was compiled from, or nil
 // when the source was a grammar or machine file. When non-nil,
 // Token.Rule values are BPE ranks into it.
-func (t *Tokenizer) Vocab() *Vocab {
-	if t.bpe == nil {
-		return nil
-	}
-	return &Vocab{v: t.bpe.Vocab()}
-}
+func (t *Tokenizer) Vocab() *Vocab { return t.vocab }
 
 // Tokenize reads the stream block-by-block (bufSize bytes per read; 0
 // means the 64 KB default) and calls emit for every maximal token. It
 // returns the offset of the first untokenized byte — the stream length
 // when the whole stream tokenized — and any read error.
 func (t *Tokenizer) Tokenize(r io.Reader, bufSize int, emit EmitFunc) (rest int, err error) {
-	if t.bpe != nil {
-		return t.bpe.TokenizeContext(context.Background(), r, bufSize, emit)
-	}
-	return t.inner.TokenizeContext(context.Background(), r, bufSize, emit)
+	return core.TokenizeChunks(context.Background(), t.eng, r, bufSize, emit, nil)
 }
 
 // TokenizeContext is Tokenize with cancellation: ctx is checked between
@@ -356,10 +358,7 @@ func (t *Tokenizer) Tokenize(r io.Reader, bufSize int, emit EmitFunc) (rest int,
 // context stops the stream at a chunk boundary and returns ctx.Err()
 // along with the offset reached.
 func (t *Tokenizer) TokenizeContext(ctx context.Context, r io.Reader, bufSize int, emit EmitFunc) (rest int, err error) {
-	if t.bpe != nil {
-		return t.bpe.TokenizeContext(ctx, r, bufSize, emit)
-	}
-	return t.inner.TokenizeContext(ctx, r, bufSize, emit)
+	return core.TokenizeChunks(ctx, t.eng, r, bufSize, emit, nil)
 }
 
 // BoundaryFunc is the per-chunk hook of TokenizeContextChunks: it
@@ -375,36 +374,25 @@ type BoundaryFunc = core.BoundaryFunc
 // responses in step with the input — limits cut at chunk boundaries,
 // never inside the feed loop.
 func (t *Tokenizer) TokenizeContextChunks(ctx context.Context, r io.Reader, bufSize int, emit EmitFunc, boundary BoundaryFunc) (rest int, err error) {
-	if t.bpe != nil {
-		return t.bpe.TokenizeContextChunks(ctx, r, bufSize, emit, boundary)
-	}
-	return t.inner.TokenizeContextChunks(ctx, r, bufSize, emit, boundary)
+	return core.TokenizeChunks(ctx, t.eng, r, bufSize, emit, boundary)
 }
 
 // TokenizeBytes tokenizes an in-memory input and returns the tokens and
 // the offset of the first untokenized byte.
 func (t *Tokenizer) TokenizeBytes(input []byte) ([]Token, int) {
-	if t.bpe != nil {
-		return t.bpe.TokenizeBytes(input)
-	}
-	return t.inner.TokenizeBytes(input)
+	return core.TokenizeBytes(t.eng, input)
 }
 
 // Streamer is a push-mode tokenizer for one stream: call Feed with chunks
 // as they arrive and Close at end of stream.
 type Streamer struct {
-	inner *core.Streamer
-	b     *bpe.Stream // non-nil iff the tokenizer was compiled from a *Vocab
-	tok   *Tokenizer  // owner, for rule names in Stats snapshots
+	s   core.Stream // nil once released
+	tok *Tokenizer  // owner, for rule names in Stats snapshots
 }
 
 // NewStreamer starts a fresh stream.
 func (t *Tokenizer) NewStreamer() *Streamer {
-	if t.bpe != nil {
-		b := t.bpe.NewStream()
-		return &Streamer{inner: b.PretokStreamer(), b: b, tok: t}
-	}
-	return &Streamer{inner: t.inner.NewStreamer(), tok: t}
+	return &Streamer{s: t.eng.AcquireStream(), tok: t}
 }
 
 // AcquireStreamer returns a streamer for a fresh stream, reusing a
@@ -413,21 +401,12 @@ func (t *Tokenizer) NewStreamer() *Streamer {
 // steady-state serving loop (acquire, feed, close, release) performs no
 // heap allocations. Pair every acquire with ReleaseStreamer.
 func (t *Tokenizer) AcquireStreamer() *Streamer {
-	if t.bpe != nil {
-		b := t.bpe.AcquireStream()
-		if v := t.wrapPool.Get(); v != nil {
-			s := v.(*Streamer)
-			s.inner, s.b = b.PretokStreamer(), b
-			return s
-		}
-		return &Streamer{inner: b.PretokStreamer(), b: b, tok: t}
-	}
 	if v := t.wrapPool.Get(); v != nil {
 		s := v.(*Streamer)
-		s.inner = t.inner.AcquireStreamer()
+		s.s = t.eng.AcquireStream()
 		return s
 	}
-	return &Streamer{inner: t.inner.AcquireStreamer(), tok: t}
+	return t.NewStreamer()
 }
 
 // ReleaseStreamer recycles s for a future AcquireStreamer, folding its
@@ -435,85 +414,51 @@ func (t *Tokenizer) AcquireStreamer() *Streamer {
 // stream did not already finish. s must have come from this tokenizer
 // and must not be used after release.
 func (t *Tokenizer) ReleaseStreamer(s *Streamer) {
-	if s == nil || s.tok != t || s.inner == nil {
+	if s == nil || s.tok != t || s.s == nil {
 		return
 	}
-	if s.b != nil {
-		t.bpe.ReleaseStream(s.b)
-		s.inner, s.b = nil, nil
-		t.wrapPool.Put(s)
-		return
-	}
-	t.inner.ReleaseStreamer(s.inner)
-	s.inner = nil
+	t.eng.ReleaseStream(s.s)
+	s.s = nil
 	t.wrapPool.Put(s)
 }
 
 // Feed pushes a chunk through the tokenizer, emitting any tokens whose
 // maximality the chunk confirms. Each byte is examined O(1) times; no
 // backtracking occurs.
-func (s *Streamer) Feed(chunk []byte, emit EmitFunc) {
-	if s.b != nil {
-		s.b.Feed(chunk, emit)
-		return
-	}
-	s.inner.Feed(chunk, emit)
-}
+func (s *Streamer) Feed(chunk []byte, emit EmitFunc) { s.s.Feed(chunk, emit) }
 
 // FeedBatch is Feed with batched emission: tokens are buffered and sink
 // is invoked with batches of them (at buffer pressure and once at the
 // chunk boundary), cutting the per-token indirect-call overhead on
 // token-dense streams. The token stream is identical to Feed's.
-func (s *Streamer) FeedBatch(chunk []byte, sink BatchFunc) {
-	if s.b != nil {
-		s.b.FeedBatch(chunk, sink)
-		return
-	}
-	s.inner.FeedBatch(chunk, sink)
-}
+func (s *Streamer) FeedBatch(chunk []byte, sink BatchFunc) { s.s.FeedBatch(chunk, sink) }
 
 // Close signals end of stream, drains the delayed lookahead bytes, and
 // returns the offset of the first untokenized byte.
-func (s *Streamer) Close(emit EmitFunc) int {
-	if s.b != nil {
-		return s.b.Close(emit)
-	}
-	return s.inner.Close(emit)
-}
+func (s *Streamer) Close(emit EmitFunc) int { return s.s.Close(emit) }
 
 // CloseBatch is Close with batched emission of the drained tail tokens.
-func (s *Streamer) CloseBatch(sink BatchFunc) int {
-	if s.b != nil {
-		return s.b.CloseBatch(sink)
-	}
-	return s.inner.CloseBatch(sink)
-}
+func (s *Streamer) CloseBatch(sink BatchFunc) int { return s.s.CloseBatch(sink) }
 
 // Reset abandons the current stream (its counters still reach the
 // tokenizer aggregate) and makes the streamer ready for a fresh one,
 // reusing every buffer it holds.
-func (s *Streamer) Reset() {
-	if s.b != nil {
-		s.b.Reset()
-		return
-	}
-	s.inner.Reset()
-}
+func (s *Streamer) Reset() { s.s.Reset() }
 
 // Stopped reports whether tokenization terminated early because the
 // remaining input matches no rule.
-func (s *Streamer) Stopped() bool { return s.inner.Stopped() }
+func (s *Streamer) Stopped() bool { return s.s.Stopped() }
 
 // Rest returns the offset of the first untokenized byte; it is
 // meaningful once Stopped reports true or Close has been called.
-func (s *Streamer) Rest() int { return s.inner.Rest() }
+func (s *Streamer) Rest() int { return s.s.Rest() }
 
 // Offset returns the absolute stream offset of the next byte Feed will
 // consume — the total bytes fed into the logical stream, including any
 // suspended segments before a Resume.
-func (s *Streamer) Offset() int { return s.inner.Offset() }
+func (s *Streamer) Offset() int { return s.s.Offset() }
 
 // PendingStart returns the stream offset where the pending (not yet
 // emitted) token begins — always a true token boundary, and the offset
 // a cursor taken now would resume from.
-func (s *Streamer) PendingStart() int { return s.inner.PendingStart() }
+func (s *Streamer) PendingStart() int { return s.s.PendingStart() }

@@ -127,9 +127,10 @@ func (v *Vocab) compile(opts Options) (*Tokenizer, error) {
 		return nil, err
 	}
 	return &Tokenizer{
-		inner: bt.PretokEngine(),
-		bpe:   bt,
-		cert:  c,
+		eng:       bt,
+		ruleNames: grammarRuleNames(bt.PretokMachine().Grammar),
+		vocab:     v,
+		cert:      c,
 		an: Analysis{
 			MaxTND:  bt.K(),
 			Bounded: true,
