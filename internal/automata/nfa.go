@@ -1,8 +1,10 @@
 // Package automata implements the finite-automata substrate: Thompson NFAs
 // with ε-transitions, byte-class compressed DFAs over the byte alphabet,
 // the subset construction with rule priorities (run per class, not per
-// byte), reachability and co-accessibility analyses, and partition-
-// refinement minimization over the compressed rows.
+// byte), the direct trie construction for literal sets (LiteralSet),
+// reachability and co-accessibility analyses, partition-refinement
+// minimization over the compressed rows, and row-displacement sparse
+// tables.
 package automata
 
 import (

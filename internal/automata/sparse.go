@@ -117,18 +117,20 @@ func Sparsify(d *DFA) *SparseDFA {
 		classes []int32 // class indices with non-default targets
 	}
 	var rows []row
-	counts := make(map[int32]int, nc)
+	counts := make([]int32, m) // per-row target tallies, zeroed after each row
 	threshold := denseRowThreshold(nc)
 	for q := 0; q < m; q++ {
 		tr := d.Trans[q*nc : (q+1)*nc]
-		clear(counts)
 		var def int32
-		best := -1
+		best := int32(-1)
 		for _, t := range tr {
 			counts[t]++
 			if c := counts[t]; c > best || (c == best && t < def) {
 				best, def = c, t
 			}
+		}
+		for _, t := range tr {
+			counts[t] = 0
 		}
 		s.Default[q] = def
 		var classes []int32
@@ -153,13 +155,29 @@ func Sparsify(d *DFA) *SparseDFA {
 		return rows[i].q < rows[j].q
 	})
 
-	// First-fit packing into Next/Check. Check doubles as the free map
-	// (-1 = free); arrays grow as bases push past the current end and
-	// are finally padded so Base[q]+c is in bounds for every class.
+	// First-fit packing into Next/Check: each row takes the least base
+	// at or past the first free slot whose slots are all free. Arrays grow
+	// as bases push past the current end and are finally padded so
+	// Base[q]+c is in bounds for every class.
+	//
+	// free is a union-find "next free slot" index over the slots: free[i]
+	// == i marks slot i unclaimed, a claimed slot links to its successor,
+	// and free[len(Check)] is the always-free end. When slot base+c is
+	// claimed, every base up to nextFree(base+c)-c collides on class c,
+	// so the search jumps there instead of trying each base in turn.
+	free := []int32{0}
+	nextFree := func(i int) int {
+		for i < len(free) && int(free[i]) != i {
+			free[i] = free[free[i]] // path halving
+			i = int(free[i])
+		}
+		return i
+	}
 	grow := func(upto int) {
 		for len(s.Check) <= upto {
 			s.Next = append(s.Next, 0)
 			s.Check = append(s.Check, -1)
+			free = append(free, int32(len(free)))
 		}
 	}
 	firstFree := 0
@@ -173,8 +191,8 @@ func Sparsify(d *DFA) *SparseDFA {
 		for {
 			for _, c := range r.classes {
 				i := base + int(c)
-				if i < len(s.Check) && s.Check[i] != -1 {
-					base++
+				if f := nextFree(i); f != i {
+					base = f - int(c)
 					continue search
 				}
 			}
@@ -185,11 +203,10 @@ func Sparsify(d *DFA) *SparseDFA {
 			i := base + int(c)
 			s.Check[i] = r.q
 			s.Next[i] = d.Trans[int(r.q)*nc+int(c)]
+			free[i] = int32(i + 1)
 		}
 		s.Base[r.q] = int32(base)
-		for firstFree < len(s.Check) && s.Check[firstFree] != -1 {
-			firstFree++
-		}
+		firstFree = nextFree(firstFree)
 	}
 	grow(maxBase(s.Base) + nc - 1)
 

@@ -5,11 +5,13 @@ import (
 	"streamtok/internal/tokdfa"
 )
 
-// Rules compiles the vocabulary into its maximal-munch tokenization
-// grammar: one literal rule per token, rule id = rank. Compiled through
-// the ordinary class-native path this becomes the vocab trie DFA of the
-// BPE-DFA construction — the greedy longest-token scanner whose output
-// the local-validity check certifies against true BPE. Rule names are
+// Rules renders the vocabulary as its maximal-munch tokenization
+// grammar: one literal rule per token, rule id = rank. Its tokenization
+// DFA is the vocab trie DFA of the BPE-DFA construction — the greedy
+// longest-token scanner whose output the local-validity check certifies
+// against true BPE. Compile builds that DFA directly from the token
+// list (tokdfa.CompileLiterals); the grammar is the oracle tests
+// compile through the Thompson NFA path to check it. Rule names are
 // left empty (a 50k-token vocabulary needs no display names; the server
 // emits ranks).
 func (v *Vocab) Rules() *tokdfa.Grammar {

@@ -10,7 +10,7 @@ import (
 // alphabet: BPE-trained ones (the realistic case) and adversarial
 // random rank tables (tokens with no merge derivation, rank
 // inversions) that a hostile vocab file could contain.
-func smallVocabs(t *testing.T, alphabet string) []*Vocab {
+func smallVocabs(t testing.TB, alphabet string) []*Vocab {
 	t.Helper()
 	var vocabs []*Vocab
 

@@ -94,11 +94,11 @@ var (
 	_ core.Stream = (*Stream)(nil)
 )
 
-// Compile builds the streaming BPE tokenizer: the vocab trie DFA
-// through the class-native path, the pretokenizer StreamTok engine, and
-// the budget split between them.
+// Compile builds the streaming BPE tokenizer: the vocab trie DFA,
+// built directly from the token list, the pretokenizer StreamTok
+// engine, and the budget split between them.
 func Compile(v *Vocab, opts Options) (*Tokenizer, error) {
-	vm, err := tokdfa.Compile(v.Rules(), tokdfa.Options{Minimize: true})
+	vm, err := tokdfa.CompileLiterals(v.tokens, tokdfa.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("bpe: compiling vocab DFA: %w", err)
 	}

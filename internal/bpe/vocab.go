@@ -14,9 +14,10 @@
 //     and Hugging Face tokenizer.json merge lists, with a canonical
 //     serialization and stable hash for registry identity;
 //   - a reference encoder (EncodePiece), the direct merge loop;
-//   - Rules, compiling the vocabulary into a maximal-munch tokenization
-//     grammar (one literal rule per token, rule id = rank) that the
-//     class-native automata path turns into the greedy vocab DFA;
+//   - Rules, the vocabulary as a maximal-munch tokenization grammar
+//     (one literal rule per token, rule id = rank) whose DFA is the
+//     greedy vocab DFA — which Compile builds directly as the token
+//     trie (tokdfa.CompileLiterals);
 //   - the local-validity machinery (SelfEncodes, Compatible) of the
 //     BPE-DFA construction: a segmentation is the BPE encoding iff
 //     every adjacent pair is compatible, which is what lets a greedy

@@ -22,6 +22,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"streamtok"
 	"streamtok/internal/grammarlint"
@@ -42,6 +43,10 @@ type Entry struct {
 	Grammar *streamtok.Grammar // nil for vocabulary entries
 	Vocab   *streamtok.Vocab   // nil for grammar entries
 	Tok     *streamtok.Tokenizer
+	// CompileTime is the wall-clock time the entry took to build, once:
+	// the compile of a catalog or ad-hoc grammar, the decode of a machine
+	// file, the load and compile of a vocabulary file.
+	CompileTime time.Duration
 
 	// quotedNames caches each rule name pre-quoted as a JSON string, so
 	// the NDJSON hot path never re-escapes them. Nil for vocabulary
@@ -259,6 +264,7 @@ func (r *Registry) get(name string, g *streamtok.Grammar) (*Entry, error) {
 	r.evictLocked()
 	r.mu.Unlock()
 
+	start := time.Now()
 	tok, err := streamtok.NewWithOptions(g, r.buildOptions())
 	if err != nil {
 		if errors.Is(err, streamtok.ErrUnbounded) {
@@ -282,7 +288,7 @@ func (r *Registry) get(name string, g *streamtok.Grammar) (*Entry, error) {
 		close(sl.done)
 		return nil, err
 	}
-	ent := newEntry(name, hash, g, tok)
+	ent := newEntry(name, hash, g, tok, time.Since(start))
 
 	// Budget admission: the compiled grammar's certified resident bytes
 	// must fit the memory budget (less the pinned share), evicting
@@ -380,6 +386,7 @@ func (r *Registry) LoadMachine(path string) (*Entry, error) {
 	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 	opts := r.buildOptions()
 	opts.Minimize = false // tables are already compiled (and minimized)
+	start := time.Now()
 	tok, g, err := streamtok.LoadCompiledWithOptions(f, opts)
 	if err != nil {
 		if errors.Is(err, streamtok.ErrUnbounded) && g != nil {
@@ -391,7 +398,7 @@ func (r *Registry) LoadMachine(path string) (*Entry, error) {
 		}
 		return nil, fmt.Errorf("load %s: %w", path, err)
 	}
-	ent := newEntry(name, g.Hash(), g, tok)
+	ent := newEntry(name, g.Hash(), g, tok, time.Since(start))
 	rb := int64(tok.Certificate().ResidentBytes())
 	r.mu.Lock()
 	if old, ok := r.pinned[name]; ok {
@@ -444,6 +451,7 @@ func (r *Registry) LoadMachineDir(dir string) ([]string, error) {
 // DFA plus pretokenizer tables — charges the memory budget exactly like
 // a pinned machine grammar.
 func (r *Registry) LoadVocab(path string) (*Entry, error) {
+	start := time.Now()
 	v, err := streamtok.LoadVocab(path)
 	if err != nil {
 		return nil, err
@@ -453,7 +461,7 @@ func (r *Registry) LoadVocab(path string) (*Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("compile vocab %s: %w", name, err)
 	}
-	ent := &Entry{Name: name, Hash: v.Hash(), Vocab: v, Tok: tok}
+	ent := &Entry{Name: name, Hash: v.Hash(), Vocab: v, Tok: tok, CompileTime: time.Since(start)}
 	rb := int64(tok.Certificate().ResidentBytes())
 	r.mu.Lock()
 	if old, ok := r.vocabs[name]; ok {
@@ -567,12 +575,12 @@ func (r *Registry) Stats() RegistryStats {
 	return st
 }
 
-func newEntry(name, hash string, g *streamtok.Grammar, tok *streamtok.Tokenizer) *Entry {
+func newEntry(name, hash string, g *streamtok.Grammar, tok *streamtok.Tokenizer, compile time.Duration) *Entry {
 	quoted := make([][]byte, g.NumRules())
 	for i := range quoted {
 		quoted[i] = appendJSONString(nil, g.RuleName(i))
 	}
-	return &Entry{Name: name, Hash: hash, Grammar: g, Tok: tok, quotedNames: quoted}
+	return &Entry{Name: name, Hash: hash, Grammar: g, Tok: tok, CompileTime: compile, quotedNames: quoted}
 }
 
 // unboundedDiagnostic renders the lint-style rejection for a grammar

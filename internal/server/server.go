@@ -612,14 +612,16 @@ func (s *Server) finishStream(tokens, bytesIn uint64, err error) {
 }
 
 // GrammarMetrics is one resident entry's slice of /metrics — a grammar
-// or a BPE vocabulary (Kind "vocab", VocabSize its token count). Cert
-// is the entry's verified resource certificate — the statically derived
-// bounds its runtime counters (Stats) must stay under.
+// or a BPE vocabulary (Kind "vocab", VocabSize its token count).
+// CompileMS is the entry's one-time build cost (Entry.CompileTime).
+// Cert is the entry's verified resource certificate — the statically
+// derived bounds its runtime counters (Stats) must stay under.
 type GrammarMetrics struct {
 	Name      string                 `json:"name"`
 	Kind      string                 `json:"kind"`
 	Hash      string                 `json:"hash"`
 	VocabSize int                    `json:"vocab_size,omitempty"`
+	CompileMS float64                `json:"compile_ms"`
 	Engine    streamtok.EngineInfo   `json:"engine"`
 	Cert      *streamtok.Certificate `json:"cert,omitempty"`
 	Stats     streamtok.Stats        `json:"stats"`
@@ -669,12 +671,13 @@ func (s *Server) MetricsSnapshot() Metrics {
 	}
 	for _, ent := range s.reg.Entries() {
 		gm := GrammarMetrics{
-			Name:   ent.Name,
-			Kind:   "grammar",
-			Hash:   ent.Hash,
-			Engine: ent.Tok.Engine(),
-			Cert:   ent.Tok.Certificate(),
-			Stats:  ent.Tok.AggregateStats(),
+			Name:      ent.Name,
+			Kind:      "grammar",
+			Hash:      ent.Hash,
+			CompileMS: float64(ent.CompileTime) / float64(time.Millisecond),
+			Engine:    ent.Tok.Engine(),
+			Cert:      ent.Tok.Certificate(),
+			Stats:     ent.Tok.AggregateStats(),
 		}
 		if ent.Vocab != nil {
 			gm.Kind = "vocab"
@@ -729,6 +732,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 			fmt.Fprintf(w, "  vocab:    %d tokens\n", g.VocabSize)
 		}
 		fmt.Fprintf(w, "  engine:   %s\n", g.Engine)
+		fmt.Fprintf(w, "  compile:  %.1f ms\n", g.CompileMS)
 		if g.Cert != nil {
 			fmt.Fprintf(w, "  cert:     %s\n", g.Cert)
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -65,6 +66,66 @@ func TestRegistryLoadVocab(t *testing.T) {
 	st := reg.Stats()
 	if st.Vocabs != 1 || st.PinnedBytes <= 0 {
 		t.Errorf("stats %+v: want 1 vocab with pinned bytes", st)
+	}
+}
+
+// TestRegistryCompileTime: every kind of entry records its one-time
+// build cost, and /metrics and /statusz show it per entry.
+func TestRegistryCompileTime(t *testing.T) {
+	dir := t.TempDir()
+	vocabPath, _ := writeTestVocab(t, dir, "toy")
+	g, err := streamtok.CatalogGrammar("csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	machinePath := filepath.Join(dir, "shipped.stok")
+	f, err := os.Create(machinePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := streamtok.SaveCompiled(g, f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	reg := NewRegistry(0)
+	vocab, err := reg.LoadVocab(vocabPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	machine, err := reg.LoadMachine(machinePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	catalog, err := reg.Lookup("json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	adhoc, err := reg.Compile([]string{"[a-z]+", " "})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range []*Entry{vocab, machine, catalog, adhoc} {
+		if ent.CompileTime <= 0 {
+			t.Errorf("entry %s: CompileTime %v, want > 0", ent.Name, ent.CompileTime)
+		}
+	}
+	// A cache hit reuses the entry, and with it the recorded time.
+	if again, _ := reg.Lookup("json"); again.CompileTime != catalog.CompileTime {
+		t.Errorf("cached entry CompileTime %v, want %v", again.CompileTime, catalog.CompileTime)
+	}
+
+	s := New(Config{Registry: reg})
+	defer s.Close()
+	for _, gm := range s.MetricsSnapshot().Grammars {
+		if gm.CompileMS <= 0 {
+			t.Errorf("metrics entry %s %s: compile_ms %v, want > 0", gm.Kind, gm.Name, gm.CompileMS)
+		}
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/statusz", nil))
+	if n := strings.Count(rec.Body.String(), "  compile:  "); n != 4 {
+		t.Errorf("statusz shows %d compile lines, want 4:\n%s", n, rec.Body.String())
 	}
 }
 

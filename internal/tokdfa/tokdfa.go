@@ -92,6 +92,8 @@ func (g *Grammar) String() string {
 // by the tokenizers: co-accessibility (dead-state detection) and the
 // explicit dead state, if any.
 type Machine struct {
+	// Grammar is the compiled grammar; nil for a literal-set machine
+	// (CompileLiterals).
 	Grammar *Grammar
 	DFA     *automata.DFA
 	// Sparse, when non-nil, is the serving transition representation: a
@@ -113,7 +115,7 @@ type Machine struct {
 	Dead int
 }
 
-// Options configures Compile.
+// Options configures Compile and CompileLiterals.
 type Options struct {
 	// Minimize applies DFA minimization after determinization. Table 1
 	// reports minimized DFA sizes.
@@ -122,6 +124,14 @@ type Options struct {
 	// 1<<22); bounded repetition is expanded by duplication, so an
 	// adversarial r{100000000} would otherwise exhaust memory.
 	MaxNFAStates int
+}
+
+// nfaLimit returns the Thompson state budget MaxNFAStates selects.
+func (o Options) nfaLimit() int {
+	if o.MaxNFAStates == 0 {
+		return 1 << 22
+	}
+	return o.MaxNFAStates
 }
 
 // Compile builds the tokenization DFA for g.
@@ -133,11 +143,7 @@ func Compile(g *Grammar, opts Options) (*Machine, error) {
 	for i, r := range g.Rules {
 		exprs[i] = r.Expr
 	}
-	limit := opts.MaxNFAStates
-	if limit == 0 {
-		limit = 1 << 22
-	}
-	nfa, err := automata.BuildNFALimited(exprs, limit)
+	nfa, err := automata.BuildNFALimited(exprs, opts.nfaLimit())
 	if err != nil {
 		return nil, err
 	}
@@ -145,6 +151,41 @@ func Compile(g *Grammar, opts Options) (*Machine, error) {
 	if opts.Minimize {
 		dfa = automata.Minimize(dfa)
 	}
+	return newMachine(g, dfa, nfa.NumStates()), nil
+}
+
+// CompileLiterals builds the minimized tokenization DFA of the literal
+// grammar whose rule β matches exactly lits[β] — the machine Compile
+// returns for rules regex.Lit(lits[β]) with Minimize set — in one pass
+// over the literal trie (automata.LiteralSet) instead of through a
+// Thompson NFA, determinization and minimization. This is how BPE
+// vocabularies compile. Only opts.MaxNFAStates applies: a trie is
+// already minimal. The set is refused exactly when Compile would refuse
+// it: NFASize is the Thompson size Compile reports, computed before
+// anything is allocated and checked against the same state budget.
+//
+// The machine carries no Grammar (a vocabulary needs no regex rules;
+// rule id = literal index), so it is for scanners, not for
+// machinefile or the streaming engines.
+func CompileLiterals(lits [][]byte, opts Options) (*Machine, error) {
+	if len(lits) == 0 {
+		return nil, ErrEmptyGrammar
+	}
+	limit := opts.nfaLimit()
+	// Thompson: one start state plus two per byte, and two for an
+	// empty literal (its ε fragment).
+	size := 1
+	for _, lit := range lits {
+		size += 2 * max(len(lit), 1)
+		if limit > 0 && size > limit {
+			return nil, fmt.Errorf("%w: literal set of %d strings needs over %d states", automata.ErrNFATooLarge, len(lits), limit)
+		}
+	}
+	return newMachine(nil, automata.LiteralSet(lits), size), nil
+}
+
+// newMachine attaches the dead-state analyses to a compiled DFA.
+func newMachine(g *Grammar, dfa *automata.DFA, nfaSize int) *Machine {
 	coacc := dfa.CoAccessible()
 	dead := -1
 	for q := 0; q < dfa.NumStates(); q++ {
@@ -156,10 +197,10 @@ func Compile(g *Grammar, opts Options) (*Machine, error) {
 	return &Machine{
 		Grammar: g,
 		DFA:     dfa,
-		NFASize: nfa.NumStates(),
+		NFASize: nfaSize,
 		CoAcc:   coacc,
 		Dead:    dead,
-	}, nil
+	}
 }
 
 // MustCompile is Compile that panics on error.

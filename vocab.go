@@ -110,8 +110,9 @@ func (v *Vocab) Decode(dst []byte, ranks []int) []byte { return v.v.Decode(dst, 
 func (v *Vocab) WriteTiktoken() []byte { return v.v.WriteTiktoken() }
 
 // compile makes *Vocab a Source: the LLM-tokenization frontend.
-// Options.Minimize is implied (both machines are always minimized); the
-// engine-selection fields apply to the pretokenizer, which shares
+// Options.Minimize is ignored: the vocab DFA is built as the token trie,
+// which is already minimal, and the pretokenizer is always minimized.
+// The engine-selection fields apply to the pretokenizer, which shares
 // MaxFusedTableBytes with the vocab DFA table.
 func (v *Vocab) compile(opts Options) (*Tokenizer, error) {
 	bt, err := bpe.Compile(v.v, bpe.Options{
