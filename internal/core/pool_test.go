@@ -178,16 +178,27 @@ func TestBatchMatchesSingleEmission(t *testing.T) {
 			s1 := tok.AcquireStreamer()
 			emit := func(tk token.Token, _ []byte) { want = append(want, tk) }
 			feedAll(s1, input, chunk, func(s *core.Streamer, part []byte) { s.Feed(part, emit) })
+			wantFed := s1.StreamCounters()
 			wantRest := s1.Close(emit)
+			wantClosed := s1.StreamCounters()
 			tok.ReleaseStreamer(s1)
 
 			var got []token.Token
 			s2 := tok.AcquireStreamer()
 			sink := func(batch []token.Token) { got = append(got, batch...) }
 			feedAll(s2, input, chunk, func(s *core.Streamer, part []byte) { s.FeedBatch(part, sink) })
+			gotFed := s2.StreamCounters()
 			gotRest := s2.CloseBatch(sink)
+			gotClosed := s2.StreamCounters()
 			tok.ReleaseStreamer(s2)
 
+			// The counters describe the stream, not the emission API:
+			// checkpoints carry them, so a held stream's cursor must not
+			// depend on which one fed it.
+			if !reflect.DeepEqual(wantFed, gotFed) || !reflect.DeepEqual(wantClosed, gotClosed) {
+				t.Fatalf("%s: batch counters differ:\nfed    %+v\nsingle %+v\nclosed %+v\nsingle %+v",
+					c.name, gotFed, wantFed, gotClosed, wantClosed)
+			}
 			if wantRest != gotRest || len(want) != len(got) {
 				t.Fatalf("%s: batch rest=%d tokens=%d, single rest=%d tokens=%d",
 					c.name, gotRest, len(got), wantRest, len(want))

@@ -1037,7 +1037,12 @@ func (s *Streamer) emitToken(emit EmitFunc, rule int, chunk []byte, base int) {
 	} else if s.batchSink != nil {
 		// Batched emission: append into the reused buffer, no text
 		// assembly; flush when the buffer fills so one token-dense Feed
-		// still runs in bounded memory.
+		// still runs in bounded memory. A spanning token still notes the
+		// carry peak Feed's assembly reaches, so the counters (and the
+		// cursors that carry them) do not depend on the emission API.
+		if s.startP < base && !s.noObs {
+			s.c.NoteCarry(len(s.carry) + max(s.pos-base, 0))
+		}
 		s.batch = append(s.batch, token.Token{Start: s.startP, End: s.pos, Rule: rule})
 		if len(s.batch) >= batchCap {
 			s.flushBatch()

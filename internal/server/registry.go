@@ -20,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -48,10 +49,12 @@ type Entry struct {
 	// file, the load and compile of a vocabulary file.
 	CompileTime time.Duration
 
-	// quotedNames caches each rule name pre-quoted as a JSON string, so
-	// the NDJSON hot path never re-escapes them. Nil for vocabulary
-	// entries: Token.Rule is the rank, which has no name.
-	quotedNames [][]byte
+	// ruleTails caches each rule's NDJSON `,"rule":N,"name":"…"` tail,
+	// so the hot path never formats the rule or escapes its name; tailMax
+	// is the longest. Nil for vocabulary entries: Token.Rule is the rank,
+	// which has no name.
+	ruleTails [][]byte
+	tailMax   int
 }
 
 // RejectError is a grammar the registry refuses to serve. Diagnostic is
@@ -117,9 +120,27 @@ type slot struct {
 	done  chan struct{} // closed when ent/rej/err are filled
 	ent   *Entry
 	rej   *RejectError
-	err   error // non-diagnostic compile failure (slot is dropped, not cached)
-	bytes int64 // certified resident bytes charged to the memory budget
+	err   error      // non-diagnostic compile failure (slot is dropped, not cached)
+	bytes int64      // certified resident bytes charged to the memory budget
+	keys  []aliasKey // Registry.aliases keys that resolve to this slot
 }
+
+// wait blocks until the slot is filled and returns its outcome.
+func (sl *slot) wait() (*Entry, error) {
+	<-sl.done
+	if sl.rej != nil {
+		return nil, sl.rej
+	}
+	if sl.err != nil {
+		return nil, sl.err
+	}
+	return sl.ent, nil
+}
+
+// maxSlotAliases bounds the request keys one slot collects. Distinct
+// rule lists rarely share a hash, but a client crafting collisions must
+// not grow the alias map past the registry's capacity.
+const maxSlotAliases = 4
 
 // Registry caches compiled tokenizers, keyed by grammar hash, with LRU
 // eviction beyond a capacity. Machine-file entries loaded at startup
@@ -131,8 +152,13 @@ type Registry struct {
 	lru    *list.List // of string (grammar hash); front = most recent
 	byHash map[string]*list.Element
 	slots  map[string]*slot
-	pinned map[string]*Entry // by name; machine-file entries
-	vocabs map[string]*Entry // by name; vocabulary entries (always pinned)
+	// aliases maps a request key — a catalog name, or a raw ?rule= list
+	// — to the hash it resolved to, so a repeat request takes the cache
+	// hit without building or parsing the grammar. Keys live exactly as
+	// long as their slot; unknown names are never entered.
+	aliases map[aliasKey]string
+	pinned  map[string]*Entry // by name; machine-file entries
+	vocabs  map[string]*Entry // by name; vocabulary entries (always pinned)
 
 	// memBudget caps the sum of certified resident bytes (table bytes)
 	// across pinned and cached entries; 0 = unlimited. residentBytes and
@@ -159,12 +185,13 @@ func NewRegistry(capacity int) *Registry {
 		capacity = DefaultRegistryCapacity
 	}
 	return &Registry{
-		cap:    capacity,
-		lru:    list.New(),
-		byHash: make(map[string]*list.Element),
-		slots:  make(map[string]*slot),
-		pinned: make(map[string]*Entry),
-		vocabs: make(map[string]*Entry),
+		cap:     capacity,
+		lru:     list.New(),
+		byHash:  make(map[string]*list.Element),
+		slots:   make(map[string]*slot),
+		aliases: make(map[aliasKey]string),
+		pinned:  make(map[string]*Entry),
+		vocabs:  make(map[string]*Entry),
 	}
 }
 
@@ -212,54 +239,127 @@ func (r *Registry) buildOptions() streamtok.Options {
 }
 
 // Lookup resolves a grammar by name: a pinned machine-file entry first,
-// then the built-in catalog (compiled on first use, cached by hash).
+// then the built-in catalog (compiled on first use, cached by hash). A
+// name resolved before goes straight to its cached entry.
 func (r *Registry) Lookup(name string) (*Entry, error) {
 	r.mu.Lock()
 	ent, ok := r.pinned[name]
-	r.mu.Unlock()
 	if ok {
+		r.mu.Unlock()
 		return ent, nil
 	}
+	key := aliasKey{name: name}
+	if sl := r.hitLocked(key); sl != nil {
+		r.mu.Unlock()
+		return sl.wait()
+	}
+	r.mu.Unlock()
 	g, err := streamtok.CatalogGrammar(name)
 	if err != nil {
 		return nil, err
 	}
-	return r.get(name, g)
+	return r.get(name, key, g)
 }
 
 // Compile resolves an ad-hoc rule-list grammar, compiled on first use
-// and cached by grammar hash.
+// and cached by grammar hash. A rule list resolved before goes straight
+// to its cached entry.
 func (r *Registry) Compile(rules []string) (*Entry, error) {
+	key := aliasKey{rules: true, name: ruleKey(rules)}
+	r.mu.Lock()
+	if sl := r.hitLocked(key); sl != nil {
+		r.mu.Unlock()
+		return sl.wait()
+	}
+	r.mu.Unlock()
 	g, err := streamtok.ParseGrammar(rules...)
 	if err != nil {
 		return nil, err
 	}
-	return r.get("adhoc", g)
+	return r.get("adhoc", key, g)
+}
+
+// aliasKey is a request's name for a grammar: a catalog name, or a raw
+// rule list (ruleKey).
+type aliasKey struct {
+	rules bool
+	name  string
+}
+
+// ruleKey renders a rule list with each rule length-prefixed, so no two
+// lists share a key.
+func ruleKey(rules []string) string {
+	n := 0
+	for _, rule := range rules {
+		n += len(rule) + 8
+	}
+	b := make([]byte, 0, n)
+	for _, rule := range rules {
+		b = strconv.AppendInt(b, int64(len(rule)), 10)
+		b = append(b, ':')
+		b = append(b, rule...)
+	}
+	return string(b)
+}
+
+// hitLocked returns the resident slot key resolved to before, counted as
+// a cache hit, or nil.
+func (r *Registry) hitLocked(key aliasKey) *slot {
+	hash, ok := r.aliases[key]
+	if !ok {
+		return nil
+	}
+	el, ok := r.byHash[hash]
+	if !ok {
+		return nil
+	}
+	r.lru.MoveToFront(el)
+	r.stats.Hits++
+	return r.slots[hash]
+}
+
+// aliasLocked records that key resolves to sl's hash.
+func (r *Registry) aliasLocked(key aliasKey, hash string, sl *slot) {
+	if _, ok := r.aliases[key]; ok || len(sl.keys) >= maxSlotAliases {
+		return
+	}
+	r.aliases[key] = hash
+	sl.keys = append(sl.keys, key)
+}
+
+// dropLocked removes the slot at el from the cache, with its aliases.
+func (r *Registry) dropLocked(el *list.Element) {
+	hash := el.Value.(string)
+	r.lru.Remove(el)
+	if sl := r.slots[hash]; sl != nil {
+		r.residentBytes -= sl.bytes
+		for _, key := range sl.keys {
+			delete(r.aliases, key)
+		}
+	}
+	delete(r.byHash, hash)
+	delete(r.slots, hash)
 }
 
 // get returns the cached entry for g, compiling it exactly once per
-// hash. Concurrent requests for the same uncached grammar share one
-// compilation; distinct grammars compile in parallel.
-func (r *Registry) get(name string, g *streamtok.Grammar) (*Entry, error) {
+// hash, and records key as an alias of it. Concurrent requests for the
+// same uncached grammar share one compilation; distinct grammars compile
+// in parallel.
+func (r *Registry) get(name string, key aliasKey, g *streamtok.Grammar) (*Entry, error) {
 	hash := g.Hash()
 	r.mu.Lock()
 	if el, ok := r.byHash[hash]; ok {
 		r.lru.MoveToFront(el)
 		sl := r.slots[hash]
+		r.aliasLocked(key, hash, sl)
 		r.stats.Hits++
 		r.mu.Unlock()
-		<-sl.done
-		if sl.rej != nil {
-			return nil, sl.rej
-		}
-		if sl.err != nil {
-			return nil, sl.err
-		}
-		return sl.ent, nil
+		return sl.wait()
 	}
 	sl := &slot{done: make(chan struct{})}
 	r.slots[hash] = sl
 	r.byHash[hash] = r.lru.PushFront(hash)
+	r.aliasLocked(key, hash, sl)
 	r.stats.Misses++
 	r.evictLocked()
 	r.mu.Unlock()
@@ -280,9 +380,7 @@ func (r *Registry) get(name string, g *streamtok.Grammar) (*Entry, error) {
 		sl.err = err
 		r.mu.Lock()
 		if el, ok := r.byHash[hash]; ok && r.slots[hash] == sl {
-			r.lru.Remove(el)
-			delete(r.byHash, hash)
-			delete(r.slots, hash)
+			r.dropLocked(el)
 		}
 		r.mu.Unlock()
 		close(sl.done)
@@ -342,12 +440,8 @@ func (r *Registry) evictForBudgetLocked(need int64, keep *slot) {
 	el := r.lru.Back()
 	for el != nil && r.residentBytes+need > avail {
 		prev := el.Prev()
-		hash := el.Value.(string)
-		if sl := r.slots[hash]; sl != keep && sl != nil && sl.bytes > 0 {
-			r.lru.Remove(el)
-			delete(r.byHash, hash)
-			delete(r.slots, hash)
-			r.residentBytes -= sl.bytes
+		if sl := r.slots[el.Value.(string)]; sl != keep && sl != nil && sl.bytes > 0 {
+			r.dropLocked(el)
 			r.stats.Evictions++
 		}
 		el = prev
@@ -363,13 +457,7 @@ func (r *Registry) evictLocked() {
 		if el == nil {
 			return
 		}
-		hash := el.Value.(string)
-		r.lru.Remove(el)
-		if sl := r.slots[hash]; sl != nil {
-			r.residentBytes -= sl.bytes
-		}
-		delete(r.byHash, hash)
-		delete(r.slots, hash)
+		r.dropLocked(el)
 		r.stats.Evictions++
 	}
 }
@@ -576,11 +664,13 @@ func (r *Registry) Stats() RegistryStats {
 }
 
 func newEntry(name, hash string, g *streamtok.Grammar, tok *streamtok.Tokenizer, compile time.Duration) *Entry {
-	quoted := make([][]byte, g.NumRules())
-	for i := range quoted {
-		quoted[i] = appendJSONString(nil, g.RuleName(i))
+	ent := &Entry{Name: name, Hash: hash, Grammar: g, Tok: tok, CompileTime: compile,
+		ruleTails: make([][]byte, g.NumRules())}
+	for i := range ent.ruleTails {
+		ent.ruleTails[i] = ruleTail(i, g.RuleName(i))
+		ent.tailMax = max(ent.tailMax, len(ent.ruleTails[i]))
 	}
-	return &Entry{Name: name, Hash: hash, Grammar: g, Tok: tok, CompileTime: compile, quotedNames: quoted}
+	return ent
 }
 
 // unboundedDiagnostic renders the lint-style rejection for a grammar

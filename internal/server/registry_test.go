@@ -271,3 +271,85 @@ func TestRegistryEntriesSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistryAliases: a catalog name or rule list resolved once maps to
+// its hash, so repeats take the hit path without building the grammar;
+// the map never holds unknown names, loses keys with their evicted slot,
+// yields to pinned names, and leaves the hit/miss counts as they were.
+func TestRegistryAliases(t *testing.T) {
+	r := NewRegistry(2)
+	a, err := r.Lookup("json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hash, ok := r.aliases[aliasKey{name: "json"}]; !ok || hash != a.Hash {
+		t.Fatalf("json alias = %q, %v; want %s", hash, ok, a.Hash)
+	}
+	if b, err := r.Lookup("json"); err != nil || b != a {
+		t.Fatalf("aliased lookup = %v, %v; want the cached entry", b, err)
+	}
+	if _, err := r.Lookup("no-such-grammar"); err == nil {
+		t.Fatal("unknown grammar should fail")
+	}
+	if _, ok := r.aliases[aliasKey{name: "no-such-grammar"}]; ok {
+		t.Error("unknown name was aliased")
+	}
+
+	// A rule list is keyed by its raw text, apart from catalog names.
+	rules := []string{"[0-9]+", "[ ]+"}
+	c, err := r.Compile(rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err := r.Compile(rules); err != nil || d != c {
+		t.Fatalf("aliased compile = %v, %v; want the cached entry", d, err)
+	}
+	if _, err := r.Lookup(ruleKey(rules)); err == nil {
+		t.Error("a catalog lookup resolved a rule-list key")
+	}
+	st := r.Stats()
+	if st.Hits != 2 || st.Misses != 2 {
+		t.Errorf("stats = %+v, want 2 hits / 2 misses", st)
+	}
+
+	// Past capacity the LRU evicts json's slot, and its alias goes too.
+	for _, rs := range [][]string{{"a+"}, {"b+"}, {"c+"}} {
+		if _, err := r.Compile(rs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(r.aliases) != 2 {
+		t.Errorf("%d aliases after eviction, want one per resident slot (2)", len(r.aliases))
+	}
+	if _, ok := r.aliases[aliasKey{name: "json"}]; ok {
+		t.Error("evicted json slot kept its alias")
+	}
+	if _, err := r.Lookup("json"); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.Misses != 6 {
+		t.Errorf("misses = %d, want 6 (evicted json recompiled)", st.Misses)
+	}
+
+	// A machine pinned under an aliased name wins from then on.
+	g, err := streamtok.CatalogGrammar("csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "json.stok")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := streamtok.SaveCompiled(g, f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	pinned, err := r.LoadMachine(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := r.Lookup("json"); err != nil || got != pinned {
+		t.Errorf("Lookup(json) = %v, %v; want the pinned machine", got, err)
+	}
+}

@@ -1,26 +1,23 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/base64"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode/utf8"
 
 	"streamtok"
 	"streamtok/internal/parallel"
-	"streamtok/internal/token"
 )
 
 // Config tunes the serving layer. Every zero value means the documented
@@ -53,9 +50,13 @@ type Server struct {
 	cfg   Config
 	reg   *Registry
 	sched *parallel.Scheduler
-	bufs  sync.Pool
-	mux   *http.ServeMux
-	start time.Time
+	bufs  sync.Pool // request body read buffers
+	// frames pools the per-response output writers (see frame).
+	frames sync.Pool
+	mux    *http.ServeMux
+	start  time.Time
+	// retryAfter is the Retry-After header value of 429s and 503s.
+	retryAfter string
 
 	draining atomic.Bool
 
@@ -98,14 +99,16 @@ func New(cfg Config) *Server {
 		// stealing, replacing flat semaphore admission. The scheduler's
 		// capacity is the old semaphore's depth, so shedding semantics
 		// (429 past MaxConcurrent) are unchanged.
-		sched: parallel.NewScheduler(runtime.GOMAXPROCS(0), cfg.MaxConcurrent),
-		mux:   http.NewServeMux(),
-		start: time.Now(),
+		sched:      parallel.NewScheduler(runtime.GOMAXPROCS(0), cfg.MaxConcurrent),
+		mux:        http.NewServeMux(),
+		start:      time.Now(),
+		retryAfter: strconv.Itoa(int((cfg.RetryAfter + time.Second - 1) / time.Second)),
 	}
 	s.bufs.New = func() any {
 		b := make([]byte, 64<<10)
 		return &b
 	}
+	s.frames.New = newFrame
 	s.mux.HandleFunc("/tokenize", s.handleTokenize)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/statusz", s.handleStatusz)
@@ -217,24 +220,24 @@ func (s *Server) handleTokenize(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST a body to tokenize", http.StatusMethodNotAllowed)
 		return
 	}
-	retryAfter := strconv.Itoa(int((s.cfg.RetryAfter + time.Second - 1) / time.Second))
 	if s.draining.Load() {
 		s.unavail.Add(1)
-		w.Header().Set("Retry-After", retryAfter)
+		w.Header().Set("Retry-After", s.retryAfter)
 		http.Error(w, "draining: not accepting new streams", http.StatusServiceUnavailable)
 		return
 	}
 	h, ok := s.sched.Admit()
 	if !ok {
 		s.shed.Add(1)
-		w.Header().Set("Retry-After", retryAfter)
+		w.Header().Set("Retry-After", s.retryAfter)
 		http.Error(w, "at capacity", http.StatusTooManyRequests)
 		return
 	}
 	defer h.Finish()
 	s.reqs.Add(1)
 
-	ent, err := s.resolveGrammar(r)
+	q := r.URL.Query()
+	ent, err := s.resolveGrammar(q)
 	if err != nil {
 		s.rejected.Add(1)
 		var rej *RejectError
@@ -254,13 +257,12 @@ func (s *Server) handleTokenize(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	maxBytes, deadline, perr := s.requestLimits(r)
+	maxBytes, deadline, perr := s.requestLimits(q)
 	if perr != nil {
 		s.rejected.Add(1)
 		http.Error(w, perr.Error(), http.StatusBadRequest)
 		return
 	}
-	q := r.URL.Query()
 	binaryOut := q.Get("format") == "bin" || r.Header.Get("Accept") == "application/x-streamtok-bin"
 	withText := q.Get("text") == "1"
 	countOnly := q.Get("count") == "1"
@@ -311,8 +313,7 @@ func (s *Server) handleTokenize(w http.ResponseWriter, r *http.Request) {
 
 // resolveGrammar picks the tokenization source from ?grammar=, ?rule=,
 // or ?vocab= — exactly one of the three.
-func (s *Server) resolveGrammar(r *http.Request) (*Entry, error) {
-	q := r.URL.Query()
+func (s *Server) resolveGrammar(q url.Values) (*Entry, error) {
 	name := q.Get("grammar")
 	vocab := q.Get("vocab")
 	rules := q["rule"]
@@ -342,9 +343,8 @@ func (s *Server) resolveGrammar(r *http.Request) (*Entry, error) {
 
 // requestLimits applies the per-request ?max_bytes= and ?deadline=
 // overrides, which may lower the server limits but never raise them.
-func (s *Server) requestLimits(r *http.Request) (maxBytes int64, deadline time.Duration, err error) {
+func (s *Server) requestLimits(q url.Values) (maxBytes int64, deadline time.Duration, err error) {
 	maxBytes, deadline = s.cfg.MaxBodyBytes, s.cfg.Deadline
-	q := r.URL.Query()
 	if v := q.Get("max_bytes"); v != "" {
 		n, perr := strconv.ParseInt(v, 10, 64)
 		if perr != nil || n <= 0 {
@@ -376,56 +376,28 @@ func (s *Server) requestLimits(r *http.Request) (maxBytes int64, deadline time.D
 func (s *Server) streamNDJSON(ctx context.Context, w http.ResponseWriter, r *http.Request, ent *Entry, st *streamtok.Streamer, h *parallel.StreamHandle, maxBytes int64, hold, withText, countOnly bool) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Streamtok-Grammar", ent.Name)
-	bw := bufio.NewWriterSize(w, 32<<10)
-	flusher, _ := w.(http.Flusher)
+	f := s.acquireFrame(w)
+	defer s.releaseFrame(f)
 
-	var tokens, tokenBytes uint64
-	line := make([]byte, 0, 256)
-	emit := func(tk streamtok.Token, text []byte) {
-		tokens++
-		tokenBytes += uint64(tk.Len())
-		if countOnly {
-			return
-		}
-		line = line[:0]
-		line = append(line, `{"start":`...)
-		line = strconv.AppendInt(line, int64(tk.Start), 10)
-		line = append(line, `,"end":`...)
-		line = strconv.AppendInt(line, int64(tk.End), 10)
-		line = append(line, `,"rule":`...)
-		line = strconv.AppendInt(line, int64(tk.Rule), 10)
-		if tk.Rule >= 0 && tk.Rule < len(ent.quotedNames) {
-			line = append(line, `,"name":`...)
-			line = append(line, ent.quotedNames[tk.Rule]...)
-		}
-		if withText {
-			line = append(line, `,"text":`...)
-			line = appendJSONString(line, string(text))
-		}
-		line = append(line, '}', '\n')
-		bw.Write(line)
-	}
-
-	res := s.drive(ctx, r, st, h, maxBytes, hold, emit, func() {
-		bw.Flush()
-		if flusher != nil {
-			flusher.Flush()
-		}
-	})
+	nw := newNDJSONWriter(f, ent, withText, countOnly)
+	emit := nw.token
+	res := s.drive(ctx, r, st, h, maxBytes, hold,
+		func(chunk []byte) { st.Feed(chunk, emit) },
+		func() int { return st.Close(emit) }, f.flush)
 
 	// Summary line. Written even after an error: the stream stays valid
 	// NDJSON and the client learns exactly how far the server got.
-	line = line[:0]
+	line := f.scratch[:0]
 	if res.err != nil {
 		line = append(line, `{"error":`...)
-		line = appendJSONString(line, res.err.Error())
+		line = appendJSONText(line, []byte(res.err.Error()))
 	} else {
 		line = append(line, `{"done":true`...)
 	}
 	line = append(line, `,"tokens":`...)
-	line = strconv.AppendUint(line, tokens, 10)
+	line = strconv.AppendUint(line, nw.tokens, 10)
 	line = append(line, `,"token_bytes":`...)
-	line = strconv.AppendUint(line, tokenBytes, 10)
+	line = strconv.AppendUint(line, nw.tokenBytes, 10)
 	line = append(line, `,"bytes_in":`...)
 	line = strconv.AppendInt(line, res.consumed, 10)
 	line = append(line, `,"rest":`...)
@@ -442,12 +414,10 @@ func (s *Server) streamNDJSON(ctx context.Context, w http.ResponseWriter, r *htt
 	line = append(line, `,"complete":`...)
 	line = strconv.AppendBool(line, res.err == nil && int64(res.rest) == res.base+res.consumed)
 	line = append(line, '}', '\n')
-	bw.Write(line)
-	bw.Flush()
-	if flusher != nil {
-		flusher.Flush()
-	}
-	s.finishStream(tokens, uint64(res.consumed), res.err)
+	f.bw.Write(line)
+	f.scratch = line
+	f.flush()
+	s.finishStream(nw.tokens, uint64(res.consumed), res.err)
 }
 
 // streamBinary tokenizes the body into fixed 24-byte little-endian
@@ -459,34 +429,18 @@ func (s *Server) streamBinary(ctx context.Context, w http.ResponseWriter, r *htt
 	w.Header().Set("Content-Type", "application/x-streamtok-bin")
 	w.Header().Set("X-Streamtok-Grammar", ent.Name)
 	w.Header().Set("Trailer", "X-Streamtok-Tokens, X-Streamtok-Rest, X-Streamtok-Error, X-Streamtok-Cursor")
-	bw := bufio.NewWriterSize(w, 32<<10)
-	flusher, _ := w.(http.Flusher)
+	f := s.acquireFrame(w)
+	defer s.releaseFrame(f)
 
-	var tokens uint64
-	var rec [24]byte
-	sink := func(batch []token.Token) {
-		for _, tk := range batch {
-			binary.LittleEndian.PutUint64(rec[0:], uint64(tk.Start))
-			binary.LittleEndian.PutUint64(rec[8:], uint64(tk.End))
-			binary.LittleEndian.PutUint32(rec[16:], uint32(tk.Rule))
-			binary.LittleEndian.PutUint32(rec[20:], 0)
-			bw.Write(rec[:])
-		}
-		tokens += uint64(len(batch))
-	}
-	// The binary path uses per-token emit through the same drive loop;
-	// batching happens in bufio. (A BatchFunc would skip text assembly,
-	// but drive shares the EmitFunc plumbing with NDJSON.)
-	emit := func(tk streamtok.Token, _ []byte) { sink([]token.Token{tk}) }
-
-	res := s.drive(ctx, r, st, h, maxBytes, hold, emit, func() {
-		bw.Flush()
-		if flusher != nil {
-			flusher.Flush()
-		}
-	})
-	bw.Flush()
-	w.Header().Set("X-Streamtok-Tokens", strconv.FormatUint(tokens, 10))
+	// Records carry offsets only, so the stream runs on FeedBatch: each
+	// batch is written as whole records straight into the buffer.
+	bin := &binWriter{bw: f.bw}
+	sink := bin.batch
+	res := s.drive(ctx, r, st, h, maxBytes, hold,
+		func(chunk []byte) { st.FeedBatch(chunk, sink) },
+		func() int { return st.CloseBatch(sink) }, f.flush)
+	f.bw.Flush()
+	w.Header().Set("X-Streamtok-Tokens", strconv.FormatUint(bin.tokens, 10))
 	w.Header().Set("X-Streamtok-Rest", strconv.Itoa(res.rest))
 	if res.err != nil {
 		w.Header().Set("X-Streamtok-Error", res.err.Error())
@@ -498,7 +452,7 @@ func (s *Server) streamBinary(ctx context.Context, w http.ResponseWriter, r *htt
 	} else {
 		w.Header().Set("X-Streamtok-Cursor", "")
 	}
-	s.finishStream(tokens, uint64(res.consumed), res.err)
+	s.finishStream(bin.tokens, uint64(res.consumed), res.err)
 }
 
 // streamResult is drive's summary of one driven stream.
@@ -511,9 +465,11 @@ type streamResult struct {
 }
 
 // drive pumps the request body through the stream: the handler goroutine
-// keeps the I/O (body reads, response flushes) while every Feed/Close
-// runs on the stream's shard worker via h.Do, so tokenization CPU stays
-// on the shard the scheduler pinned the stream to.
+// keeps the I/O (body reads, response flushes) while every feed and the
+// closing closeStream run on the stream's shard worker via h.Do, so
+// tokenization CPU stays on the shard the scheduler pinned the stream
+// to. feed and closeStream are the framing's Feed/Close pair (per-token
+// emit or batches); closeStream returns the stream's rest.
 //
 // Termination is three-way. Dead input (the remaining bytes match no
 // rule) ends the request with no error and no cursor — rest points at
@@ -523,7 +479,7 @@ type streamResult struct {
 // suspends: the error is reported, but the stream's state up to the last
 // chunk boundary is preserved in a cursor so the client can resume
 // instead of re-uploading.
-func (s *Server) drive(ctx context.Context, r *http.Request, st *streamtok.Streamer, h *parallel.StreamHandle, maxBytes int64, hold bool, emit streamtok.EmitFunc, flush func()) (res streamResult) {
+func (s *Server) drive(ctx context.Context, r *http.Request, st *streamtok.Streamer, h *parallel.StreamHandle, maxBytes int64, hold bool, feed func(chunk []byte), closeStream func() int, flush func()) (res streamResult) {
 	res.base = int64(st.Offset())
 
 	bufp := s.bufs.Get().(*[]byte)
@@ -533,7 +489,7 @@ func (s *Server) drive(ctx context.Context, r *http.Request, st *streamtok.Strea
 	// One closure for the whole request: chunk is rebound per read, so
 	// the steady-state loop allocates nothing.
 	var chunk []byte
-	feed := func() { st.Feed(chunk, emit) }
+	feedChunk := func() { feed(chunk) }
 
 	for {
 		if cerr := ctx.Err(); cerr != nil {
@@ -543,7 +499,7 @@ func (s *Server) drive(ctx context.Context, r *http.Request, st *streamtok.Strea
 		n, rerr := r.Body.Read(buf)
 		if n > 0 {
 			chunk = buf[:n]
-			h.Do(feed)
+			h.Do(feedChunk)
 			res.consumed += int64(n)
 			if res.consumed > maxBytes {
 				// Budget first, stop second: an over-budget chunk is cut
@@ -572,8 +528,7 @@ func (s *Server) drive(ctx context.Context, r *http.Request, st *streamtok.Strea
 	if hold {
 		return s.suspend(st, h, res)
 	}
-	closeStream := func() { res.rest = st.Close(emit) }
-	h.Do(closeStream)
+	h.Do(func() { res.rest = closeStream() })
 	return res
 }
 
@@ -762,44 +717,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.WriteHeader(code)
 	fmt.Fprintf(w, `{"status":%q,"inflight":%d,"capacity":%d}`+"\n",
 		status, s.InFlight(), s.cfg.MaxConcurrent)
-}
-
-// appendJSONString appends s as a JSON string literal, escaping control
-// characters and coercing invalid UTF-8 to U+FFFD (token text is raw
-// stream bytes; the NDJSON framing must stay valid regardless).
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			switch {
-			case c == '"':
-				dst = append(dst, '\\', '"')
-			case c == '\\':
-				dst = append(dst, '\\', '\\')
-			case c == '\n':
-				dst = append(dst, '\\', 'n')
-			case c == '\r':
-				dst = append(dst, '\\', 'r')
-			case c == '\t':
-				dst = append(dst, '\\', 't')
-			case c < 0x20:
-				dst = append(dst, '\\', 'u', '0', '0',
-					"0123456789abcdef"[c>>4], "0123456789abcdef"[c&0xf])
-			default:
-				dst = append(dst, c)
-			}
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			dst = append(dst, '\xef', '\xbf', '\xbd') // U+FFFD
-			i++
-			continue
-		}
-		dst = append(dst, s[i:i+size]...)
-		i += size
-	}
-	return append(dst, '"')
 }

@@ -515,17 +515,18 @@ func TestAppendJSONString(t *testing.T) {
 		"plain":        `"plain"`,
 		`q"b\s`:        `"q\"b\\s"`,
 		"nl\ncr\rtb\t": `"nl\ncr\rtb\t"`,
-		"\x01":         `"\u0001"`,
+		"\x00\x01\x1f": `"\u0000\u0001\u001f"`,
+		"del\x7f":      "\"del\x7f\"",
 		"héllo":        `"héllo"`,
 		"bad\xffutf8":  "\"bad\uFFFDutf8\"",
 	} {
-		got := string(appendJSONString(nil, in))
+		got := string(appendJSONText(nil, []byte(in)))
 		if got != want {
-			t.Errorf("appendJSONString(%q) = %s, want %s", in, got, want)
+			t.Errorf("appendJSONText(%q) = %s, want %s", in, got, want)
 		}
 		// Every output must be valid JSON decoding back to a string.
 		var back string
-		if err := json.Unmarshal(appendJSONString(nil, in), &back); err != nil {
+		if err := json.Unmarshal(appendJSONText(nil, []byte(in)), &back); err != nil {
 			t.Errorf("output for %q is not valid JSON: %v", in, err)
 		}
 	}

@@ -41,8 +41,8 @@ func TestRegistryLoadVocab(t *testing.T) {
 	if ent.Name != "toy" || ent.Hash != v.Hash() {
 		t.Errorf("entry (%s, %s), want (toy, %s)", ent.Name, ent.Hash, v.Hash())
 	}
-	if ent.Vocab == nil || ent.Grammar != nil || ent.quotedNames != nil {
-		t.Error("vocab entry should have Vocab set, no Grammar, no quoted rule names")
+	if ent.Vocab == nil || ent.Grammar != nil || ent.ruleTails != nil {
+		t.Error("vocab entry should have Vocab set, no Grammar, no rule tails")
 	}
 	if got, err := reg.LookupVocab("toy"); err != nil || got != ent {
 		t.Errorf("LookupVocab: %v, %v", got, err)
