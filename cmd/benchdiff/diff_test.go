@@ -210,7 +210,6 @@ func TestAgainstCommittedArtifacts(t *testing.T) {
 		lower, exact    bool
 	}{
 		{file: "BENCH_hotloop.json", keys: "workload,grammar,mode", col: "speedup"},
-		{file: "BENCH_concurrency.json", keys: "mode,N", col: "allocs/stream", lower: true},
 		{file: "BENCH_biggrammar.json", keys: "grammar", col: "ratio", lower: true},
 		{file: "BENCH_biggrammar.json", keys: "grammar", col: "dfa_bytes", lower: true},
 		{file: "BENCH_bpe.json", keys: "merges", col: "ratio", lower: true},

@@ -7,13 +7,13 @@
 //
 //	benchdiff -old BENCH_hotloop.json -new fresh/BENCH_hotloop.json \
 //	    -key workload,grammar,mode -col speedup -tol 0.25
-//	benchdiff -old BENCH_concurrency.json -new fresh/BENCH_concurrency.json \
-//	    -key mode,N -col allocs/stream -lower-better -slack 2
+//	benchdiff -old BENCH_biggrammar.json -new fresh/BENCH_biggrammar.json \
+//	    -key grammar -col dfa_bytes -lower-better -tol 0.01
 //
 // Rows are matched on the -key columns; rows present on only one side
-// (a reduced-scale run drops the GOMAXPROCS row, a new machine adds
-// one) are skipped, but zero matched rows is a failure — a gate that
-// compares nothing protects nothing. Cells may carry unit suffixes
+// (a reduced-scale run drops a row, a new machine adds one) are
+// skipped, but zero matched rows is a failure — a gate that compares
+// nothing protects nothing. Cells may carry unit suffixes
 // ("1.54x", "83.3%"); the numeric prefix is compared.
 //
 // Categorical columns gate with -exact: the cells are compared as
@@ -23,12 +23,9 @@
 // -lower-better are ignored under -exact.
 //
 // The gate only trusts hardware-independent columns (ratios like
-// hotloop's speedup, counts like concurrency's allocs/stream). Absolute
-// MB/s on a shared CI runner is noise; don't point -col at it. This is
-// also why CI never diffs BENCH_serverload.json: every one of its
-// columns (req/s, p99 latency, drain time) is hardware-dependent, so
-// the file is regenerated and uploaded as an artifact but deliberately
-// has no gate — there is no stable ratio in it to compare.
+// hotloop's speedup, sizes like biggrammar's dfa_bytes, counts like
+// multicore's segments). Absolute MB/s on a shared CI runner is noise;
+// don't point -col at it.
 //
 // Two refinements for scaling gates:
 //

@@ -14,8 +14,9 @@
 //     action tables;
 //   - the accel-state coverage fraction (share of fused slots with bulk
 //     run skipping);
-//   - the windowed-parallel worst-case rework factor (2×: every
-//     unsynchronized segment is scanned at most twice).
+//   - the speculate+stitch phase-1 work factor (2×: each worker reads
+//     at most one segment past its own, so phase 1 scans at most 2n
+//     bytes of an n-byte input).
 //
 // Each bound is either replayable from the certificate itself
 // (the witness pair) or recomputable from the machine and engine it
@@ -34,12 +35,12 @@ import (
 	"streamtok/internal/tokdfa"
 )
 
-// ParallelReworkBound is the windowed-parallel worst-case rework factor:
-// a segment whose speculative tokenization fails to synchronize is
-// re-scanned sequentially, so every input byte is processed at most
-// twice. The bound is structural (it follows from the stitching
-// algorithm, not the grammar), so every certificate carries the same
-// value and verification checks it as a constant.
+// ParallelReworkBound is the speculate+stitch phase-1 work factor: each
+// speculating worker (internal/parallel) reads at most one segment past
+// its own, so phase 1 scans at most 2n bytes of an n-byte input, however
+// long the tokens. The bound is structural (it follows from the
+// speculation algorithm, not the grammar), so every certificate carries
+// the same value and verification checks it as a constant.
 const ParallelReworkBound = 2
 
 // Certificate is a statically derived resource certificate for one
@@ -99,7 +100,7 @@ type Certificate struct {
 	AccelStates int
 	AccelSlots  int
 
-	// ParallelReworkX is the windowed-parallel worst-case rework factor
+	// ParallelReworkX is the speculate+stitch phase-1 work factor
 	// (always ParallelReworkBound).
 	ParallelReworkX int
 }

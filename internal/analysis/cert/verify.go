@@ -26,8 +26,8 @@ var ErrMismatch = errors.New("cert: certificate does not verify")
 //     WitnessU a strict prefix of WitnessV with no token strictly
 //     between, and the length gap is exactly DelayK (required when
 //     DelayK > 0 — the lower-bound evidence is part of the claim);
-//   - the structural constants (carry cap, parallel rework) are the
-//     ones this build enforces.
+//   - the structural constants (carry cap, speculate phase-1 work
+//     factor) are the ones this build enforces.
 //
 // Engine-dependent fields (mode, ring/table bytes, accel coverage) are
 // checked by VerifyAgainst once the tokenizer is built.

@@ -39,8 +39,8 @@ func TestExperimentsRegistry(t *testing.T) {
 			t.Errorf("LookupExperiment(%s): %v", e.Name, err)
 		}
 	}
-	if len(seen) != 23 {
-		t.Errorf("%d experiments, want 23 (12 paper + ablations + hotloop + latency + lintstats + obsoverhead + concurrency + serverload + certstats + biggrammar + bpe + multicore)", len(seen))
+	if len(seen) != 21 {
+		t.Errorf("%d experiments, want 21 (12 paper + ablations + hotloop + latency + lintstats + obsoverhead + certstats + biggrammar + bpe + multicore)", len(seen))
 	}
 	if _, err := LookupExperiment("nope"); err == nil {
 		t.Error("unknown experiment should fail")
@@ -104,10 +104,10 @@ func parseF(t *testing.T, s string) float64 {
 	return v
 }
 
-// TestMulticoreShape pins the multicore table: every execution mode at
+// TestMulticoreShape pins the multicore table: both execution modes at
 // every worker count on the fixed axis, each mode's workers=1 row at
 // exactly 1.00x, and the stats columns (the ones CI gates exactly)
-// present for the segment-parallel modes and absent for the scheduler.
+// present for speculate+stitch and absent for the scheduler.
 func TestMulticoreShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
@@ -121,7 +121,7 @@ func TestMulticoreShape(t *testing.T) {
 		}
 		rows[key{row[0], row[1]}] = row
 	}
-	for _, mode := range []string{"speculate", "windowed", "pipelined", "sharded-server"} {
+	for _, mode := range []string{"speculate", "sharded-server"} {
 		for _, w := range []string{"1", "2", "4"} {
 			row, ok := rows[key{mode, w}]
 			if !ok {
@@ -143,7 +143,7 @@ func TestMulticoreShape(t *testing.T) {
 			}
 		}
 	}
-	if len(tab.Rows) != 12 {
-		t.Errorf("%d rows, want 12", len(tab.Rows))
+	if len(tab.Rows) != 6 {
+		t.Errorf("%d rows, want 6", len(tab.Rows))
 	}
 }

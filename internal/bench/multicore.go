@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"sort"
@@ -18,13 +17,10 @@ import (
 )
 
 // Multicore proves the parallel engine end to end: aggregate MB/s and
-// p99 completion time vs worker count for every parallel execution mode
+// p99 completion time vs worker count for both parallel execution modes
 // the repo ships —
 //
 //   - speculate: whole-input speculate+stitch (parallel.Tokenize)
-//   - windowed: the push-mode windowed Streamer (1 MiB windows)
-//   - pipelined: TokenizeReader, double-buffered reads ahead of
-//     window-parallel tokenization
 //   - sharded-server: N concurrent streams driven through the
 //     work-stealing shard scheduler, the serving daemon's admission path
 //
@@ -34,12 +30,13 @@ import (
 // count alone, so CI gates them exactly, on any hardware. The speedup
 // column is per-mode relative to its workers=1 row — the
 // hardware-independent scaling ratio a multi-core runner gates with a
-// floor. Absolute MB/s and p99 are recorded for the human reading the
-// table, never gated.
+// floor. speculate's workers=1 row is the sequential engine itself (one
+// segment on one pooled streamer), so its speedup column is an honest
+// speedup over sequential tokenization. Absolute MB/s and p99 are
+// recorded for the human reading the table, never gated.
 func Multicore(cfg Config) Table {
 	const (
 		inputSize = 4 << 20
-		window    = 1 << 20
 		minSeg    = 64 * 1024
 		chunk     = 64 * 1024
 		seed      = 7 // pinned: the stats columns are gated exactly in CI
@@ -47,8 +44,8 @@ func Multicore(cfg Config) Table {
 	)
 	t := Table{
 		Title: "Multicore: parallel engine scaling by execution mode",
-		Note: fmt.Sprintf("fixed 4 MiB log input (seed %d); speedup is per-mode vs workers=1; host GOMAXPROCS=%d NumCPU=%d",
-			seed, runtime.GOMAXPROCS(0), runtime.NumCPU()),
+		Note: fmt.Sprintf("fixed 4 MiB log input (seed %d); speedup is per-mode vs workers=1 (speculate's is the sequential engine); host %s/%s %s GOMAXPROCS=%d NumCPU=%d",
+			seed, runtime.GOOS, runtime.GOARCH, runtime.Version(), runtime.GOMAXPROCS(0), runtime.NumCPU()),
 		Header: []string{"mode", "workers", "MB/s", "speedup", "p99_ms", "segments", "synced", "rescanned"},
 	}
 	spec, err := grammars.Lookup("log")
@@ -114,47 +111,6 @@ func Multicore(cfg Config) Table {
 			base = med
 		}
 		row("speculate", n, len(input), med, p99, base, &stats)
-	}
-
-	// Push-mode windowed streamer, fed in 64 KiB chunks.
-	for _, n := range workersAxis {
-		opts := parallel.Options{Workers: n, MinSegment: minSeg, Window: window}
-		var stats parallel.Stats
-		med, p99 := measure(func() {
-			ps := parallel.NewStreamer(tok, opts)
-			for p := 0; p < len(input); p += chunk {
-				e := p + chunk
-				if e > len(input) {
-					e = len(input)
-				}
-				ps.Feed(input[p:e], emitNoop)
-			}
-			ps.Close(emitNoop)
-			stats = ps.Stats()
-		})
-		if n == workersAxis[0] {
-			base = med
-		}
-		row("windowed", n, len(input), med, p99, base, &stats)
-	}
-
-	// Pipelined reader: double-buffered reads + window-parallel engine.
-	rd := bytes.NewReader(input)
-	for _, n := range workersAxis {
-		opts := parallel.Options{Workers: n, MinSegment: minSeg, Window: window}
-		var stats parallel.Stats
-		med, p99 := measure(func() {
-			rd.Reset(input)
-			_, st, err := parallel.TokenizeReader(tok, rd, opts, emitNoop)
-			if err != nil {
-				panic(err)
-			}
-			stats = st
-		})
-		if n == workersAxis[0] {
-			base = med
-		}
-		row("pipelined", n, len(input), med, p99, base, &stats)
 	}
 
 	// Sharded server: streams concurrent pooled streamers, each driving

@@ -33,12 +33,10 @@ func Experiments() []Experiment {
 		{"lintstats", "grammar diagnostics over the corpus (not a paper figure)", Lintstats},
 		{"latency", "emission latency vs the K bound (not a paper figure)", Latency},
 		{"obsoverhead", "always-on observability counters vs no-obs build (not a paper figure)", ObsOverhead},
-		{"concurrency", "pooled serving path: stream scaling, pipelined reader, allocs/stream (not a paper figure)", Concurrency},
-		{"serverload", "streamtokd over loopback HTTP: streamed-token latency and shed rate vs concurrency (not a paper figure)", Serverload},
 		{"certstats", "resource-certificate derivation and verification cost per catalog grammar (not a paper figure)", Certstats},
 		{"biggrammar", "byte-class compressed tables vs dense baseline, catalog and 1k-10k-rule grammars (not a paper figure)", Biggrammar},
 		{"bpe", "BPE vocab-DFA compile and streaming encode at 1k-32k merges (not a paper figure)", BPE},
-		{"multicore", "parallel engine scaling vs workers: speculate+stitch, windowed, pipelined reader, sharded scheduler (not a paper figure)", Multicore},
+		{"multicore", "parallel engine scaling vs workers: speculate+stitch and the sharded scheduler (not a paper figure)", Multicore},
 	}
 }
 

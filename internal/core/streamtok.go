@@ -727,8 +727,8 @@ func (s *Streamer) flushBatch() {
 // PendingStart returns the stream offset where the pending (not yet
 // emitted) token begins — equivalently, the end of the last emitted
 // token. It is always a true token boundary of the stream: the
-// tokenization DFA restarts there, which is what lets windowed drivers
-// (internal/parallel) re-derive the pending suffix deterministically.
+// tokenization DFA restarts there, so a suspended stream's cursor
+// resumes from it (the serving daemon reports it as the resume offset).
 func (s *Streamer) PendingStart() int { return s.startP }
 
 // Offset returns the absolute stream offset of the next byte Feed will

@@ -31,14 +31,12 @@
 // adjacency gaps (alignment restarts) — 5 bytes per token instead of 24,
 // since phase-1 write bandwidth is what limits the speedup.
 //
-// Beyond whole-input Tokenize, the package offers a streaming serving
-// path: Streamer applies the speculate-and-stitch machinery window by
-// window to a pushed stream, and TokenizeReader pipelines reading ahead
-// of tokenization with double-buffered blocks (see streamer.go). Both
-// produce exactly the sequential token stream.
+// The package also holds the serving daemon's shard Scheduler
+// (sched.go), which runs many independent streams across cores.
 package parallel
 
 import (
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -47,18 +45,13 @@ import (
 	"streamtok/internal/token"
 )
 
-// Options configures Tokenize, Streamer and TokenizeReader.
+// Options configures Tokenize.
 type Options struct {
 	// Workers is the number of parallel workers (0 = GOMAXPROCS).
 	Workers int
 	// MinSegment is the smallest segment size worth parallelizing
 	// (default 64 KB); smaller inputs run sequentially.
 	MinSegment int
-	// Window is the block size the streaming drivers (Streamer,
-	// TokenizeReader) hand to the segment-parallel engine at a time
-	// (default 1 MB per worker, capped at 8 MB). Whole-input Tokenize
-	// ignores it.
-	Window int
 }
 
 func (o Options) withDefaults() Options {
@@ -68,12 +61,6 @@ func (o Options) withDefaults() Options {
 	if o.MinSegment <= 0 {
 		o.MinSegment = 64 * 1024
 	}
-	if o.Window <= 0 {
-		o.Window = o.Workers << 20
-		if o.Window > 8<<20 {
-			o.Window = 8 << 20
-		}
-	}
 	return o
 }
 
@@ -82,13 +69,6 @@ type Stats struct {
 	Segments     int // segments processed in parallel
 	Synchronized int // segments whose speculation was adopted
 	ReScanned    int // bytes re-tokenized by the stitcher
-}
-
-// add accumulates o into s (window-by-window streaming runs).
-func (s *Stats) add(o Stats) {
-	s.Segments += o.Segments
-	s.Synchronized += o.Synchronized
-	s.ReScanned += o.ReScanned
 }
 
 // gap marks a speculative token whose start is not the previous token's
@@ -105,12 +85,6 @@ type segmentResult struct {
 	ends  []int32 // absolute end offset per token (strictly increasing)
 	rules []uint8 // rule id per token
 	gaps  []gap   // sorted by idx; always contains the first token
-	// tailIdx is the index of the first token the worker emitted only
-	// because its stream was Closed (EOF-proved maximality). Tokens
-	// below it were emitted by Feed alone, so their maximality depends
-	// only on bytes inside the input slice; open-end stitching must not
-	// adopt tokens at or above it.
-	tailIdx int
 }
 
 // startOf returns the absolute start of token j, given the gap cursor gp
@@ -145,64 +119,28 @@ func (r *segmentResult) syncIndex(p int) (int, bool) {
 
 // Tokenize tokenizes an in-memory input using P cooperating workers and
 // returns the same tokens, in order, as the sequential engine (verified by
-// differential tests). The emitted text slices alias the input. Inputs are
-// limited to 2 GiB (offsets are packed as int32).
+// differential tests). As with any core.EmitFunc, text is valid only
+// during the emit call. Inputs the packed segment form cannot hold, and
+// inputs too small to split (see sequential), run on one streamer.
 func Tokenize(t *core.Tokenizer, input []byte, opts Options, emit core.EmitFunc) (rest int, stats Stats) {
-	rest, stats, _ = tokenize(t, input, opts, emit, false)
-	return rest, stats
-}
-
-// tokenize is the shared speculate-and-stitch implementation.
-//
-// With openEnd=false the input is a complete stream: tokens whose
-// maximality only EOF proves are emitted too, and rest is the offset of
-// the first untokenized byte, exactly like the sequential engine.
-//
-// With openEnd=true the input is a window of a longer stream: only
-// tokens the sequential engine would emit from Feed(input) alone — no
-// Close — are emitted. Their maximality depends only on bytes already
-// inside the window, so they are exact whatever arrives next. rest is
-// then the pending token's start offset, always a true token boundary,
-// and the caller carries input[rest:] into the next window. stopped
-// reports a dead-input stop; dead states are absorbing, so a stop
-// observed inside a window is final regardless of future input.
-func tokenize(t *core.Tokenizer, input []byte, opts Options, emit core.EmitFunc, openEnd bool) (rest int, stats Stats, stopped bool) {
 	opts = opts.withDefaults()
 	// Fold the run's stitching stats into the tokenizer's observability
 	// aggregate whichever way we return (stats is a named result). The
-	// degenerate sequential path counts too: one run, one segment, so
-	// ParallelRuns and ParallelSegments stay consistent across paths.
+	// sequential path counts too: one run, one segment, so ParallelRuns
+	// and ParallelSegments stay consistent across paths.
 	defer func() { t.NoteParallel(stats.Segments, stats.Synchronized, stats.ReScanned) }()
 
-	segSize := (len(input) + opts.Workers - 1) / opts.Workers
-	// The packed form stores rule ids in a byte; enormous grammars fall
-	// back to the sequential engine.
-	if len(t.Machine().Grammar.Rules) > 256 {
-		segSize = 0
-	}
-	if segSize < opts.MinSegment || opts.Workers == 1 {
+	if sequential(len(input), len(t.Machine().Grammar.Rules), opts) {
 		stats.Segments = 1
-		if openEnd {
-			s := t.AcquireStreamer()
-			s.Feed(input, emit)
-			if s.Stopped() {
-				rest, stopped = s.Rest(), true
-			} else {
-				rest = s.PendingStart()
-			}
-			t.ReleaseStreamer(s)
-			return rest, stats, stopped
-		}
-		toks, r := t.TokenizeBytes(input)
-		for _, tk := range toks {
-			if emit != nil {
-				emit(tk, input[tk.Start:tk.End])
-			}
-		}
-		return r, stats, r < len(input)
+		s := t.AcquireStreamer()
+		s.Feed(input, emit)
+		rest = s.Close(emit)
+		t.ReleaseStreamer(s)
+		return rest, stats
 	}
 
 	// Phase 1: speculative tokenization of each segment in parallel.
+	segSize := (len(input) + opts.Workers - 1) / opts.Workers
 	numSegs := (len(input) + segSize - 1) / segSize
 	results := make([]segmentResult, numSegs)
 	var wg sync.WaitGroup
@@ -225,16 +163,10 @@ func tokenize(t *core.Tokenizer, input []byte, opts Options, emit core.EmitFunc,
 		}
 	}
 	// adopt emits speculative tokens from index j while they stay
-	// adjacent, returning the new boundary. Open-end stitching stops
-	// short of the worker's Close-drained tail tokens: those assumed
-	// EOF at len(input), which a window must not.
+	// adjacent, returning the new boundary.
 	adopt := func(seg *segmentResult, j, pos int) int {
-		limit := len(seg.ends)
-		if openEnd && seg.tailIdx < limit {
-			limit = seg.tailIdx
-		}
 		gp := sort.Search(len(seg.gaps), func(k int) bool { return int(seg.gaps[k].idx) >= j })
-		for ; j < limit; j++ {
+		for ; j < len(seg.ends); j++ {
 			start, isGap := seg.startOf(j, gp)
 			if start != pos {
 				break // restart-alignment gap: the true run stalls here
@@ -303,49 +235,47 @@ func tokenize(t *core.Tokenizer, input []byte, opts Options, emit core.EmitFunc,
 		}
 		if s.Stopped() && pos < seg.end {
 			// Untokenizable remainder — finish like the sequential run.
-			// A dead state is absorbing, so this is final even when the
-			// input is a window of a longer stream. The run degraded to
-			// sequential here: segments past i were speculated but never
-			// stitched, so report only the ones actually examined.
+			// The run degraded to sequential here: segments past i were
+			// speculated but never stitched, so report only the ones
+			// actually examined.
 			stats.Segments = i + 1
 			r := s.Rest() + reStart
 			t.ReleaseStreamer(s)
 			if r >= pos {
-				return r, stats, true
+				return r, stats
 			}
-			return pos, stats, true
+			return pos, stats
 		}
 		if feedPos >= len(input) && !s.Stopped() {
 			// Same degradation accounting: this re-scan consumed the rest
 			// of the input sequentially, discarding the speculation of
-			// every later segment.
+			// every later segment. Close and emit the tail.
 			stats.Segments = i + 1
-			// Ran to EOF during the re-scan. For a complete stream,
-			// close and emit the tail; for a window, withhold the
-			// pending token and report its start as the next boundary.
-			if openEnd {
-				for _, tk := range pending {
-					emitTok(tk.Start, tk.End, tk.Rule)
-				}
-				r := s.PendingStart() + reStart
-				t.ReleaseStreamer(s)
-				return r, stats, false
-			}
 			tailRest := s.Close(collect)
 			for _, tk := range pending {
 				emitTok(tk.Start, tk.End, tk.Rule)
 			}
 			t.ReleaseStreamer(s)
-			return tailRest + reStart, stats, false
+			return tailRest + reStart, stats
 		}
 		// The re-scan streamer was abandoned mid-flight (segment left or
 		// speculation adopted): recycle it.
 		t.ReleaseStreamer(s)
 	}
-	// Complete streams end here with pos == len(input) (or a dead stop
-	// already returned above). Windows end here at the last adopted
-	// token's end — a boundary whose suffix the caller carries forward.
-	return pos, stats, false
+	// The input is fully tokenized: pos == len(input) (a dead stop
+	// already returned above).
+	return pos, stats
+}
+
+// sequential reports whether an n-byte input over a grammar of rules
+// rules runs on one streamer instead of speculating: one worker, or
+// segments under MinSegment, or an input the packed segment form
+// cannot hold — rule ids are stored in a byte and offsets in an int32.
+func sequential(n, rules int, opts Options) bool {
+	if opts.Workers == 1 || rules > 256 || n > math.MaxInt32 {
+		return true
+	}
+	return (n+opts.Workers-1)/opts.Workers < opts.MinSegment
 }
 
 // speculate runs one worker: tokenize [base, base+segSize) speculatively,
@@ -389,7 +319,6 @@ func speculate(t *core.Tokenizer, input []byte, base, segSize int, res *segmentR
 	if limit > len(input) {
 		limit = len(input)
 	}
-	closed := false
 	for streamBase < end && !collectDone {
 		s := t.AcquireStreamer()
 		pos := streamBase
@@ -415,17 +344,9 @@ func speculate(t *core.Tokenizer, input []byte, base, segSize int, res *segmentR
 			continue
 		}
 		if !collectDone && pos >= len(input) {
-			// Mark where Feed-proved tokens end before draining the
-			// EOF tail: open-end stitching must not adopt the drained
-			// tokens, whose maximality assumed the input truly ends.
-			res.tailIdx = len(res.ends)
-			closed = true
 			s.Close(collect)
 		}
 		t.ReleaseStreamer(s)
 		break
-	}
-	if !closed {
-		res.tailIdx = len(res.ends) // every token was Feed-proved
 	}
 }

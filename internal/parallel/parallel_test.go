@@ -256,26 +256,75 @@ func TestStatsHonestOnDegradation(t *testing.T) {
 			t.Errorf("giant-token run Segments = %d, want < 4 (re-scan consumed the tail); stats %+v", stats.Segments, stats)
 		}
 	})
+}
 
-	t.Run("reader mid-run shrink", func(t *testing.T) {
-		input := bytes.Repeat([]byte("ab 12 "), 171)
-		input = input[:1024]
-		input[30] = '?'
-		want, wantRest := reference.Tokens(m, input)
+// TestOneSegmentAllocs: the one-segment path streams the input through a
+// pooled streamer instead of collecting a token slice, so a warm run over
+// a 1 MiB input allocates a small constant, not one growth per doubling.
+func TestOneSegmentAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	spec, err := grammars.Lookup("log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok := tokenizer(t, spec.Machine())
+	input, err := workload.Generate("log", 3, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := parallel.Options{Workers: 1}
+	emit := func(token.Token, []byte) {}
+	run := func() {
+		if rest, _ := parallel.Tokenize(tok, input, opts, emit); rest != len(input) {
+			t.Fatalf("rest %d of %d", rest, len(input))
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(10, run); allocs > 2 {
+		t.Errorf("one-segment Tokenize allocates %.1f/op, want ≤ 2", allocs)
+	}
+}
+
+// FuzzParallelTokenize: differential fuzzing of speculate+stitch against
+// the sequential reference, with fuzzer-chosen segment size and worker
+// count.
+func FuzzParallelTokenize(f *testing.F) {
+	spec, err := grammars.Lookup("json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	m := spec.Machine()
+	res := analysis.Analyze(m)
+	if !res.Bounded() {
+		f.Fatal("json grammar unbounded")
+	}
+	tok, err := core.NewWithK(m, res.MaxTND, tepath.Limits{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(`{"a":[1,2,"x y"]}`), uint16(64), uint8(3))
+	f.Add([]byte(`[123456789012345678901234567890,"aaaaaaaaaaaaaaaaaaaaaaaa"]`), uint16(7), uint8(1))
+	f.Add([]byte("{}\n  \t[]"), uint16(1), uint8(9))
+	f.Fuzz(func(t *testing.T, data []byte, segSeed uint16, workerSeed uint8) {
+		if len(data) > 1<<16 {
+			t.Skip()
+		}
+		minSeg := 1 + int(segSeed)
+		workers := 1 + int(workerSeed%8)
+		want, wantRest := reference.Tokens(m, data)
 		var got []token.Token
-		rest, stats, err := parallel.TokenizeReader(tok, bytes.NewReader(input),
-			parallel.Options{Workers: 4, MinSegment: 64, Window: 512},
-			func(tk token.Token, _ []byte) { got = append(got, tk) })
-		if err != nil {
-			t.Fatal(err)
-		}
+		rest, _ := parallel.Tokenize(tok, data, parallel.Options{Workers: workers, MinSegment: minSeg},
+			func(tk token.Token, text []byte) {
+				if tk.Start < 0 || tk.End > len(data) || string(text) != string(data[tk.Start:tk.End]) {
+					t.Fatalf("bad token %+v", tk)
+				}
+				got = append(got, tk)
+			})
 		if !reference.Equal(got, want) || rest != wantRest {
-			t.Fatalf("tokens/rest mismatch: rest %d want %d", rest, wantRest)
-		}
-		// Only the first 512-byte window was processed (the stream died
-		// inside it), and within it only segments 0 and 1 were examined.
-		if stats.Segments != 2 {
-			t.Errorf("reader dead-stop Segments = %d, want 2; stats %+v", stats.Segments, stats)
+			t.Fatalf("minSeg=%d workers=%d: %d tokens rest %d, want %d rest %d",
+				minSeg, workers, len(got), rest, len(want), wantRest)
 		}
 	})
 }

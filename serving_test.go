@@ -2,7 +2,6 @@ package streamtok_test
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"streamtok"
@@ -70,44 +69,6 @@ func TestBatchPublic(t *testing.T) {
 			t.Fatalf("round %d: Rest() = %d, want %d", round, s.Rest(), wantRest)
 		}
 		s.Reset()
-	}
-}
-
-// TestTokenizeParallelReaderPublic: the pipelined reader matches
-// TokenizeBytes on a catalog grammar, including stats plumbing.
-func TestTokenizeParallelReaderPublic(t *testing.T) {
-	g, err := streamtok.CatalogGrammar("log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tok, err := streamtok.New(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	line := "2026-02-03T04:05:06Z host proc[17]: something happened code=42\n"
-	input := []byte(strings.Repeat(line, 4000))
-	want, wantRest := tok.TokenizeBytes(input)
-	var got []streamtok.Token
-	rest, stats, err := tok.TokenizeParallelReader(bytes.NewReader(input), 4,
-		func(tk streamtok.Token, text []byte) {
-			if !bytes.Equal(text, input[tk.Start:tk.End]) {
-				t.Fatalf("token %+v text mismatch", tk)
-			}
-			got = append(got, tk)
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rest != wantRest || len(got) != len(want) {
-		t.Fatalf("%d tokens rest %d, want %d rest %d (stats %+v)", len(got), rest, len(want), wantRest, stats)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("token %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if stats.Segments < 1 {
-		t.Fatalf("stats not plumbed: %+v", stats)
 	}
 }
 
