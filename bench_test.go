@@ -374,11 +374,11 @@ func BenchmarkAblationK1Special(b *testing.B) {
 	input := formatInput(b, "csv")
 	// Split constructors: this ablation isolates Fig. 5 vs Fig. 6
 	// interpretation, not the fused engine (see BenchmarkFeed* for that).
-	k1, err := core.NewSplitWithK(m, 1, tepath.Limits{})
+	k1, err := core.NewWithKBudget(m, 1, tepath.Limits{}, -1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	general, err := core.NewSplitWithK(m, 2, tepath.Limits{})
+	general, err := core.NewWithKBudget(m, 2, tepath.Limits{}, -1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -401,11 +401,11 @@ func BenchmarkAblationTeDFAVsLazy(b *testing.B) {
 	m := machineFor(b, "json")
 	input := formatInput(b, "json")
 	// Split constructor so the comparison isolates the TeDFA strategy.
-	eager, err := core.NewSplitWithK(m, 3, tepath.Limits{})
+	eager, err := core.NewWithKBudget(m, 3, tepath.Limits{}, -1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	lazy, err := core.NewLazyWithK(m, 3, tepath.Limits{})
+	lazy, err := core.NewWithK(m, 3, tepath.Limits{MaxDFAStates: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -523,7 +523,9 @@ func benchEngineVariants(b *testing.B, m *tokdfa.Machine, k int, input []byte) {
 		name  string
 		build func(*tokdfa.Machine, int, tepath.Limits) (*core.Tokenizer, error)
 	}{
-		{"split", core.NewSplitWithK},
+		{"split", func(m *tokdfa.Machine, k int, l tepath.Limits) (*core.Tokenizer, error) {
+			return core.NewWithKBudget(m, k, l, -1)
+		}},
 		{"fused-noaccel", core.NewNoAccelWithK},
 		{"fused", core.NewWithK},
 	}
@@ -574,7 +576,7 @@ func BenchmarkFeedGeneral(b *testing.B) {
 func BenchmarkFeedGeneralLazy(b *testing.B) {
 	m := machineFor(b, "json")
 	input := formatInput(b, "json")
-	tok, err := core.NewLazyWithK(m, 3, tepath.Limits{})
+	tok, err := core.NewWithK(m, 3, tepath.Limits{MaxDFAStates: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

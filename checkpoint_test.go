@@ -132,7 +132,7 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 			opts  streamtok.Options
 		}{
 			{"fused", streamtok.Options{}},
-			{"split", streamtok.Options{DisableFused: true}},
+			{"split", streamtok.Options{MaxFusedTableBytes: -1}},
 		} {
 			t.Run(src.name+"/"+mode.label, func(t *testing.T) {
 				input := src.input
@@ -223,7 +223,7 @@ func TestResumeCrossEngine(t *testing.T) {
 		vocabSource(t, 11, 3<<10),
 	} {
 		fused := src.compile(t, streamtok.Options{})
-		split := src.compile(t, streamtok.Options{DisableFused: true})
+		split := src.compile(t, streamtok.Options{MaxFusedTableBytes: -1})
 		if fused.Engine().Mode == split.Engine().Mode {
 			t.Run(src.name, func(t *testing.T) {
 				t.Skipf("%s compiles to %q under both option sets; cross-engine resume not exercisable", src.name, fused.Engine().Mode)

@@ -62,8 +62,8 @@ func LoadCompiled(r io.Reader) (*Tokenizer, *Grammar, error) {
 }
 
 // LoadCompiledWithOptions is LoadCompiled with engine options (only the
-// engine-selection fields apply: MaxFusedTableBytes, DisableFused,
-// MaxTeDFAStates — the machine's tables are already compiled). A
+// engine-selection fields apply: MaxFusedTableBytes and MaxTeDFAStates
+// — the machine's tables are already compiled). A
 // certificate from a current-format file verifies against the rebuilt
 // engine when the options select the default engine; a non-default
 // engine (or a dense-era file, whose byte accounting predates class
@@ -79,17 +79,12 @@ func LoadCompiledWithOptions(r io.Reader, opts Options) (*Tokenizer, *Grammar, e
 		return nil, g, fmt.Errorf("%w (grammar %s)", ErrUnbounded, g.g.String())
 	}
 	limits := tepath.Limits{MaxDFAStates: opts.MaxTeDFAStates}
-	var inner *core.Tokenizer
-	if opts.DisableFused {
-		inner, err = core.NewSplitWithK(mf.Machine, mf.MaxTND, limits)
-	} else {
-		inner, err = core.NewWithKBudget(mf.Machine, mf.MaxTND, limits, opts.MaxFusedTableBytes)
-	}
+	inner, err := core.NewWithKBudget(mf.Machine, mf.MaxTND, limits, opts.MaxFusedTableBytes)
 	if err != nil {
 		return nil, g, err
 	}
 	c := mf.Cert
-	defaultEngine := !opts.DisableFused && opts.MaxFusedTableBytes == 0 && opts.MaxTeDFAStates == 0
+	defaultEngine := opts.MaxFusedTableBytes == 0 && opts.MaxTeDFAStates == 0
 	switch {
 	case c != nil && mf.Version >= 3 && defaultEngine:
 		if err := c.VerifyAgainst(inner); err != nil {

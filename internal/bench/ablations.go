@@ -42,11 +42,11 @@ func Ablations(cfg Config) Table {
 		panic(err)
 	}
 	mCSV := csvSpec.Machine()
-	k1, err := core.NewSplitWithK(mCSV, 1, tepath.Limits{})
+	k1, err := core.NewWithKBudget(mCSV, 1, tepath.Limits{}, -1)
 	if err != nil {
 		panic(err)
 	}
-	gen, err := core.NewSplitWithK(mCSV, 2, tepath.Limits{})
+	gen, err := core.NewWithKBudget(mCSV, 2, tepath.Limits{}, -1)
 	if err != nil {
 		panic(err)
 	}
@@ -65,11 +65,11 @@ func Ablations(cfg Config) Table {
 		panic(err)
 	}
 	mJSON := jsonSpec.Machine()
-	eager, err := core.NewSplitWithK(mJSON, 3, tepath.Limits{})
+	eager, err := core.NewWithKBudget(mJSON, 3, tepath.Limits{}, -1)
 	if err != nil {
 		panic(err)
 	}
-	lazy, err := core.NewLazyWithK(mJSON, 3, tepath.Limits{})
+	lazy, err := core.NewWithK(mJSON, 3, tepath.Limits{MaxDFAStates: 1})
 	if err != nil {
 		panic(err)
 	}

@@ -63,7 +63,7 @@ func Hotloop(cfg Config) Table {
 		}
 		m := spec.Machine()
 		res := analysis.Analyze(m)
-		split, err := core.NewSplitWithK(m, res.MaxTND, tepath.Limits{})
+		split, err := core.NewWithKBudget(m, res.MaxTND, tepath.Limits{}, -1)
 		if err != nil {
 			panic(err)
 		}

@@ -37,16 +37,17 @@ import (
 
 // Options configures Compile.
 type Options struct {
-	// MaxTeDFAStates caps the pretokenizer's token-extension DFA (0 =
-	// default).
+	// MaxTeDFAStates caps the eager expansion of the pretokenizer's
+	// token-extension DFA (0 = 4096 states); past it the pretokenizer's
+	// streams grow the TeDFA lazily, each with its own uncapped cache
+	// (see core.NewWithK).
 	MaxTeDFAStates int
-	// DisableFused keeps the pretokenizer on the split loops (ablation).
-	DisableFused bool
 	// MaxFusedTableBytes is the resident-table budget (0 = the 16 MB
 	// default), shared by the vocab DFA table and the pretokenizer's
 	// fused tables: the pretokenizer gets whatever the vocab table
 	// leaves, and a vocabulary whose table alone exceeds the budget
-	// serves with the pretokenizer on the split loops. The vocab table
+	// serves with the pretokenizer on the split loops. A negative budget
+	// keeps the pretokenizer on the split loops (ablation). The vocab table
 	// is charged at its serving representation — the sparse
 	// row-displacement layout once adopted — which is what lets 32k+
 	// merge vocabularies fit the default budget with room for fused
@@ -122,13 +123,11 @@ func Compile(v *Vocab, opts Options) (*Tokenizer, error) {
 		budget = DefaultFusedBudget
 	}
 	remaining := budget - vm.TableBytes()
-	limits := tepath.Limits{MaxDFAStates: opts.MaxTeDFAStates}
-	var ptok *core.Tokenizer
-	if opts.DisableFused || remaining <= 0 {
-		ptok, err = core.NewSplitWithK(pm, pres.MaxTND, limits)
-	} else {
-		ptok, err = core.NewWithKBudget(pm, pres.MaxTND, limits, remaining)
+	if remaining <= 0 {
+		remaining = -1 // a zero budget would select the default
 	}
+	limits := tepath.Limits{MaxDFAStates: opts.MaxTeDFAStates}
+	ptok, err := core.NewWithKBudget(pm, pres.MaxTND, limits, remaining)
 	if err != nil {
 		return nil, err
 	}

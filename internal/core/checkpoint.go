@@ -28,7 +28,7 @@ import (
 //
 // Because the state is byte-level, a checkpoint is independent of the
 // engine representation: it does not name TeDFA state ids (which are
-// discovery-order dependent under the lazy evaluator and layout
+// discovery-order dependent under a lazily grown TeDFA and layout
 // dependent under the fused engine), so a stream suspended on one
 // engine mode can resume on another build of the same grammar. The
 // recorded tokenization-DFA state QA is a cross-check, enforced only

@@ -25,8 +25,8 @@ func engineSet(t *testing.T, m *tokdfa.Machine, k int) map[string]*core.Tokenize
 	if out["auto"], err = core.NewWithK(m, k, tepath.Limits{}); err != nil {
 		t.Fatalf("NewWithK: %v", err)
 	}
-	if out["split"], err = core.NewSplitWithK(m, k, tepath.Limits{}); err != nil {
-		t.Fatalf("NewSplitWithK: %v", err)
+	if out["split"], err = core.NewWithKBudget(m, k, tepath.Limits{}, -1); err != nil {
+		t.Fatalf("NewWithKBudget(-1): %v", err)
 	}
 	if out["noaccel"], err = core.NewNoAccelWithK(m, k, tepath.Limits{}); err != nil {
 		t.Fatalf("NewNoAccelWithK: %v", err)
@@ -148,7 +148,7 @@ func TestFusedEngineSelected(t *testing.T) {
 		if tok.AccelStates() == 0 {
 			t.Errorf("%s: no accel states detected", spec.Name)
 		}
-		split, err := core.NewSplitWithK(m, res.MaxTND, tepath.Limits{})
+		split, err := core.NewWithKBudget(m, res.MaxTND, tepath.Limits{}, -1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,23 +79,32 @@ func FuzzStreamTokDifferential(f *testing.F) {
 var (
 	fuzzFusedOnce sync.Once
 	fuzzSplitToks []*core.Tokenizer
+	fuzzLazyToks  []*core.Tokenizer // nil where k < 2
 )
 
 func fuzzFusedSetup() {
 	fuzzOnce.Do(fuzzSetup)
 	for _, tok := range fuzzToks {
-		split, err := core.NewSplitWithK(tok.Machine(), tok.K(), tepath.Limits{})
+		split, err := core.NewWithKBudget(tok.Machine(), tok.K(), tepath.Limits{}, -1)
 		if err != nil {
 			split = tok
 		}
 		fuzzSplitToks = append(fuzzSplitToks, split)
+		var lazy *core.Tokenizer
+		if tok.K() >= 2 {
+			if lazy, err = core.NewWithKBudget(tok.Machine(), tok.K(), tepath.Limits{MaxDFAStates: 1}, -1); err != nil {
+				lazy = nil
+			}
+		}
+		fuzzLazyToks = append(fuzzLazyToks, lazy)
 	}
 }
 
 // FuzzFusedDifferential cross-checks the fused fast engine against the
-// split engine and the reference oracle under fuzzer-chosen alternating
-// chunk boundaries (including 1-byte feeds), comparing tokens, emitted
-// text bytes, and Rest.
+// split engine, the lazily grown TeDFA (k ≥ 2 grammars), and the
+// reference oracle under fuzzer-chosen alternating chunk boundaries
+// (including 1-byte feeds), comparing tokens, emitted text bytes, and
+// Rest.
 func FuzzFusedDifferential(f *testing.F) {
 	f.Add(0, uint8(1), uint8(1), []byte("123 456"))
 	f.Add(3, uint8(1), uint8(5), []byte(`a,"b""c",d`))
@@ -144,6 +153,17 @@ func FuzzFusedDifferential(f *testing.F) {
 		}
 		if !reference.Equal(sGot, want) || sRest != wantRest {
 			t.Fatalf("split diverged from oracle on %q (grammar %d)", input, pick)
+		}
+		if lazy := fuzzLazyToks[pick]; lazy != nil {
+			lGot, lTexts, lRest := run(lazy)
+			if !reference.Equal(lGot, want) || lRest != wantRest {
+				t.Fatalf("lazy diverged from oracle on %q (grammar %d)", input, pick)
+			}
+			for i := range lTexts {
+				if string(lTexts[i]) != string(sTexts[i]) {
+					t.Fatalf("token %d text mismatch: lazy %q split %q", i, lTexts[i], sTexts[i])
+				}
+			}
 		}
 		if len(fTexts) != len(sTexts) {
 			t.Fatalf("text count mismatch: fused %d split %d", len(fTexts), len(sTexts))

@@ -24,9 +24,12 @@ func TestLazyMatchesReference(t *testing.T) {
 		if !res.Bounded() || res.MaxTND < 2 {
 			continue
 		}
-		tok, err := core.NewLazyWithK(m, res.MaxTND, tepath.Limits{})
+		tok, err := core.NewWithK(m, res.MaxTND, tepath.Limits{MaxDFAStates: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
+		}
+		if mode := tok.EngineMode(); mode != "split-general-lazy" {
+			t.Fatalf("%s: mode %s, want split-general-lazy", c.Name, mode)
 		}
 		for i := 0; i < 30; i++ {
 			in := testutil.RandomInput(rng, c.Alphabet, rng.Intn(128))

@@ -33,11 +33,11 @@ func buildFused(m *tokdfa.Machine, k int) (*core.Tokenizer, error) {
 }
 
 func buildSplit(m *tokdfa.Machine, k int) (*core.Tokenizer, error) {
-	return core.NewSplitWithK(m, k, tepath.Limits{})
+	return core.NewWithKBudget(m, k, tepath.Limits{}, -1)
 }
 
 func buildLazy(m *tokdfa.Machine, k int) (*core.Tokenizer, error) {
-	return core.NewLazyWithK(m, k, tepath.Limits{})
+	return core.NewWithK(m, k, tepath.Limits{MaxDFAStates: 1})
 }
 
 func servingCases() []servingCase {
@@ -297,13 +297,22 @@ func TestPoolReuseAndReset(t *testing.T) {
 // TestPoolConcurrentReconciliation drives the pooled serving path from
 // many goroutines — acquire, feed in chunks, close, release — and
 // checks the tokenizer-wide observability aggregate reconciles exactly
-// with the per-goroutine token tallies. Run with -race in CI.
+// with the per-goroutine token tallies. Run with -race in CI. The lazy
+// case matters there: its streams grow private clones of one shared
+// TeDFA template, which must never be written.
 func TestPoolConcurrentReconciliation(t *testing.T) {
+	for _, c := range servingCases() {
+		if c.name == "fused-general" || c.name == "split-general-lazy" {
+			t.Run(c.name, func(t *testing.T) { poolConcurrentReconciliation(t, c) })
+		}
+	}
+}
+
+func poolConcurrentReconciliation(t *testing.T, c servingCase) {
 	const (
 		goroutines = 8
 		streams    = 25
 	)
-	c := servingCases()[4] // fused-general
 	tok := buildCase(t, c)
 	input := bytes.Repeat(c.chunk, 200)
 	wantToks, _ := tok.TokenizeBytes(input)
@@ -452,7 +461,7 @@ func TestBigGrammarDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	splitTok, err := core.NewSplitWithK(m, res.MaxTND, tepath.Limits{})
+	splitTok, err := core.NewWithKBudget(m, res.MaxTND, tepath.Limits{}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

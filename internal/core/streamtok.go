@@ -49,12 +49,11 @@ const batchCap = 512
 // counters fold into it when the stream finishes, and
 // AggregateCounters snapshots the aggregate at any time.
 type Tokenizer struct {
-	m    *tokdfa.Machine
-	k    int
-	te   *tepath.Table
-	lazy *tepath.Lazy
-	k1   *tepath.K1Table
-	fe   *fused.Engine // fused fast engine, nil → split loops
+	m  *tokdfa.Machine
+	k  int
+	te *tepath.Table // k ≥ 2: complete, or the template lazy streams clone
+	k1 *tepath.K1Table
+	fe *fused.Engine // fused fast engine, nil → split loops
 
 	noObs bool // benchmark-only: skip the observability counters
 
@@ -72,13 +71,12 @@ type Tokenizer struct {
 // Streamer is a StreamTok instance processing one stream. It is created
 // by a Tokenizer and is not safe for concurrent use.
 type Streamer struct {
-	m    *tokdfa.Machine
-	k    int
-	te   *tepath.Table     // general mode, eager TeDFA (k >= 2)
-	eval *tepath.Evaluator // general mode, lazy TeDFA (k >= 2)
-	k1   *tepath.K1Table   // Fig. 5 mode (k == 1)
-	fe   *fused.Engine     // fused fast engine, nil → split loops
-	tok  *Tokenizer        // owner, for the observability registry
+	m   *tokdfa.Machine
+	k   int
+	te  *tepath.Table   // general mode (k >= 2): shared if complete, else this stream's own clone
+	k1  *tepath.K1Table // Fig. 5 mode (k == 1)
+	fe  *fused.Engine   // fused fast engine, nil → split loops
+	tok *Tokenizer      // owner, for the observability registry
 
 	c          obs.Counters // always-on counters; plain fields, owner-updated
 	noObs      bool         // benchmark-only: skip counter updates
@@ -155,50 +153,36 @@ func New(m *tokdfa.Machine, limits tepath.Limits) (*Tokenizer, int, error) {
 // analysis). k must be an upper bound on TkDist(r̄); the algorithm is
 // correct for any finite upper bound, and fastest when k is exact.
 //
-// For k ≥ 2 the token-extension DFA is materialized eagerly; if it
-// exceeds its budget (it can be exponential in k), the tokenizer falls
-// back to a lazily determinized TeDFA whose transitions are computed on
-// first use per stream — same O(1) steady-state cost, memory proportional
-// to the powerstates the stream actually visits.
+// For k ≥ 2 the token-extension DFA is expanded eagerly, up to
+// limits.MaxDFAStates powerstates (eagerTeDFACap when 0). Past the cap
+// (the TeDFA can be exponential in k) the tokenizer keeps the table
+// unexpanded and each stream grows its own copy on first use of every
+// transition — same O(1) steady-state cost, memory proportional to the
+// powerstates the stream actually visits, and not capped.
 //
 // When the tables fit the fused-engine budget, the tokenizer additionally
 // compiles the per-byte decision sequence into the internal/fused fast
 // path (packed action tables + run-skipping accel states) and streams
 // through it; the split loops remain the fallback and the ablation
-// baseline (NewSplitWithK).
+// baseline (a negative NewWithKBudget budget).
 func NewWithK(m *tokdfa.Machine, k int, limits tepath.Limits) (*Tokenizer, error) {
 	return NewWithKBudget(m, k, limits, 0)
 }
 
 // NewWithKBudget is NewWithK with an explicit fused-table byte budget
-// (0 selects the 16 MB default). The budget caps every array the fused
-// hot loop touches — packed/action tables, accel index, class maps, and
-// the compressed A/B transition rows — so raising it lets larger grammars
-// stay fused and lowering it forces the split loops earlier.
+// (0 selects the 16 MB default, a negative budget keeps the split
+// loops). The budget caps every array the fused hot loop touches —
+// packed/action tables, accel index, class maps, and the compressed A/B
+// transition rows — so raising it lets larger grammars stay fused and
+// lowering it forces the split loops earlier.
 func NewWithKBudget(m *tokdfa.Machine, k int, limits tepath.Limits, fusedBudget int) (*Tokenizer, error) {
-	t, err := newSplit(m, k, limits)
-	if err != nil {
-		return nil, err
-	}
-	t.fe = fused.Build(m, k, t.te, fused.Options{MaxTableBytes: fusedBudget})
-	return t, nil
-}
-
-// NewSplitWithK is NewWithK without the fused fast engine (for ablation
-// benchmarks and differential tests against the split loops).
-func NewSplitWithK(m *tokdfa.Machine, k int, limits tepath.Limits) (*Tokenizer, error) {
-	return newSplit(m, k, limits)
+	return newWithFused(m, k, limits, fused.Options{MaxTableBytes: fusedBudget})
 }
 
 // NewNoAccelWithK builds the fused engine with accel states disabled
 // (isolating action-table fusion from run skipping in ablations).
 func NewNoAccelWithK(m *tokdfa.Machine, k int, limits tepath.Limits) (*Tokenizer, error) {
-	t, err := newSplit(m, k, limits)
-	if err != nil {
-		return nil, err
-	}
-	t.fe = fused.Build(m, k, t.te, fused.Options{NoAccel: true})
-	return t, nil
+	return newWithFused(m, k, limits, fused.Options{NoAccel: true})
 }
 
 // NewNoObsWithK is NewWithK with the observability counters compiled
@@ -214,7 +198,12 @@ func NewNoObsWithK(m *tokdfa.Machine, k int, limits tepath.Limits) (*Tokenizer, 
 	return t, nil
 }
 
-func newSplit(m *tokdfa.Machine, k int, limits tepath.Limits) (*Tokenizer, error) {
+// eagerTeDFACap caps the eager TeDFA expansion when limits.MaxDFAStates
+// is 0: practical grammars' TeDFAs are far below it, and expanding
+// further before going lazy would waste seconds on exponential families.
+const eagerTeDFACap = 1 << 12
+
+func newWithFused(m *tokdfa.Machine, k int, limits tepath.Limits, opts fused.Options) (*Tokenizer, error) {
 	if m.DFA.Trans == nil {
 		// A machine serving from the sparse row-displacement layout is a
 		// scanner (BPE vocab DFA): the streaming engines index class-table
@@ -228,45 +217,22 @@ func newSplit(m *tokdfa.Machine, k int, limits tepath.Limits) (*Tokenizer, error
 	case k == 1:
 		t.k1 = tepath.BuildK1(m)
 	default:
-		// Cap the eager attempt: practical grammars' TeDFAs are far
-		// below this budget, and probing the full lazy limit before
-		// falling back would waste seconds on exponential families.
-		eagerLimits := limits
-		if eagerLimits.MaxDFAStates == 0 {
-			eagerLimits.MaxDFAStates = 1 << 12
-		}
-		te, err := tepath.Build(m, k, eagerLimits)
-		if err == nil {
-			t.te = te
-			break
-		}
-		if err != tepath.ErrTooLarge {
-			return nil, err
-		}
-		lazy, lerr := tepath.BuildLazy(m, k, limits)
-		if lerr != nil {
-			return nil, lerr
-		}
-		t.lazy = lazy
-	}
-	return t, nil
-}
-
-// NewLazyWithK is NewWithK but always uses the lazy TeDFA (for ablation
-// benchmarks).
-func NewLazyWithK(m *tokdfa.Machine, k int, limits tepath.Limits) (*Tokenizer, error) {
-	t := &Tokenizer{m: m, k: k, live: map[*Streamer]struct{}{}}
-	switch {
-	case k <= 0:
-	case k == 1:
-		t.k1 = tepath.BuildK1(m)
-	default:
-		lazy, err := tepath.BuildLazy(m, k, limits)
+		te, err := tepath.New(m, k, limits)
 		if err != nil {
 			return nil, err
 		}
-		t.lazy = lazy
+		eagerCap := limits.MaxDFAStates
+		if eagerCap == 0 {
+			eagerCap = eagerTeDFACap
+		}
+		// Expand a copy: if it passes the cap, the unexpanded te stays
+		// as the template each lazy stream clones and grows.
+		t.te = te
+		if eager := te.Clone(); eager.Expand(eagerCap) == nil {
+			t.te = eager
+		}
 	}
+	t.fe = fused.Build(m, k, t.te, opts)
 	return t, nil
 }
 
@@ -277,16 +243,13 @@ func (t *Tokenizer) K() int { return t.k }
 func (t *Tokenizer) Machine() *tokdfa.Machine { return t.m }
 
 // TeDFASize returns the size of the eager token-extension DFA (0 when
-// k ≤ 1 or when the lazy fallback is in use).
+// k ≤ 1 or when the streams grow the TeDFA lazily).
 func (t *Tokenizer) TeDFASize() int {
-	if t.te == nil {
+	if t.te == nil || !t.te.Complete() {
 		return 0
 	}
 	return t.te.NumStates()
 }
-
-// Lazy reports whether the tokenizer uses the lazily determinized TeDFA.
-func (t *Tokenizer) Lazy() bool { return t.lazy != nil }
 
 // EngineMode names the execution mode the tokenizer selected:
 // "fused-k0", "fused-k1", or "fused-general" when the fused fast engine
@@ -301,7 +264,7 @@ func (t *Tokenizer) EngineMode() string {
 		return "split-k0"
 	case t.k == 1:
 		return "split-k1"
-	case t.lazy != nil:
+	case !t.te.Complete():
 		return "split-general-lazy"
 	default:
 		return "split-general"
@@ -329,9 +292,9 @@ func (t *Tokenizer) AccelStates() int {
 // mark never exceeds it.
 func (t *Tokenizer) RingBytes() int {
 	switch {
-	case t.te != nil && t.fe != nil && t.fe.Mode == fused.ModeGeneral:
+	case t.fe != nil && t.fe.Mode == fused.ModeGeneral:
 		return nextPow2(t.k)
-	case t.te != nil || t.lazy != nil:
+	case t.te != nil:
 		return t.k
 	case t.fe == nil && t.k == 1:
 		return 1 // the split Fig. 5 one-byte delay slot
@@ -355,18 +318,22 @@ func (t *Tokenizer) AccelSlots() int {
 const MaxRetainedCarryCap = maxRetainedCarryCap
 
 // TableBytes returns the memory footprint of the precomputed automata and
-// tables: the tokenization DFA, the token-extension DFA (k ≥ 2), or the
-// Fig. 5 table (k == 1). Together with the input buffer and the K-byte
-// delay ring this is StreamTok's entire stream-independent state (the RQ6
-// accounting).
+// tables: the tokenization DFA, the eager token-extension DFA (k ≥ 2),
+// the split Fig. 5 table (k == 1), and the fused engine's tables.
+// Together with the input buffer and the K-byte delay ring this is
+// StreamTok's entire stream-independent state (the RQ6 accounting). A
+// lazily grown TeDFA is per-stream state and is not counted.
 func (t *Tokenizer) TableBytes() int {
 	d := t.m.DFA
 	n := d.TableBytes()
-	if t.te != nil {
+	if t.te != nil && t.te.Complete() {
 		n += t.te.Bytes()
 	}
 	if t.k1 != nil {
-		n += t.k1.Bytes() // fused Fig. 5 action table
+		// The split K1 table. It is built and counted even when fused-k1
+		// serves: certificates bind TableBytes, so dropping it would make
+		// machine files written by earlier builds refuse to load.
+		n += t.k1.Bytes()
 	}
 	n += t.fe.Bytes()
 	return n
@@ -388,19 +355,18 @@ func (t *Tokenizer) NewStreamer() *Streamer {
 			s.latK = obs.LatencyBuckets - 1
 		}
 	}
-	if t.te != nil {
-		if t.fe != nil && t.fe.Mode == fused.ModeGeneral {
-			// The fused loop indexes the ring with a mask, so size it
-			// to the next power of two ≥ k.
-			c := nextPow2(t.k)
-			s.ring = make([]byte, c)
-			s.ringMask = c - 1
-		} else {
-			s.ring = make([]byte, t.k)
-		}
-	} else if t.lazy != nil {
-		s.eval = t.lazy.NewEvaluator()
+	switch {
+	case t.fe != nil && t.fe.Mode == fused.ModeGeneral:
+		// The fused loop indexes the ring with a mask, so size it to the
+		// next power of two ≥ k.
+		c := nextPow2(t.k)
+		s.ring = make([]byte, c)
+		s.ringMask = c - 1
+	case t.te != nil:
 		s.ring = make([]byte, t.k)
+		if !t.te.Complete() {
+			s.te = t.te.Clone()
+		}
 	}
 	s.start()
 	return s
@@ -408,18 +374,15 @@ func (t *Tokenizer) NewStreamer() *Streamer {
 
 // start (re)initializes the stream-varying state and registers the
 // stream in the observability registry. The stream-constant state —
-// tables, ring and scratch buffers, the lazy evaluator and its
-// powerstate cache, the batch buffer, the per-rule counter slice — is
+// tables (a lazy stream's grown TeDFA among them), ring and scratch
+// buffers, the batch buffer, the per-rule counter slice — is
 // left alone, which is what makes pooled reuse allocation-free.
 func (s *Streamer) start() {
 	t := s.tok
 	s.qa = t.m.DFA.Start
 	s.s = 0
-	switch {
-	case s.te != nil:
+	if s.te != nil {
 		s.s = s.te.Start
-	case s.eval != nil:
-		s.s = s.eval.Start()
 	}
 	s.head, s.filled = 0, 0
 	s.prevOK, s.prev = false, 0
@@ -670,8 +633,6 @@ func (s *Streamer) Feed(chunk []byte, emit EmitFunc) {
 		s.feedK0(chunk, emit)
 	case s.k == 1:
 		s.feedK1(chunk, emit)
-	case s.eval != nil:
-		s.feedGeneralLazy(chunk, emit)
 	default:
 		s.feedGeneral(chunk, emit)
 	}
@@ -815,19 +776,30 @@ func (s *Streamer) feedK1(chunk []byte, emit EmitFunc) {
 
 // feedGeneral implements Fig. 6: the token-extension DFA B consumes each
 // byte immediately; A consumes it K bytes later via the delay ring; the
-// maximality table is consulted after each A step.
+// maximality table is consulted after each A step. A lazy stream's B
+// table has uncomputed (-1) entries, grown on first use: the loop loads
+// the entry itself and branches on its sign, because a Step method
+// holding that check would not inline.
 func (s *Streamer) feedGeneral(chunk []byte, emit EmitFunc) {
 	d := s.m.DFA
 	trans := d.Trans
 	classOf := &d.ClassOf
 	nc := d.NumClasses()
 	te := s.te
+	teTrans := te.Trans()
 	k := s.k
 	ring := s.ring
 	base := s.pos + s.filled // stream offset of chunk[0]
 	qa, sb, head, pos := s.qa, s.s, s.head, s.pos
 	for _, b := range chunk {
-		sb = te.Step(sb, b) // line 11: B is K symbols ahead of A
+		// line 11: B is K symbols ahead of A (B shares A's byte classes).
+		c := int(classOf[b])
+		next := teTrans[sb*nc+c]
+		if next < 0 {
+			next = te.Grow(sb, c)
+			teTrans = te.Trans()
+		}
+		sb = int(next)
 		if s.filled < k {
 			ring[(head+s.filled)%k] = b
 			s.filled++
@@ -845,50 +817,6 @@ func (s *Streamer) feedGeneral(chunk []byte, emit EmitFunc) {
 		qa = int(trans[qa*nc+int(classOf[a])]) // line 12
 		pos++
 		if te.MaximalFinal(qa, sb) { // line 14: T[q][S]
-			s.qa, s.s, s.head, s.pos = qa, sb, head, pos
-			s.emitToken(emit, d.Rule(qa), chunk, base)
-			qa = s.qa // emitToken restarted A
-		} else if s.m.IsDead(qa) {
-			s.qa, s.s, s.head, s.pos = qa, sb, head, pos
-			s.stop()
-			return
-		}
-	}
-	s.qa, s.s, s.head, s.pos = qa, sb, head, pos
-	s.saveCarry(chunk, base)
-}
-
-// feedGeneralLazy is feedGeneral over the lazily determinized TeDFA (the
-// loop is duplicated so both hot paths stay devirtualized).
-func (s *Streamer) feedGeneralLazy(chunk []byte, emit EmitFunc) {
-	d := s.m.DFA
-	trans := d.Trans
-	classOf := &d.ClassOf
-	nc := d.NumClasses()
-	eval := s.eval
-	k := s.k
-	ring := s.ring
-	base := s.pos + s.filled
-	qa, sb, head, pos := s.qa, s.s, s.head, s.pos
-	for _, b := range chunk {
-		sb = eval.Step(sb, b)
-		if s.filled < k {
-			ring[(head+s.filled)%k] = b
-			s.filled++
-			continue
-		}
-		a := ring[head]
-		ring[head] = b
-		head++
-		if head == k {
-			head = 0
-		}
-		if pos < base {
-			s.carry = append(s.carry, a)
-		}
-		qa = int(trans[qa*nc+int(classOf[a])])
-		pos++
-		if eval.MaximalFinal(qa, sb) {
 			s.qa, s.s, s.head, s.pos = qa, sb, head, pos
 			s.emitToken(emit, d.Rule(qa), chunk, base)
 			qa = s.qa // emitToken restarted A
@@ -962,14 +890,7 @@ func (s *Streamer) Close(emit EmitFunc) int {
 			s.qa = d.Step(s.qa, a)
 			s.pos++
 			if d.IsFinal(s.qa) {
-				tail := s.ringContents()
-				extends := false
-				if s.eval != nil {
-					extends = s.eval.ExtendsWithinTail(s.qa, tail)
-				} else {
-					extends = s.te.ExtendsWithinTail(s.qa, tail)
-				}
-				if !extends {
+				if !s.te.ExtendsWithinTail(s.qa, s.ringContents()) {
 					s.emitTail(emit, d.Rule(s.qa), streamEnd)
 				}
 			} else if s.m.IsDead(s.qa) {

@@ -22,7 +22,9 @@ func TestCarryCapacityBounded(t *testing.T) {
 	}
 	build := map[string]func(*tokdfa.Machine, int, tepath.Limits) (*Tokenizer, error){
 		"fused": NewWithK,
-		"split": NewSplitWithK,
+		"split": func(m *tokdfa.Machine, k int, l tepath.Limits) (*Tokenizer, error) {
+			return NewWithKBudget(m, k, l, -1)
+		},
 	}
 	for name, mk := range build {
 		tok, err := mk(m, 1, tepath.Limits{})

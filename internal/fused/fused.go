@@ -85,7 +85,7 @@ type Options struct {
 	// touches (default 16 MB): the packed/action tables and accel index
 	// built here, plus the class-compressed A and B transition tables the
 	// general loop indexes directly. A grammar that would exceed it keeps
-	// the split engine.
+	// the split engine; a negative cap keeps every grammar on it.
 	MaxTableBytes int
 	// NoAccel builds the engine without accel states (ablation).
 	NoAccel bool
@@ -178,17 +178,17 @@ func (e *Engine) ModeName() string {
 }
 
 // Build compiles the fused engine for a machine with lookahead bound k.
-// te must be the eager token-extension table when k ≥ 2 (pass nil when
-// the tokenizer fell back to the lazy TeDFA; the fused engine needs the
-// full powerstate space to exist). Build returns nil when fusion is not
-// applicable or the tables would exceed the budget — the caller keeps
-// the split loops.
+// te is the token-extension table when k ≥ 2; the fused engine needs
+// its full powerstate space, so Build bows out when te is not complete
+// (the tokenizer grows the TeDFA lazily per stream). Build returns nil
+// when fusion is not applicable or the tables would exceed the budget
+// (any negative budget does) — the caller keeps the split loops.
 func Build(m *tokdfa.Machine, k int, te *tepath.Table, opts Options) *Engine {
 	opts = opts.withDefaults()
 	if k <= 1 {
 		return buildSmall(m, k, opts)
 	}
-	if te == nil {
+	if !te.Complete() {
 		return nil
 	}
 	return buildGeneral(m, k, te, opts)

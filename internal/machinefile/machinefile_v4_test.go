@@ -99,7 +99,7 @@ func TestV4SparseRoundTrip(t *testing.T) {
 
 	// Sparse machines are scanner-only: the streaming engines must
 	// refuse them rather than index the missing class table.
-	if _, err := core.NewSplitWithK(got.Machine, 1, tepath.Limits{}); err == nil {
+	if _, err := core.NewWithKBudget(got.Machine, 1, tepath.Limits{}, -1); err == nil {
 		t.Error("split engine accepted a sparse-only machine")
 	}
 }

@@ -18,9 +18,11 @@
 package tepath
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"streamtok/internal/tokdfa"
 )
@@ -30,7 +32,10 @@ import (
 type Limits struct {
 	// MaxNFAStates bounds the TeNFA size (default 1<<20).
 	MaxNFAStates int
-	// MaxDFAStates bounds the TeDFA size (default 1<<18).
+	// MaxDFAStates bounds Build's expansion of the TeDFA (default
+	// 1<<18). The streaming tokenizer uses it as its eager cap instead
+	// (see core.NewWithK); Grow, which serves lazy streams, is never
+	// capped.
 	MaxDFAStates int
 }
 
@@ -47,19 +52,30 @@ func (l Limits) withDefaults() Limits {
 // ErrTooLarge is returned when the construction exceeds its limits.
 var ErrTooLarge = errors.New("tepath: token-extension automaton exceeds size limits")
 
-// Table is the compiled token-extension DFA B = TeDFA(A) plus the
-// token-maximality table T. It is immutable after Build and safe for
-// concurrent use.
+// Table is the token-extension DFA B = TeDFA(A) plus the
+// token-maximality table T, in one flat class-column layout. Its
+// powerstates are interned by the restarting powerset construction
+// (δ_B(S, b) = {succ(s, b) : s ∈ S} ∪ I, Example 19) one transition at
+// a time: a transition entry of -1 has not been computed yet.
+//
+// Build expands a table breadth-first to closure; the result is
+// complete, immutable and safe for concurrent use. On grammars whose
+// TeDFA is exponential in K (the paper's Fig. 8 family r_k needs
+// 2^(k+1)-2 states) the closure is not affordable, but a stream visits
+// only a tiny fraction of it (on the all-a worst-case input, k+2
+// powerstates). Such a table is kept unexpanded, as a template, and
+// each stream grows its own Clone on demand with Grow; the grown
+// entries then cost the same array loads per symbol as the eager table.
 type Table struct {
 	// K is the maximum token neighbor distance the table was built for.
 	K int
 	// Start is the initial TeDFA state (the powerstate I).
 	Start int
 	// trans is the flattened TeDFA transition table, one column per byte
-	// class of the tokenization DFA: trans[s*nc+int(classOf[b])]. The
-	// TeNFA's successors are a pure function of δ_A, so A's byte-class
-	// partition is exact for B as well and the two machines share one
-	// class map.
+	// class of the tokenization DFA: trans[s*nc+int(classOf[b])], or -1
+	// when not yet computed. The TeNFA's successors are a pure function
+	// of δ_A, so A's byte-class partition is exact for B as well and the
+	// two machines share one class map.
 	trans []int32
 	// classOf is a copy of the tokenization DFA's byte-class map.
 	classOf [256]uint8
@@ -75,13 +91,30 @@ type Table struct {
 	// bitset probe per byte.
 	emitOK [][]uint64
 	words  int // words per bitset
+	// complete is set once every transition has been computed.
+	complete bool
 
 	// machine the table was built for (used by the EOF drain check).
 	machine *tokdfa.Machine
+
+	// The powerset construction's state, dropped once the table is
+	// complete: the shared, immutable TeNFA, each powerstate's sorted
+	// NFA-state set and its interning index, and scratch Grow reuses.
+	nfa    *teNFA
+	sets   [][]int32
+	ids    map[string]int32
+	next   []int32
+	seen   []bool
+	keyBuf []byte
 }
 
-// NumStates returns the TeDFA size.
-func (t *Table) NumStates() int { return len(t.extendable) }
+// NumStates returns the number of powerstates interned so far (the
+// TeDFA size once the table is complete).
+func (t *Table) NumStates() int { return len(t.emitOK) }
+
+// Complete reports whether every transition has been computed, i.e.
+// the table was expanded to closure.
+func (t *Table) Complete() bool { return t.complete }
 
 // Bytes returns the memory every resident array occupies: compressed
 // transition words, both maximality bitsets (extendable and the fused
@@ -104,13 +137,20 @@ func (t *Table) Dump() (trans []int32, numClasses int, emitOK [][]uint64, words 
 	return t.trans, t.nc, t.emitOK, t.words
 }
 
-// Step advances the TeDFA: δ_B(S, b).
-func (t *Table) Step(s int, b byte) int {
-	return int(t.trans[s*t.nc+int(t.classOf[b])])
-}
+// Trans returns the transition table (see Dump), with -1 marking an
+// entry not yet computed. Grow may reallocate it, so a caller that
+// caches the slice must reload it after every Grow.
+func (t *Table) Trans() []int32 { return t.trans }
 
-// StepClass advances the TeDFA on any byte of class c.
-func (t *Table) StepClass(s, c int) int { return int(t.trans[s*t.nc+c]) }
+// Step advances the TeDFA, δ_B(S, b), computing the transition first if
+// it is missing.
+func (t *Table) Step(s int, b byte) int {
+	c := int(t.classOf[b])
+	if n := t.trans[s*t.nc+c]; n >= 0 {
+		return int(n)
+	}
+	return int(t.Grow(s, c))
+}
 
 // Maximal implements the token-maximality table lookup T[q][S]: it reports
 // whether a token that left the tokenization DFA in final state q is
@@ -145,6 +185,108 @@ func (t *Table) ExtendsWithinTail(q int, tail []byte) bool {
 	return false
 }
 
+// Grow computes the missing transition of powerstate s on class c,
+// δ_B(S, c) = {succ(s, c) : s ∈ S} ∪ I, interning the successor when it
+// is new, and returns it. It is not capped and not safe for concurrent
+// use: a complete table never needs it, and a template is grown only
+// through per-stream clones.
+func (t *Table) Grow(s, c int) int32 {
+	nfa := t.nfa
+	if t.seen == nil {
+		t.seen = make([]bool, len(nfa.acceptLabel))
+	}
+	next := t.next[:0]
+	for _, st := range t.sets[s] {
+		if n := nfa.succ[int(st)*t.nc+c]; n >= 0 && !t.seen[n] {
+			t.seen[n] = true
+			next = append(next, n)
+		}
+	}
+	for _, st := range nfa.initial {
+		if !t.seen[st] {
+			t.seen[st] = true
+			next = append(next, st)
+		}
+	}
+	for _, st := range next {
+		t.seen[st] = false
+	}
+	slices.Sort(next)
+	t.next = next
+	id := t.intern(next)
+	t.trans[s*t.nc+c] = id
+	return id
+}
+
+// intern returns the id of the powerstate set, appending it — with a row
+// of uncomputed transitions and its maximality bitsets — when it is new.
+// set may be scratch: it is copied before it is kept.
+func (t *Table) intern(set []int32) int32 {
+	key := t.keyBuf[:0]
+	for _, s := range set {
+		key = binary.LittleEndian.AppendUint32(key, uint32(s))
+	}
+	t.keyBuf = key
+	if id, ok := t.ids[string(key)]; ok {
+		return id
+	}
+	id := int32(len(t.sets))
+	t.ids[string(key)] = id
+	t.sets = append(t.sets, slices.Clone(set))
+	for c := 0; c < t.nc; c++ {
+		t.trans = append(t.trans, -1)
+	}
+	bits := make([]uint64, t.words)
+	for _, s := range set {
+		if lbl := t.nfa.acceptLabel[s]; lbl >= 0 {
+			bits[lbl>>6] |= 1 << (lbl & 63)
+		}
+	}
+	t.extendable = append(t.extendable, bits)
+	ok := make([]uint64, t.words)
+	for w := range ok {
+		ok[w] = t.nfa.finals[w] &^ bits[w]
+	}
+	t.emitOK = append(t.emitOK, ok)
+	return id
+}
+
+// Expand computes every missing transition breadth-first, in state then
+// class order, until the table is closed under δ_B. It fails with
+// ErrTooLarge as soon as the table would hold more than maxStates
+// powerstates, leaving the table partially expanded. A complete table
+// never grows again, so it drops the construction state.
+func (t *Table) Expand(maxStates int) error {
+	for s := 0; s < t.NumStates(); s++ {
+		for c := 0; c < t.nc; c++ {
+			if t.trans[s*t.nc+c] >= 0 {
+				continue
+			}
+			t.Grow(s, c)
+			if t.NumStates() > maxStates {
+				return ErrTooLarge
+			}
+		}
+	}
+	t.complete = true
+	t.nfa, t.sets, t.ids, t.next, t.seen, t.keyBuf = nil, nil, nil, nil, nil, nil
+	return nil
+}
+
+// Clone returns a copy of t that grows independently of it. The TeNFA
+// and every interned powerstate's set and bitsets are immutable and
+// shared; the row table and the interning index are copied.
+func (t *Table) Clone() *Table {
+	c := *t
+	c.trans = slices.Clone(t.trans)
+	c.extendable = slices.Clone(t.extendable)
+	c.emitOK = slices.Clone(t.emitOK)
+	c.sets = slices.Clone(t.sets)
+	c.ids = maps.Clone(t.ids)
+	c.next, c.seen, c.keyBuf = nil, nil, nil
+	return &c
+}
+
 // teNFA is the intermediate token-extension NFA. Every state has at most
 // one successor per byte (nondeterminism enters only through the restart
 // union with I), so it is stored as a flat successor table, one column per
@@ -159,24 +301,51 @@ type teNFA struct {
 	// acceptLabel[s] is Λ(s) = fst(π) for accepting states (depth K,
 	// done), or -1.
 	acceptLabel []int32
-	// initial states (q, q, 0) for each final q reachable by Σ⁺.
+	// initial states (q, q, 0) for each final q reachable by Σ⁺, in
+	// increasing order: the restart set I.
 	initial []int32
+	// finals is the bitset of A's final states.
+	finals []uint64
 }
 
-// Build constructs the token-extension DFA and maximality table for a
-// machine whose grammar has TkDist = k (as computed by the static
-// analysis). k must be ≥ 1; grammars with k == 0 need no lookahead at all
-// and are handled by the tokenizers directly.
-func Build(m *tokdfa.Machine, k int, limits Limits) (*Table, error) {
+// New prepares the token-extension DFA of a machine whose grammar has
+// TkDist = k ≥ 1: it builds the TeNFA and interns the start powerstate,
+// leaving every transition uncomputed (see Expand and Grow).
+func New(m *tokdfa.Machine, k int, limits Limits) (*Table, error) {
 	if k < 1 {
-		return nil, fmt.Errorf("tepath: Build requires K >= 1, got %d", k)
+		return nil, fmt.Errorf("tepath: token extension requires K >= 1, got %d", k)
 	}
-	limits = limits.withDefaults()
-	nfa, err := buildTeNFA(m, k, limits)
+	nfa, err := buildTeNFA(m, k, limits.withDefaults())
 	if err != nil {
 		return nil, err
 	}
-	return determinizeRestarting(m, k, nfa, limits)
+	t := &Table{
+		K:       k,
+		classOf: m.DFA.ClassOf,
+		nc:      nfa.nc,
+		words:   len(nfa.finals),
+		machine: m,
+		nfa:     nfa,
+		ids:     map[string]int32{},
+	}
+	t.Start = int(t.intern(nfa.initial))
+	return t, nil
+}
+
+// Build constructs the complete token-extension DFA and maximality
+// table for a machine whose grammar has TkDist = k (as computed by the
+// static analysis), failing with ErrTooLarge past limits.MaxDFAStates
+// powerstates. k must be ≥ 1; grammars with k == 0 need no lookahead at
+// all and are handled by the tokenizers directly.
+func Build(m *tokdfa.Machine, k int, limits Limits) (*Table, error) {
+	t, err := New(m, k, limits)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.Expand(limits.withDefaults().MaxDFAStates); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // buildTeNFA lazily enumerates the reachable (q, p, d) and (q, done, d)
@@ -269,114 +438,11 @@ func buildTeNFA(m *tokdfa.Machine, k int, limits Limits) (*teNFA, error) {
 			accept[s] = kk.q
 		}
 	}
-	return &teNFA{succ: succ, nc: nc, acceptLabel: accept, initial: initial}, nil
-}
-
-// determinizeRestarting applies the modified powerset construction:
-// δ_B(S, b) = {succ(s, b) : s ∈ S} ∪ I, so the NFA "restarts" at every
-// step (Example 19).
-func determinizeRestarting(m *tokdfa.Machine, k int, nfa *teNFA, limits Limits) (*Table, error) {
-	words := (m.DFA.NumStates() + 63) / 64
-
-	finals := make([]uint64, words)
-	for q := 0; q < m.DFA.NumStates(); q++ {
-		if m.DFA.IsFinal(q) {
+	finals := make([]uint64, (d.NumStates()+63)/64)
+	for q := 0; q < d.NumStates(); q++ {
+		if d.IsFinal(q) {
 			finals[q>>6] |= 1 << (q & 63)
 		}
 	}
-
-	ids := map[string]int32{}
-	var sets [][]int32
-	var extendable [][]uint64
-	var emitOK [][]uint64
-
-	intern := func(set []int32) (int32, error) {
-		kkey := setKey(set)
-		if id, ok := ids[kkey]; ok {
-			return id, nil
-		}
-		if len(sets) >= limits.MaxDFAStates {
-			return 0, ErrTooLarge
-		}
-		id := int32(len(sets))
-		ids[kkey] = id
-		sets = append(sets, set)
-		bits := make([]uint64, words)
-		for _, s := range set {
-			if lbl := nfa.acceptLabel[s]; lbl >= 0 {
-				bits[lbl>>6] |= 1 << (lbl & 63)
-			}
-		}
-		extendable = append(extendable, bits)
-		ok := make([]uint64, words)
-		for w := range ok {
-			ok[w] = finals[w] &^ bits[w]
-		}
-		emitOK = append(emitOK, ok)
-		return id, nil
-	}
-
-	init := append([]int32(nil), nfa.initial...)
-	sort.Slice(init, func(i, j int) bool { return init[i] < init[j] })
-	startID, err := intern(init)
-	if err != nil {
-		return nil, err
-	}
-
-	nc := nfa.nc
-	var trans []int32
-	seen := map[int32]bool{}
-	for s := 0; s < len(sets); s++ {
-		row := make([]int32, nc)
-		set := sets[s]
-		for c := 0; c < nc; c++ {
-			for k := range seen {
-				delete(seen, k)
-			}
-			next := make([]int32, 0, len(set)+len(init))
-			for _, st := range set {
-				t := nfa.succ[int(st)*nc+c]
-				if t >= 0 && !seen[t] {
-					seen[t] = true
-					next = append(next, t)
-				}
-			}
-			for _, st := range init {
-				if !seen[st] {
-					seen[st] = true
-					next = append(next, st)
-				}
-			}
-			sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-			id, err := intern(next)
-			if err != nil {
-				return nil, err
-			}
-			row[c] = id
-		}
-		trans = append(trans, row...)
-	}
-
-	return &Table{
-		K:          k,
-		Start:      int(startID),
-		trans:      trans,
-		classOf:    m.DFA.ClassOf,
-		nc:         nc,
-		extendable: extendable,
-		emitOK:     emitOK,
-		words:      words,
-		machine:    m,
-	}, nil
-}
-
-func setKey(set []int32) string {
-	buf := make([]byte, len(set)*4)
-	for i, s := range set {
-		buf[i*4] = byte(s)
-		buf[i*4+1] = byte(s >> 8)
-		buf[i*4+2] = byte(s >> 16)
-		buf[i*4+3] = byte(s >> 24)
-	}
-	return string(buf)
+	return &teNFA{succ: succ, nc: nc, acceptLabel: accept, initial: initial, finals: finals}, nil
 }

@@ -3,6 +3,7 @@ package tepath_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"streamtok/internal/analysis"
@@ -21,8 +22,9 @@ func machineFor(t *testing.T, rules ...string) (*tokdfa.Machine, int) {
 	return m, res.MaxTND
 }
 
-// TestEagerLazyAgree: the eager TeDFA and the lazy evaluator must make
-// identical Step/Maximal decisions along random byte sequences.
+// TestEagerLazyAgree: a complete table and a clone of the unexpanded
+// template grown on demand must make identical Step/Maximal decisions
+// along random byte sequences.
 func TestEagerLazyAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, c := range testutil.Corpus() {
@@ -35,31 +37,77 @@ func TestEagerLazyAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
-		lazy, err := tepath.BuildLazy(m, res.MaxTND, tepath.Limits{})
+		tmpl, err := tepath.New(m, res.MaxTND, tepath.Limits{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
-		eval := lazy.NewEvaluator()
-		se, sl := eager.Start, eval.Start()
+		lazy := tmpl.Clone()
+		se, sl := eager.Start, lazy.Start
 		for i := 0; i < 4096; i++ {
 			b := c.Alphabet[rng.Intn(len(c.Alphabet))]
 			se = eager.Step(se, b)
-			sl = eval.Step(sl, b)
+			sl = lazy.Step(sl, b)
 			for q := 0; q < m.DFA.NumStates(); q++ {
 				if !m.DFA.IsFinal(q) {
 					continue
 				}
-				if eager.Maximal(q, se) != eval.Maximal(q, sl) {
+				if eager.Maximal(q, se) != lazy.Maximal(q, sl) {
 					t.Fatalf("%s: Maximal(%d) disagrees after %d bytes", c.Name, q, i+1)
 				}
+			}
+		}
+		if tmpl.NumStates() != 1 || tmpl.Complete() || !eager.Complete() {
+			t.Errorf("%s: template grew to %d states (complete=%v), eager complete=%v",
+				c.Name, tmpl.NumStates(), tmpl.Complete(), eager.Complete())
+		}
+	}
+}
+
+// TestExpandReproducesBuild: expanding a fresh clone of the template
+// reproduces Build exactly, numbering included; a clone that already
+// grew on demand closes to the same number of states (numbered in
+// discovery order); and a cap below the closure size fails with
+// ErrTooLarge.
+func TestExpandReproducesBuild(t *testing.T) {
+	for _, c := range testutil.Corpus() {
+		m := c.Compile(false)
+		res := analysis.Analyze(m)
+		if !res.Bounded() || res.MaxTND < 2 {
+			continue
+		}
+		eager, err := tepath.Build(m, res.MaxTND, tepath.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tmpl, err := tepath.New(m, res.MaxTND, tepath.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := tmpl.Clone()
+		if err := fresh.Expand(eager.NumStates()); err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		et, _, eOK, _ := eager.Dump()
+		ft, _, fOK, _ := fresh.Dump()
+		if !reflect.DeepEqual(et, ft) || !reflect.DeepEqual(eOK, fOK) || fresh.Start != eager.Start {
+			t.Errorf("%s: expanded template differs from Build", c.Name)
+		}
+		grown := tmpl.Clone()
+		grown.Step(grown.Step(grown.Start, c.Alphabet[len(c.Alphabet)-1]), c.Alphabet[0])
+		if err := grown.Expand(eager.NumStates()); err != nil || grown.NumStates() != eager.NumStates() {
+			t.Errorf("%s: grown clone expanded to %d states (%v), want %d", c.Name, grown.NumStates(), err, eager.NumStates())
+		}
+		if eager.NumStates() > 1 {
+			if err := tmpl.Clone().Expand(eager.NumStates() - 1); err != tepath.ErrTooLarge {
+				t.Errorf("%s: Expand under the closure size: err = %v, want ErrTooLarge", c.Name, err)
 			}
 		}
 	}
 }
 
 // TestExponentialFamilyLazy: on r_k the eager TeDFA is exponential in k
-// (2^(k+1)-2 states), but a lazy evaluator fed the all-a worst-case input
-// visits only O(k) powerstates.
+// (2^(k+1)-2 states), but a clone of the template fed the all-a
+// worst-case input visits only O(k) powerstates.
 func TestExponentialFamilyLazy(t *testing.T) {
 	for _, k := range []int{8, 12} {
 		m, tnd := machineFor(t, fmt.Sprintf(`a{0,%d}b`, k), `a`)
@@ -73,17 +121,17 @@ func TestExponentialFamilyLazy(t *testing.T) {
 		if want := 1<<(k+1) - 2; eager.NumStates() != want {
 			t.Errorf("k=%d: eager TeDFA %d states, want %d", k, eager.NumStates(), want)
 		}
-		lazy, err := tepath.BuildLazy(m, k, tepath.Limits{})
+		tmpl, err := tepath.New(m, k, tepath.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		eval := lazy.NewEvaluator()
-		s := eval.Start()
+		lazy := tmpl.Clone()
+		s := lazy.Start
 		for i := 0; i < 10000; i++ {
-			s = eval.Step(s, 'a')
+			s = lazy.Step(s, 'a')
 		}
-		if eval.NumStates() > 4*k {
-			t.Errorf("k=%d: lazy evaluator materialized %d states on all-a input, want O(k)", k, eval.NumStates())
+		if lazy.NumStates() > 4*k {
+			t.Errorf("k=%d: lazy table materialized %d states on all-a input, want O(k)", k, lazy.NumStates())
 		}
 	}
 }

@@ -299,7 +299,9 @@ type EngineInfo struct {
 	// input buffer and the K-byte delay ring.
 	TableBytes int
 	// LazyTeDFA reports whether the token-extension DFA is determinized
-	// on demand (the eager table blew past Options.MaxTeDFAStates).
+	// on demand: its eager expansion passed Options.MaxTeDFAStates
+	// states (4096 when 0), so each stream grows its own copy of the
+	// TeDFA, uncapped, and TableBytes does not include it.
 	LazyTeDFA bool
 }
 

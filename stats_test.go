@@ -50,13 +50,13 @@ func TestStatsReconciliation(t *testing.T) {
 			continue // StreamTok does not apply; nothing to reconcile
 		}
 		input := statsInput(t, name, 32<<10)
-		for _, disableFused := range []bool{false, true} {
+		for _, budget := range []int{0, -1} { // default (fused), split
 			tok, err := streamtok.NewWithOptions(g, streamtok.Options{
-				Minimize:     true,
-				DisableFused: disableFused,
+				Minimize:           true,
+				MaxFusedTableBytes: budget,
 			})
 			if err != nil {
-				t.Fatalf("NewWithOptions(%q, fused=%v): %v", name, !disableFused, err)
+				t.Fatalf("NewWithOptions(%q, budget=%d): %v", name, budget, err)
 			}
 			for _, chunk := range chunkings {
 				t.Run(fmt.Sprintf("%s/%s/chunk=%d", name, tok.Engine().Mode, chunk), func(t *testing.T) {

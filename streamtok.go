@@ -228,16 +228,17 @@ type Options struct {
 	// Minimize minimizes the tokenization DFA (default true via New;
 	// set by NewWithOptions callers explicitly).
 	Minimize bool
-	// MaxTeDFAStates caps the token-extension DFA size (0 = default).
+	// MaxTeDFAStates caps the eager expansion of the token-extension
+	// DFA (0 = 4096 states). A grammar whose TeDFA is larger is served
+	// lazily instead: each stream grows its own copy of the TeDFA on
+	// first use of every transition, and that per-stream cache is not
+	// capped (it holds only the powerstates the stream visits).
 	MaxTeDFAStates int
-	// DisableFused keeps the split interpreter loops instead of the fused
-	// action-table engine (for ablation; the engines emit byte-identical
-	// token streams).
-	DisableFused bool
 	// MaxFusedTableBytes caps the resident bytes of the fused action
 	// tables (0 = the 16 MB default). Grammars whose fused tables exceed
 	// the cap serve from the split loops instead — same token stream,
-	// smaller footprint. Tables are byte-class compressed, so the cap is
+	// smaller footprint; a negative cap keeps every grammar on the split
+	// loops (ablation). Tables are byte-class compressed, so the cap is
 	// checked against C-column tables (C = byte-class count), letting far
 	// larger grammars stay fused than the dense layout would.
 	MaxFusedTableBytes int
@@ -301,12 +302,7 @@ func newWithOptions(g *Grammar, opts Options) (*Tokenizer, error) {
 		return nil, fmt.Errorf("%w (grammar %s)", ErrUnbounded, g.g.String())
 	}
 	limits := tepath.Limits{MaxDFAStates: opts.MaxTeDFAStates}
-	var inner *core.Tokenizer
-	if opts.DisableFused {
-		inner, err = core.NewSplitWithK(m, res.MaxTND, limits)
-	} else {
-		inner, err = core.NewWithKBudget(m, res.MaxTND, limits, opts.MaxFusedTableBytes)
-	}
+	inner, err := core.NewWithKBudget(m, res.MaxTND, limits, opts.MaxFusedTableBytes)
 	if err != nil {
 		return nil, err
 	}

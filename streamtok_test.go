@@ -268,8 +268,8 @@ func TestTokenizeParallelPublic(t *testing.T) {
 }
 
 // TestEngineModeAPI: the public engine-selection knobs — New picks the
-// fused engine for catalog grammars, DisableFused keeps the split loops,
-// and both produce identical token streams.
+// fused engine for catalog grammars, a negative MaxFusedTableBytes keeps
+// the split loops, and both produce identical token streams.
 func TestEngineModeAPI(t *testing.T) {
 	g, err := streamtok.CatalogGrammar("json")
 	if err != nil {
@@ -279,7 +279,7 @@ func TestEngineModeAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	splitTok, err := streamtok.NewWithOptions(g, streamtok.Options{Minimize: true, DisableFused: true})
+	splitTok, err := streamtok.NewWithOptions(g, streamtok.Options{Minimize: true, MaxFusedTableBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,10 +291,10 @@ func TestEngineModeAPI(t *testing.T) {
 		t.Error("Engine().AccelStates = 0, want > 0 for json")
 	}
 	if !strings.HasPrefix(se.Mode, "split-") {
-		t.Errorf("DisableFused Engine().Mode = %q, want split-*", se.Mode)
+		t.Errorf("split Engine().Mode = %q, want split-*", se.Mode)
 	}
 	if se.AccelStates != 0 {
-		t.Errorf("DisableFused Engine().AccelStates = %d, want 0", se.AccelStates)
+		t.Errorf("split Engine().AccelStates = %d, want 0", se.AccelStates)
 	}
 	if fe.TableBytes <= se.TableBytes {
 		t.Errorf("fused TableBytes %d should exceed split %d", fe.TableBytes, se.TableBytes)

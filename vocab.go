@@ -117,7 +117,6 @@ func (v *Vocab) WriteTiktoken() []byte { return v.v.WriteTiktoken() }
 func (v *Vocab) compile(opts Options) (*Tokenizer, error) {
 	bt, err := bpe.Compile(v.v, bpe.Options{
 		MaxTeDFAStates:     opts.MaxTeDFAStates,
-		DisableFused:       opts.DisableFused,
 		MaxFusedTableBytes: opts.MaxFusedTableBytes,
 	})
 	if err != nil {
