@@ -44,19 +44,19 @@ const (
 // certified resident footprint of the full pipeline (vocab DFA +
 // pretokenizer engine); which engine the pretokenizer got under the
 // shared fused budget; train and compile time; streaming encode
-// throughput; and, on a fixed cold-stream probe, the piece-cache hit
-// rate, the fraction of pieces whose greedy scan the backtracking
-// search had to repair, and the fraction that ran the merge-loop
-// safety net. The 8k row is the operating point the
-// fused-budget admission test pins: vocab DFA and fused pretokenizer
-// together under the default 16 MB budget; with the sparse tables even
-// the 32k vocabulary fits it.
+// throughput, with and without the piece cache; and, on a fixed
+// cold-stream probe, the piece-cache hit rate, the fraction of pieces
+// whose greedy scan the backtracking search had to repair, and the
+// fraction that ran the merge-loop safety net. The 8k row is the
+// operating point the fused-budget admission test pins: vocab DFA and
+// fused pretokenizer together under the default 16 MB budget; with the
+// sparse tables even the 32k vocabulary fits it.
 func BPE(cfg Config) Table {
 	t := Table{
 		Title: "BPE: vocab-DFA compile and streaming encode, 1k–32k merges",
 		Header: []string{"merges", "tokens", "dfa_states", "classes",
 			"dense_dfa_bytes", "dfa_bytes", "ratio", "resident_bytes", "mode",
-			"train_s", "compile_s", "mbps", "cache_hit_pct", "backtrack_pct", "fallback_pct"},
+			"train_s", "compile_s", "mbps", "nocache_mbps", "cache_hit_pct", "backtrack_pct", "fallback_pct"},
 	}
 	corpus := workload.Prompts(bpeTrainSeed, bpeTrainBytes)
 	in := workload.Prompts(cfg.Seed, cfg.size(1<<20))
@@ -98,12 +98,22 @@ func BPE(cfg Config) Table {
 		ps.Close(emit)
 		probed := tok.AggregateCounters()
 
-		elapsed := timeIt(cfg.Trials, func() {
-			s := tok.AcquireStream()
-			s.Feed(in, emit)
-			s.Close(emit)
-			tok.ReleaseStream(s)
-		})
+		encode := func(tok *bpe.Tokenizer) func() {
+			return func() {
+				s := tok.AcquireStream()
+				s.Feed(in, emit)
+				s.Close(emit)
+				tok.ReleaseStream(s)
+			}
+		}
+		elapsed := timeIt(cfg.Trials, encode(tok))
+		// The piece-cache ablation: the same encode with every piece
+		// through the backtracking search.
+		nocache, err := bpe.Compile(v, bpe.Options{DisablePieceCache: true})
+		if err != nil {
+			panic(fmt.Sprintf("bpe: compile %d merges without the piece cache: %v", merges, err))
+		}
+		uncached := timeIt(cfg.Trials, encode(nocache))
 		dense := cert.DenseDFABytes(vm)
 
 		t.Rows = append(t.Rows, []string{
@@ -119,12 +129,13 @@ func BPE(cfg Config) Table {
 			secs(train),
 			secs(compile),
 			mbps(len(in), elapsed),
+			mbps(len(in), uncached),
 			pct(probed.BPECacheHits, probed.BPECacheHits+probed.BPECacheMisses),
 			pct(probed.BPEBacktracks, probed.BPEPieces),
 			pct(probed.BPEFallbacks, probed.BPEPieces),
 		})
 	}
-	t.Note = fmt.Sprintf("vocabularies trained on a fixed %d B workload.Prompts corpus (seed %d, max token %d B; the 32k row saturates the token-length cap below its merge budget); dense_dfa_bytes is the 256-ary vocab-DFA layout, dfa_bytes is the serving table (row-displacement sparse once adopted), ratio = dfa_bytes/dense; resident_bytes is the certified vocab-DFA + pretokenizer footprint; cache_hit_pct, backtrack_pct and fallback_pct come from one cold-stream pass over a fixed %d B workload.Prompts probe (seed %d): piece-cache hits per piece, pieces whose greedy scan the local-validity check rejected and the backtracking search then certified, and pieces that ran the merge-loop safety net, each per pretokenizer piece; encode input %d B per row",
+	t.Note = fmt.Sprintf("vocabularies trained on a fixed %d B workload.Prompts corpus (seed %d, max token %d B; the 32k row saturates the token-length cap below its merge budget); dense_dfa_bytes is the 256-ary vocab-DFA layout, dfa_bytes is the serving table (row-displacement sparse once adopted), ratio = dfa_bytes/dense; resident_bytes is the certified vocab-DFA + pretokenizer footprint; mbps is the pooled encode, nocache_mbps the same with the piece cache disabled (ablation; both host-dependent, ungated); cache_hit_pct, backtrack_pct and fallback_pct come from one cold-stream pass over a fixed %d B workload.Prompts probe (seed %d): piece-cache hits per piece, pieces whose greedy scan the local-validity check rejected and the backtracking search then certified, and pieces that ran the merge-loop safety net, each per pretokenizer piece; encode input %d B per row",
 		bpeTrainBytes, bpeTrainSeed, bpeMaxTokenLen, bpeProbeBytes, bpeProbeSeed, len(in))
 	return t
 }

@@ -2,19 +2,21 @@ package bpe
 
 // The exact backtracking encoder: the scheme of the bpe crate of
 // github/rust-gems, run on the vocab DFA with the local-validity
-// predicates of the BPE-DFA construction as the pair test.
+// predicates of the BPE-DFA construction as the pair test — the
+// merge-tree walk of validity.go, which reads only immutable tables, so
+// streams of one vocabulary share nothing mutable.
 //
 // The search walks the piece left to right keeping a stack of tokens.
 // At each boundary it tries the longest vocabulary token that starts
 // there (maximal munch on the vocab DFA), and failing that each
-// shorter prefix token in turn (nextPrefix). A candidate is pushed
-// when it is Compatible with the token below it; when no candidate
-// fits, the boundary is marked dead and the search pops. A complete
-// stack is certified by construction: every adjacent pair is locally
-// valid, so by the local-validity theorem it IS the BPE encoding (a
-// singleton must also self-encode). The first descent is the plain
-// greedy scan, so a piece greedy gets right costs one scan and its pair
-// checks, nothing more.
+// shorter prefix token in turn (the prefix chain Vocab.next). A
+// candidate is pushed when it is Compatible with the token below it;
+// when no candidate fits, the boundary is marked dead and the search
+// pops. A complete stack is certified by construction: every adjacent
+// pair is locally valid, so by the local-validity theorem it IS the BPE
+// encoding (a singleton must also self-encode). The first descent is
+// the plain greedy scan, so a piece greedy gets right costs one scan
+// and its pair checks, nothing more.
 //
 // Dead marks are sound because a certified stack is the BPE encoding of
 // the prefix it covers: every certified path reaching a boundary ends
@@ -47,27 +49,11 @@ const (
 )
 
 // searchScratch is one stream's search state, reused across pieces so
-// the miss path allocates nothing once warm.
+// the miss path allocates nothing once the stack and bitfield have
+// grown to the longest piece seen.
 type searchScratch struct {
 	seg  []int32  // the token stack: the segmentation so far
 	dead []uint64 // bit p: no certified segmentation passes boundary p
-}
-
-// prefixTable maps each rank to the rank of the longest vocabulary
-// token that is a proper prefix of it, or -1 for a single byte (every
-// longer token has one: single bytes are tokens).
-func (v *Vocab) prefixTable() []int32 {
-	next := make([]int32, len(v.tokens))
-	for r, tok := range v.tokens {
-		next[r] = -1
-		for l := len(tok) - 1; l > 0; l-- {
-			if p, ok := v.ranks[string(tok[:l])]; ok {
-				next[r] = int32(p)
-				break
-			}
-		}
-	}
-	return next
 }
 
 // longestAt returns the rank of the longest vocabulary token that is a
@@ -108,7 +94,8 @@ func (t *Tokenizer) longestAt(text []byte) int32 {
 // search), how the search ended, and how many candidate tokens it
 // tried. On searchGaveUp the ranks are meaningless.
 func (t *Tokenizer) search(text []byte, sc *searchScratch) ([]int32, searchOutcome, int) {
-	v, next := t.vocab, t.nextPrefix
+	v := t.vocab
+	next, lens := v.next, v.tokLen
 	n := len(text)
 	budget := t.stepsPerByte * n
 	seg := sc.seg[:0]
@@ -119,7 +106,7 @@ func (t *Tokenizer) search(text []byte, sc *searchScratch) ([]int32, searchOutco
 		// Try tok, then its ever-shorter prefix tokens, at pos.
 		for ; tok >= 0; tok = next[tok] {
 			steps++
-			end := pos + len(v.tokens[tok])
+			end := pos + int(lens[tok])
 			var ok bool
 			switch {
 			case marked && end < n && sc.dead[end>>6]&(1<<(end&63)) != 0:
@@ -141,7 +128,7 @@ func (t *Tokenizer) search(text []byte, sc *searchScratch) ([]int32, searchOutco
 		}
 		if tok >= 0 {
 			seg = append(seg, tok)
-			pos += len(v.tokens[tok])
+			pos += int(lens[tok])
 			if pos == n {
 				sc.seg = seg
 				if greedy {
@@ -171,7 +158,7 @@ func (t *Tokenizer) search(text []byte, sc *searchScratch) ([]int32, searchOutco
 		}
 		last := seg[len(seg)-1]
 		seg = seg[:len(seg)-1]
-		pos -= len(v.tokens[last])
+		pos -= int(lens[last])
 		tok = next[last]
 	}
 }

@@ -180,75 +180,3 @@ func (v *Vocab) encodePieceSlow(piece []byte) []int {
 	}
 	return out
 }
-
-// SelfEncodes reports whether token r's byte string re-encodes to the
-// single token r. A multi-byte token fails this only when its own merge
-// derivation is shadowed by a lower-ranked merge — such tokens are
-// unreachable as singleton encodings. Results are cached.
-func (v *Vocab) SelfEncodes(r int) bool {
-	v.mu.Lock()
-	cached := v.selfEnc[r]
-	v.mu.Unlock()
-	if cached != 0 {
-		return cached == 1
-	}
-	tok := v.tokens[r]
-	ok := len(tok) == 1
-	if !ok {
-		enc := v.EncodePiece(nil, tok)
-		ok = len(enc) == 1 && enc[0] == r
-	}
-	v.mu.Lock()
-	if ok {
-		v.selfEnc[r] = 1
-	} else {
-		v.selfEnc[r] = -1
-	}
-	v.mu.Unlock()
-	return ok
-}
-
-// Compatible reports whether the adjacent token pair (a, b) is locally
-// valid: the merge process on the concatenation of their byte strings
-// stops at exactly [a, b]. By the local-validity theorem of the BPE-DFA
-// construction, a segmentation into vocabulary tokens is THE BPE
-// encoding of its concatenation iff every adjacent pair is compatible
-// (and a singleton iff the token self-encodes) — the property the
-// greedy DFA path checks to certify its output. Results are cached.
-func (v *Vocab) Compatible(a, b int) bool {
-	key := uint64(uint32(a))<<32 | uint64(uint32(b))
-	v.mu.Lock()
-	ok, hit := v.pairOK[key]
-	v.mu.Unlock()
-	if hit {
-		return ok
-	}
-	ta, tb := v.tokens[a], v.tokens[b]
-	cat := make([]byte, 0, len(ta)+len(tb))
-	cat = append(cat, ta...)
-	cat = append(cat, tb...)
-	enc := v.EncodePiece(nil, cat)
-	ok = len(enc) == 2 && enc[0] == a && enc[1] == b
-	v.mu.Lock()
-	v.pairOK[key] = ok
-	v.mu.Unlock()
-	return ok
-}
-
-// SegmentationValid reports whether the token sequence seg is the BPE
-// encoding of its concatenation, using only the cached local-validity
-// predicates (never the merge loop on the full string).
-func (v *Vocab) SegmentationValid(seg []int) bool {
-	if len(seg) == 0 {
-		return true
-	}
-	if len(seg) == 1 {
-		return v.SelfEncodes(seg[0])
-	}
-	for i := 0; i+1 < len(seg); i++ {
-		if !v.Compatible(seg[i], seg[i+1]) {
-			return false
-		}
-	}
-	return true
-}

@@ -36,6 +36,19 @@ func TestParseTiktokenRejects(t *testing.T) {
 	}
 }
 
+// TestNewVocabRejectsLongToken pins the token-length limit that keeps
+// token lengths in the encoder's dense uint16 table.
+func TestNewVocabRejectsLongToken(t *testing.T) {
+	toks := append(byteTokens(), bytes.Repeat([]byte("a"), maxTokenBytes))
+	if _, err := NewVocab(toks); err != nil {
+		t.Fatalf("a %d-byte token: %v", maxTokenBytes, err)
+	}
+	toks[len(toks)-1] = bytes.Repeat([]byte("a"), maxTokenBytes+1)
+	if _, err := NewVocab(toks); err == nil {
+		t.Fatalf("a %d-byte token was accepted", maxTokenBytes+1)
+	}
+}
+
 // encodeByteUnicode is the forward GPT-2 byte-to-unicode mapping, built
 // by inverting the reader's reverse table — the test writes
 // tokenizer.json files with it.

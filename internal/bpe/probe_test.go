@@ -18,12 +18,8 @@ func TestCompileFusedUnderDefaultBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains an 8k-merge vocabulary")
 	}
-	corpus := workload.Prompts(42, 4<<20)
 	t0 := time.Now()
-	v, err := Train(corpus, 8000, TrainOptions{MaxTokenLen: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := vocab8k()
 	t.Logf("train: %d tokens, maxLen %d, %v", v.Size(), v.MaxTokenLen(), time.Since(t0))
 	if v.Size() < 8000 {
 		t.Fatalf("trainer exhausted merges: %d tokens", v.Size())

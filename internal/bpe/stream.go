@@ -83,9 +83,8 @@ type Tokenizer struct {
 	pres  analysis.Result // pretokenizer analysis
 	ptok  *core.Tokenizer // pretokenizer engine
 
-	nextPrefix   []int32 // rank -> longest proper prefix token, -1 for a byte
-	stepsPerByte int     // search budget per piece byte (searchStepsPerByte; tests starve it)
-	noCache      bool    // Options.DisablePieceCache
+	stepsPerByte int  // search budget per piece byte (searchStepsPerByte; tests starve it)
+	noCache      bool // Options.DisablePieceCache
 
 	pool sync.Pool // recycles *Stream
 }
@@ -132,7 +131,7 @@ func Compile(v *Vocab, opts Options) (*Tokenizer, error) {
 		return nil, err
 	}
 	return &Tokenizer{vocab: v, vm: vm, pm: pm, pres: pres, ptok: ptok,
-		nextPrefix: v.prefixTable(), stepsPerByte: searchStepsPerByte, noCache: opts.DisablePieceCache}, nil
+		stepsPerByte: searchStepsPerByte, noCache: opts.DisablePieceCache}, nil
 }
 
 // Vocab returns the vocabulary the tokenizer encodes with.
@@ -341,7 +340,7 @@ func (s *Stream) StreamCounters() obs.Counters { return s.ps.StreamCounters() }
 
 // onPiece receives one pretokenizer piece and emits its BPE encoding.
 // The cache front-ends everything: a hit replays the certified ranks
-// without touching the DFA, the validity caches, or the merge loop.
+// without touching the DFA, the validity walk, or the merge loop.
 func (s *Stream) onPiece(ptok token.Token, text []byte) {
 	s.c.BPEPieces++
 	v := s.t.vocab
@@ -358,9 +357,9 @@ func (s *Stream) onPiece(ptok token.Token, text []byte) {
 	var h uint32
 	if cacheable {
 		h = pieceHash(text)
-		if ranks := s.cache.lookup(text, h); ranks != nil {
+		if head, tail := s.cache.lookup(text, h); head != nil {
 			s.c.BPECacheHits++
-			s.emitRanks(ptok, text, ranks)
+			s.emitRanks(ptok, text, s.emitRanks(ptok, text, 0, head), tail)
 			return
 		}
 	}
@@ -369,16 +368,17 @@ func (s *Stream) onPiece(ptok token.Token, text []byte) {
 	if cacheable {
 		s.c.BPECacheEvictions += s.cache.insert(text, h, ranks)
 	}
-	s.emitRanks(ptok, text, ranks)
+	s.emitRanks(ptok, text, 0, ranks)
 }
 
-// emitRanks emits one token per rank; offsets are recovered from the
-// token lengths (a certified encoding tiles the piece exactly).
-func (s *Stream) emitRanks(ptok token.Token, text []byte, ranks []int32) {
-	v := s.t.vocab
-	start := 0
+// emitRanks emits one token per rank, the first starting start bytes
+// into the piece, and returns where the next one would start; offsets
+// are recovered from the token lengths (a certified encoding tiles the
+// piece exactly).
+func (s *Stream) emitRanks(ptok token.Token, text []byte, start int, ranks []int32) int {
+	lens := s.t.vocab.tokLen
 	for _, r := range ranks {
-		end := start + len(v.tokens[r])
+		end := start + int(lens[r])
 		s.emit(token.Token{
 			Start: ptok.Start + start,
 			End:   ptok.Start + end,
@@ -386,6 +386,7 @@ func (s *Stream) emitRanks(ptok token.Token, text []byte, ranks []int32) {
 		}, text[start:end])
 		start = end
 	}
+	return start
 }
 
 // encodeUncached computes the certified BPE encoding of a multi-byte

@@ -33,36 +33,44 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // Vocab is a BPE vocabulary: tokens in rank order. Rank doubles as the
 // token id the encoder emits. A Vocab is immutable after construction
-// and safe for concurrent use.
+// — its local-validity tables included — and safe for concurrent use
+// without locks.
 type Vocab struct {
 	tokens   [][]byte       // tokens[r] = bytes of the rank-r token
 	ranks    map[string]int // token bytes -> rank
 	maxLen   int
 	byteRank [256]int32 // rank of each single-byte token
 
-	// Local-validity caches of the BPE-DFA construction, filled lazily
-	// under mu: selfEnc[r] records whether token r's byte string
-	// re-encodes to itself, pairOK whether an adjacent token pair
-	// survives the merge process intact.
-	mu      sync.Mutex
-	selfEnc []int8 // 0 unknown, 1 yes, -1 no
-	pairOK  map[uint64]bool
+	// Local-validity tables of the BPE-DFA construction, derived once by
+	// NewVocab and read-only afterwards (validity.go).
+	next     []int32      // rank -> longest proper prefix token, -1 for a byte
+	tokLen   []uint16     // rank -> token byte length
+	split    []tokenSplit // rank -> merge parents (itself twice: none)
+	merged   pairTable    // parent pair -> merged rank
+	selfEnc  []bool       // rank -> the token encodes to itself
+	inverted bool         // some token lacks a monotone split: Compatible runs the merge loop
 }
+
+// maxTokenBytes bounds a token's length, so token lengths fit the
+// dense uint16 table the encoder emits from.
+const maxTokenBytes = math.MaxUint16
 
 // ErrIncomplete is returned by NewVocab when some byte has no
 // single-byte token: such a vocabulary cannot encode arbitrary input.
 var ErrIncomplete = errors.New("bpe: vocabulary lacks a single-byte token for some byte value")
 
 // NewVocab builds a vocabulary from tokens in rank order. Tokens must be
-// nonempty, distinct, and include every single byte 0x00-0xff (the
-// base alphabet of byte-level BPE); the encoder depends on totality.
+// nonempty, at most 65535 bytes, distinct, and include every single
+// byte 0x00-0xff (the base alphabet of byte-level BPE); the encoder
+// depends on totality. NewVocab also derives the local-validity tables
+// (merge splits, pair table, self-encoding flags) the encoder reads.
 func NewVocab(tokens [][]byte) (*Vocab, error) {
 	v := &Vocab{
 		tokens: make([][]byte, len(tokens)),
@@ -72,6 +80,9 @@ func NewVocab(tokens [][]byte) (*Vocab, error) {
 	for r, tok := range tokens {
 		if len(tok) == 0 {
 			return nil, fmt.Errorf("bpe: rank %d is empty", r)
+		}
+		if len(tok) > maxTokenBytes {
+			return nil, fmt.Errorf("bpe: rank %d is %d bytes, over the %d-byte token limit", r, len(tok), maxTokenBytes)
 		}
 		s := string(tok)
 		if prev, dup := v.ranks[s]; dup {
@@ -92,8 +103,7 @@ func NewVocab(tokens [][]byte) (*Vocab, error) {
 			return nil, fmt.Errorf("%w (byte 0x%02x)", ErrIncomplete, b)
 		}
 	}
-	v.selfEnc = make([]int8, len(v.tokens))
-	v.pairOK = make(map[uint64]bool)
+	v.deriveValidity()
 	return v, nil
 }
 
