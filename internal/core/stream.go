@@ -69,75 +69,74 @@ func (t *Tokenizer) ReleaseStream(s Stream) {
 // RQ4 finds 64 KB — the Unix pipe capacity — to be the sweet spot.
 const DefaultBufferSize = 64 * 1024
 
-// BoundaryFunc is called by TokenizeChunks after every fed block with
-// the total bytes consumed from the reader so far. Returning a non-nil
-// error stops tokenization at that chunk boundary — the hook the
-// serving layer uses to enforce max-bytes admission limits and to flush
-// response buffers in step with the input, without touching the feed
-// loop itself.
-type BoundaryFunc func(consumed int) error
-
-// Tokenize runs TokenizeChunks on t without cancellation or a boundary
-// hook.
+// Tokenize runs TokenizeChunks on t without cancellation.
 func (t *Tokenizer) Tokenize(r io.Reader, bufSize int, emit EmitFunc) (rest int, err error) {
-	return TokenizeChunks(context.Background(), t, r, bufSize, emit, nil)
+	return TokenizeChunks(context.Background(), t, r, bufSize, emit)
 }
 
 // bufPool recycles the reader driver's read buffers across every
-// engine, so a warm serving loop allocates nothing per stream.
+// engine and the serving layer, so a warm loop allocates nothing per
+// stream.
 var bufPool sync.Pool
 
-// TokenizeChunks is the reader driver: it reads r block-by-block with a
-// buffer of bufSize bytes (0 means DefaultBufferSize), pushes every
-// block through a stream acquired from e, and calls emit for every
-// token. It returns the offset of the first untokenized byte and any
-// read error (io.EOF is not an error).
+// Drive is the one read loop behind every reader: the library's
+// TokenizeChunks and the daemon's request bodies. It reads r into a
+// pooled buffer of bufSize bytes (0 means DefaultBufferSize) and hands
+// each block to step, which feeds it to the stream s. The order per
+// block is fixed: ctx check, read, step, s.Stopped(), then the read's
+// EOF or error — so the stream's own verdict wins over a read error
+// that arrives with its last block.
 //
-// ctx is checked between read blocks, and after every fed block
-// boundary (when non-nil) receives the total bytes consumed so far and
-// may stop the stream by returning an error. Either stop cuts at a
-// chunk boundary, never inside the feed loop, and returns its error
-// with the offset reached. Both the stream and the read buffer are
-// pooled.
-func TokenizeChunks(ctx context.Context, e Engine, r io.Reader, bufSize int, emit EmitFunc, boundary BoundaryFunc) (rest int, err error) {
+// Drive returns nil at EOF or once s has stopped, and otherwise the
+// first error from ctx, step or the read; every stop falls on a chunk
+// boundary, never inside the feed loop. Closing or suspending s is left
+// to the caller.
+func Drive(ctx context.Context, s interface{ Stopped() bool }, r io.Reader, bufSize int, step func(chunk []byte) error) error {
 	if bufSize <= 0 {
 		bufSize = DefaultBufferSize
 	}
-	s := e.AcquireStream()
-	defer e.ReleaseStream(s)
 	bp := acquireBuf(bufSize)
 	defer bufPool.Put(bp)
 	buf := *bp
-	consumed := 0
 	for {
-		if cerr := ctx.Err(); cerr != nil {
-			s.Close(nil)
-			return s.Rest(), cerr
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		n, rerr := r.Read(buf)
 		if n > 0 {
-			consumed += n
-			s.Feed(buf[:n], emit)
-			if boundary != nil {
-				if berr := boundary(consumed); berr != nil {
-					s.Close(nil)
-					return s.Rest(), berr
-				}
+			if err := step(buf[:n]); err != nil {
+				return err
+			}
+			if s.Stopped() {
+				return nil
 			}
 		}
 		if rerr == io.EOF {
-			return s.Close(emit), nil
+			return nil
 		}
 		if rerr != nil {
-			s.Close(nil)
-			return s.Rest(), rerr
-		}
-		if s.Stopped() {
-			// Untokenizable remainder: drain the rest of the stream
-			// without work so the caller sees a consistent offset.
-			return s.Rest(), nil
+			return rerr
 		}
 	}
+}
+
+// TokenizeChunks is the reader driver: it runs Drive over r with a
+// stream acquired from e, calls emit for every token, and closes the
+// stream. It returns the offset of the first untokenized byte and the
+// error that cut the stream, if any (io.EOF is not an error); a cut
+// stream returns the offset reached. Both the stream and the read
+// buffer are pooled.
+func TokenizeChunks(ctx context.Context, e Engine, r io.Reader, bufSize int, emit EmitFunc) (rest int, err error) {
+	s := e.AcquireStream()
+	defer e.ReleaseStream(s)
+	if err := Drive(ctx, s, r, bufSize, func(chunk []byte) error {
+		s.Feed(chunk, emit)
+		return nil
+	}); err != nil {
+		s.Close(nil)
+		return s.Rest(), err
+	}
+	return s.Close(emit), nil
 }
 
 // acquireBuf returns a pooled read buffer of exactly n bytes, growing a

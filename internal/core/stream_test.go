@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"strings"
@@ -181,5 +182,96 @@ func TestZeroCopyAliasing(t *testing.T) {
 	chunk[0] = 'Z'
 	if captured[0] != 'Z' {
 		t.Skip("emit copied; aliasing not observable (still correct)")
+	}
+}
+
+// scripted is a reader whose Reads return the given (data, err) pairs in
+// order, then io.EOF; reads counts the calls.
+type scripted struct {
+	steps []scriptedRead
+	reads int
+}
+
+type scriptedRead struct {
+	data string
+	err  error
+}
+
+func (r *scripted) Read(p []byte) (int, error) {
+	r.reads++
+	if len(r.steps) == 0 {
+		return 0, io.EOF
+	}
+	st := r.steps[0]
+	r.steps = r.steps[1:]
+	return copy(p, st.data), st.err
+}
+
+// TestDriveStopOrder pins the one read loop's order — ctx check, read,
+// step, Stopped, then the read's EOF or error — through a direct Drive
+// call and through TokenizeChunks. Every rule of the grammar is one byte
+// long, so the stream dies exactly at '!' (offset 3).
+func TestDriveStopOrder(t *testing.T) {
+	tok := newTok(t, `[a-z]`, `[ ]`)
+	boom := errors.New("boom")
+	stepErr := errors.New("step")
+	cases := []struct {
+		name      string
+		reads     []scriptedRead
+		cancelled bool
+		stepErr   error // Drive only: TokenizeChunks's step never fails
+		wantErr   error
+		wantRest  int
+		wantReads int
+	}{
+		{name: "step error and stop in one chunk", reads: []scriptedRead{{"ab !c", nil}, {"de", nil}},
+			stepErr: stepErr, wantErr: stepErr, wantRest: 3, wantReads: 1},
+		{name: "stop and EOF in one read", reads: []scriptedRead{{"ab !c", io.EOF}},
+			wantRest: 3, wantReads: 1},
+		{name: "stop and read error in one read", reads: []scriptedRead{{"ab !c", boom}},
+			wantRest: 3, wantReads: 1},
+		{name: "stop before the reader ends", reads: []scriptedRead{{"ab !c", nil}, {"de", nil}},
+			wantRest: 3, wantReads: 1},
+		{name: "cancelled before the first read", reads: []scriptedRead{{"ab c", nil}},
+			cancelled: true, wantErr: context.Canceled, wantRest: 0, wantReads: 0},
+		{name: "read error on a live stream", reads: []scriptedRead{{"ab c", nil}, {"d", boom}},
+			wantErr: boom, wantRest: 5, wantReads: 2},
+	}
+	for _, c := range cases {
+		ctx, cancel := context.WithCancel(context.Background())
+		if c.cancelled {
+			cancel()
+		}
+
+		r := &scripted{steps: c.reads}
+		s := tok.AcquireStream()
+		err := core.Drive(ctx, s, r, 0, func(chunk []byte) error {
+			s.Feed(chunk, nil)
+			return c.stepErr
+		})
+		if !errors.Is(err, c.wantErr) || (c.wantErr == nil && err != nil) {
+			t.Errorf("%s: Drive err = %v, want %v", c.name, err, c.wantErr)
+		}
+		if r.reads != c.wantReads {
+			t.Errorf("%s: Drive made %d reads, want %d", c.name, r.reads, c.wantReads)
+		}
+		s.Close(nil)
+		if got := s.Rest(); got != c.wantRest {
+			t.Errorf("%s: Drive left rest %d, want %d", c.name, got, c.wantRest)
+		}
+		tok.ReleaseStream(s)
+
+		if c.stepErr == nil {
+			r = &scripted{steps: c.reads}
+			rest, err := core.TokenizeChunks(ctx, tok, r, 0, nil)
+			if !errors.Is(err, c.wantErr) || (c.wantErr == nil && err != nil) {
+				t.Errorf("%s: TokenizeChunks err = %v, want %v", c.name, err, c.wantErr)
+			}
+			if rest != c.wantRest || r.reads != c.wantReads {
+				t.Errorf("%s: TokenizeChunks rest %d after %d reads, want %d after %d",
+					c.name, rest, r.reads, c.wantRest, c.wantReads)
+			}
+		}
+		cancel()
 	}
 }

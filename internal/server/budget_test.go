@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"streamtok"
+	"streamtok/internal/workload"
 )
 
 // residentBytesOf compiles rules in a throwaway registry and returns
@@ -230,4 +231,79 @@ func min64(a, b int64) int64 {
 		return a
 	}
 	return b
+}
+
+// TestRegistryRepinRefusalKeepsCharge: re-pinning a name with a source
+// that overflows the budget is refused before any state changes, so the
+// old entry stays pinned, served and charged — for a machine file and
+// for a vocabulary alike.
+func TestRegistryRepinRefusalKeepsCharge(t *testing.T) {
+	dir := t.TempDir()
+	for _, sub := range []string{"old", "new"} {
+		if err := os.Mkdir(filepath.Join(dir, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeMachine := func(path, grammar string) {
+		g, err := streamtok.CatalogGrammar(grammar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if err := streamtok.SaveCompiled(g, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeVocab := func(path string, merges int) {
+		v, err := streamtok.TrainVocab(workload.Prompts(41, 1<<16), merges, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, v.WriteTiktoken(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeMachine(filepath.Join(dir, "old", "m.stok"), "csv")
+	writeMachine(filepath.Join(dir, "new", "m.stok"), "json")
+	writeVocab(filepath.Join(dir, "old", "v.tiktoken"), 100)
+	writeVocab(filepath.Join(dir, "new", "v.tiktoken"), 600)
+
+	for _, c := range []struct {
+		file   string
+		load   func(*Registry, string) (*Entry, error)
+		lookup func(*Registry, string) (*Entry, error)
+	}{
+		{"m.stok", (*Registry).LoadMachine, (*Registry).Lookup},
+		{"v.tiktoken", (*Registry).LoadVocab, (*Registry).LookupVocab},
+	} {
+		r := NewRegistry(0)
+		old, err := c.load(r, filepath.Join(dir, "old", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rbOld := int64(old.Tok.Certificate().ResidentBytes())
+		fresh, err := c.load(NewRegistry(0), filepath.Join(dir, "new", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rbNew := int64(fresh.Tok.Certificate().ResidentBytes())
+		if rbNew <= rbOld+1 {
+			t.Fatalf("%s: replacement needs %d B, not more than the old %d B + 1", c.file, rbNew, rbOld)
+		}
+		r.SetMemBudget(rbOld + 1)
+		if _, err := c.load(r, filepath.Join(dir, "new", c.file)); err == nil || !strings.Contains(err.Error(), "overflow") {
+			t.Fatalf("%s: re-pin err = %v, want a budget overflow", c.file, err)
+		}
+		if st := r.Stats(); st.Pinned+st.Vocabs != 1 || st.PinnedBytes != rbOld {
+			t.Errorf("%s: after the refused re-pin, stats = %+v; want one pin charged %d B", c.file, st, rbOld)
+		}
+		name := strings.TrimSuffix(c.file, filepath.Ext(c.file))
+		if got, err := c.lookup(r, name); err != nil || got != old {
+			t.Errorf("%s: Lookup(%s) = %v, %v; want the old entry still served", c.file, name, got, err)
+		}
+	}
 }

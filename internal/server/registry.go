@@ -472,10 +472,8 @@ func (r *Registry) LoadMachine(path string) (*Entry, error) {
 	}
 	defer f.Close()
 	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	opts := r.buildOptions()
-	opts.Minimize = false // tables are already compiled (and minimized)
 	start := time.Now()
-	tok, g, err := streamtok.LoadCompiledWithOptions(f, opts)
+	tok, g, err := streamtok.LoadCompiledWithOptions(f, r.buildOptions())
 	if err != nil {
 		if errors.Is(err, streamtok.ErrUnbounded) && g != nil {
 			rej := &RejectError{Name: name, Diagnostic: unboundedDiagnostic(g)}
@@ -486,33 +484,48 @@ func (r *Registry) LoadMachine(path string) (*Entry, error) {
 		}
 		return nil, fmt.Errorf("load %s: %w", path, err)
 	}
-	ent := newEntry(name, g.Hash(), g, tok, time.Since(start))
-	rb := int64(tok.Certificate().ResidentBytes())
+	return r.pin(r.pinned, newEntry(name, g.Hash(), g, tok, time.Since(start)))
+}
+
+// pin enters ent under its name in table (pinned machines or vocabs),
+// replacing any entry of that name. Pinned entries charge the memory
+// budget first: a pin that overflows it — counting the replaced entry's
+// bytes as freed — is refused before any state changes, so a failed
+// re-pin leaves the old entry served and charged. Pinned bytes shrink
+// the cache's share of the budget, so cached entries that no longer fit
+// are evicted.
+func (r *Registry) pin(table map[string]*Entry, ent *Entry) (*Entry, error) {
+	rb := int64(ent.Tok.Certificate().ResidentBytes())
 	r.mu.Lock()
-	if old, ok := r.pinned[name]; ok {
-		r.pinnedBytes -= int64(old.Tok.Certificate().ResidentBytes())
+	defer r.mu.Unlock()
+	var oldBytes int64
+	if old, ok := table[ent.Name]; ok {
+		oldBytes = int64(old.Tok.Certificate().ResidentBytes())
 	}
-	if r.memBudget > 0 && r.pinnedBytes+rb > r.memBudget {
-		over := r.pinnedBytes + rb - r.memBudget
-		r.mu.Unlock()
-		return nil, fmt.Errorf("pin %s: certified resident tables %d B overflow the %d B memory budget by %d B (certificate: %s)",
-			name, rb, r.memBudget, over, tok.Certificate())
+	if need := r.pinnedBytes - oldBytes + rb; r.memBudget > 0 && need > r.memBudget {
+		kind := ""
+		if ent.Vocab != nil {
+			kind = "vocab "
+		}
+		return nil, fmt.Errorf("pin %s%s: certified resident tables %d B overflow the %d B memory budget by %d B (certificate: %s)",
+			kind, ent.Name, rb, r.memBudget, need-r.memBudget, ent.Tok.Certificate())
 	}
-	r.pinnedBytes += rb
-	r.pinned[name] = ent
-	// Pinned bytes shrink the cache's share of the budget; evict cached
-	// entries that no longer fit.
+	r.pinnedBytes += rb - oldBytes
+	table[ent.Name] = ent
 	if r.memBudget > 0 {
 		r.evictForBudgetLocked(0, nil)
 	}
-	r.mu.Unlock()
 	return ent, nil
 }
 
 // LoadMachineDir loads every regular file in dir as a machine file and
 // returns the pinned names. Any failing file aborts the load — a serving
 // fleet must not come up with a silently partial grammar set.
-func (r *Registry) LoadMachineDir(dir string) ([]string, error) {
+func (r *Registry) LoadMachineDir(dir string) ([]string, error) { return loadDir(dir, r.LoadMachine) }
+
+// loadDir runs load on every regular file in dir and returns the
+// pinned names, sorted; the first failing file aborts the walk.
+func loadDir(dir string, load func(path string) (*Entry, error)) ([]string, error) {
 	files, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -522,7 +535,7 @@ func (r *Registry) LoadMachineDir(dir string) ([]string, error) {
 		if f.IsDir() {
 			continue
 		}
-		ent, err := r.LoadMachine(filepath.Join(dir, f.Name()))
+		ent, err := load(filepath.Join(dir, f.Name()))
 		if err != nil {
 			return names, err
 		}
@@ -549,49 +562,13 @@ func (r *Registry) LoadVocab(path string) (*Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("compile vocab %s: %w", name, err)
 	}
-	ent := &Entry{Name: name, Hash: v.Hash(), Vocab: v, Tok: tok, CompileTime: time.Since(start)}
-	rb := int64(tok.Certificate().ResidentBytes())
-	r.mu.Lock()
-	if old, ok := r.vocabs[name]; ok {
-		r.pinnedBytes -= int64(old.Tok.Certificate().ResidentBytes())
-	}
-	if r.memBudget > 0 && r.pinnedBytes+rb > r.memBudget {
-		over := r.pinnedBytes + rb - r.memBudget
-		r.mu.Unlock()
-		return nil, fmt.Errorf("pin vocab %s: certified resident tables %d B overflow the %d B memory budget by %d B (certificate: %s)",
-			name, rb, r.memBudget, over, tok.Certificate())
-	}
-	r.pinnedBytes += rb
-	r.vocabs[name] = ent
-	if r.memBudget > 0 {
-		r.evictForBudgetLocked(0, nil)
-	}
-	r.mu.Unlock()
-	return ent, nil
+	return r.pin(r.vocabs, &Entry{Name: name, Hash: v.Hash(), Vocab: v, Tok: tok, CompileTime: time.Since(start)})
 }
 
 // LoadVocabDir loads every regular file in dir as a vocabulary file and
 // returns the pinned names. Any failing file aborts the load, like
 // LoadMachineDir.
-func (r *Registry) LoadVocabDir(dir string) ([]string, error) {
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, f := range files {
-		if f.IsDir() {
-			continue
-		}
-		ent, err := r.LoadVocab(filepath.Join(dir, f.Name()))
-		if err != nil {
-			return names, err
-		}
-		names = append(names, ent.Name)
-	}
-	sort.Strings(names)
-	return names, nil
-}
+func (r *Registry) LoadVocabDir(dir string) ([]string, error) { return loadDir(dir, r.LoadVocab) }
 
 // LookupVocab resolves a pinned vocabulary by name. An unknown name
 // returns a *NotFoundError carrying the loaded catalog, which the

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -17,6 +16,7 @@ import (
 	"time"
 
 	"streamtok"
+	"streamtok/internal/core"
 	"streamtok/internal/parallel"
 )
 
@@ -50,7 +50,6 @@ type Server struct {
 	cfg   Config
 	reg   *Registry
 	sched *parallel.Scheduler
-	bufs  sync.Pool // request body read buffers
 	// frames pools the per-response output writers (see frame).
 	frames sync.Pool
 	mux    *http.ServeMux
@@ -103,10 +102,6 @@ func New(cfg Config) *Server {
 		mux:        http.NewServeMux(),
 		start:      time.Now(),
 		retryAfter: strconv.Itoa(int((cfg.RetryAfter + time.Second - 1) / time.Second)),
-	}
-	s.bufs.New = func() any {
-		b := make([]byte, 64<<10)
-		return &b
 	}
 	s.frames.New = newFrame
 	s.mux.HandleFunc("/tokenize", s.handleTokenize)
@@ -464,12 +459,13 @@ type streamResult struct {
 	err      error  // terminal error (nil for a clean close or suspension)
 }
 
-// drive pumps the request body through the stream: the handler goroutine
-// keeps the I/O (body reads, response flushes) while every feed and the
-// closing closeStream run on the stream's shard worker via h.Do, so
-// tokenization CPU stays on the shard the scheduler pinned the stream
-// to. feed and closeStream are the framing's Feed/Close pair (per-token
-// emit or batches); closeStream returns the stream's rest.
+// drive pumps the request body through the stream on core.Drive, the
+// library's read loop: the handler goroutine keeps the I/O (body reads,
+// response flushes) while every feed and the closing closeStream run on
+// the stream's shard worker via h.Do, so tokenization CPU stays on the
+// shard the scheduler pinned the stream to. feed and closeStream are the
+// framing's Feed/Close pair (per-token emit or batches); closeStream
+// returns the stream's rest.
 //
 // Termination is three-way. Dead input (the remaining bytes match no
 // rule) ends the request with no error and no cursor — rest points at
@@ -482,53 +478,36 @@ type streamResult struct {
 func (s *Server) drive(ctx context.Context, r *http.Request, st *streamtok.Streamer, h *parallel.StreamHandle, maxBytes int64, hold bool, feed func(chunk []byte), closeStream func() int, flush func()) (res streamResult) {
 	res.base = int64(st.Offset())
 
-	bufp := s.bufs.Get().(*[]byte)
-	defer s.bufs.Put(bufp)
-	buf := *bufp
-
 	// One closure for the whole request: chunk is rebound per read, so
 	// the steady-state loop allocates nothing.
 	var chunk []byte
 	feedChunk := func() { feed(chunk) }
 
-	for {
-		if cerr := ctx.Err(); cerr != nil {
-			res.err = cerr
-			return s.suspend(st, h, res)
+	res.err = core.Drive(ctx, st, r.Body, 0, func(c []byte) error {
+		chunk = c
+		h.Do(feedChunk)
+		res.consumed += int64(len(c))
+		if res.consumed > maxBytes {
+			// Budget first, stop second: an over-budget chunk is cut
+			// even when the stream also died inside it.
+			return errTooLarge{limit: maxBytes}
 		}
-		n, rerr := r.Body.Read(buf)
-		if n > 0 {
-			chunk = buf[:n]
-			h.Do(feedChunk)
-			res.consumed += int64(n)
-			if res.consumed > maxBytes {
-				// Budget first, stop second: an over-budget chunk is cut
-				// even when the stream also died inside it, matching the
-				// core chunk-loop's boundary-before-Stopped order.
-				res.err = errTooLarge{limit: maxBytes}
-				return s.suspend(st, h, res)
-			}
-			if st.Stopped() {
-				// Dead input is a property of the stream, not the
-				// transport: report how far tokenization got (the client
-				// sees complete=false) and do not offer a cursor.
-				res.rest = st.Rest()
-				return res
-			}
+		if !st.Stopped() {
 			flush()
 		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			res.err = rerr
-			return s.suspend(st, h, res)
-		}
-	}
-	if hold {
+		return nil
+	})
+	switch {
+	case res.err != nil || hold:
 		return s.suspend(st, h, res)
+	case st.Stopped():
+		// Dead input is a property of the stream, not the transport:
+		// report how far tokenization got (the client sees
+		// complete=false) and do not offer a cursor.
+		res.rest = st.Rest()
+	default:
+		h.Do(func() { res.rest = closeStream() })
 	}
-	h.Do(func() { res.rest = closeStream() })
 	return res
 }
 
@@ -539,7 +518,8 @@ func (s *Server) drive(ctx context.Context, r *http.Request, st *streamtok.Strea
 // pending bytes to verify the blob, which is CPU work.
 func (s *Server) suspend(st *streamtok.Streamer, h *parallel.StreamHandle, res streamResult) streamResult {
 	if st.Stopped() {
-		// The cut chunk also killed the stream: nothing to resume.
+		// The stream died, in the cut chunk or before the hold:
+		// nothing to resume.
 		res.rest = st.Rest()
 		return res
 	}

@@ -84,6 +84,12 @@ func wireCases() []wireCase {
 	doc := wireBody()
 	cut := len(doc)/2 + 5
 	prompt := string(workload.Prompts(9, 1<<11))
+	// Every rule of the k=0 grammar is one byte long, so the stream dies
+	// exactly at the '!' at offset deadAt, inside whichever chunk holds it.
+	k0 := url.Values{"rule": {`[a-z]`, ` `}}.Encode()
+	deadAt := 20
+	dead := strings.Repeat("ab c ", 4) + "!" + strings.Repeat("de f ", 4)
+	deadBudget := "&max_bytes=" + strconv.Itoa(deadAt)
 	return []wireCase{
 		{name: "catalog", query: "grammar=json", body: doc},
 		{name: "catalog-text", query: "grammar=json&text=1", body: doc},
@@ -98,6 +104,16 @@ func wireCases() []wireCase {
 		{name: "vocab-bin", query: "vocab=toy&format=bin", body: prompt, bin: true},
 		{name: "hold-bin", query: "grammar=json&format=bin&hold=1", body: doc[:cut], bin: true, perRead: true},
 		{name: "resume-bin", query: "grammar=json&format=bin", body: doc[cut:], bin: true, cursorFrom: "hold-bin"},
+		// Cut paths. A max_bytes cut reports the budget error and a cursor;
+		// dead input reports complete=false and no cursor; a dead byte in
+		// the chunk that crosses max_bytes reports the budget error and no
+		// cursor. bytes_in moves with the read size, so all are perRead.
+		{name: "cut-budget", query: "grammar=json&text=1&max_bytes=1000", body: doc, perRead: true},
+		{name: "cut-budget-bin", query: "grammar=json&format=bin&max_bytes=1000", body: doc, bin: true, perRead: true},
+		{name: "dead", query: k0 + "&text=1", body: dead, perRead: true},
+		{name: "dead-bin", query: k0 + "&format=bin", body: dead, bin: true, perRead: true},
+		{name: "dead-budget", query: k0 + "&text=1" + deadBudget, body: dead, perRead: true},
+		{name: "dead-budget-bin", query: k0 + "&format=bin" + deadBudget, body: dead, bin: true, perRead: true},
 	}
 }
 
@@ -154,9 +170,10 @@ func serveWire(t *testing.T, h http.Handler, query, body string, readSize int) (
 
 // TestWireGolden pins the exact /tokenize response bytes — NDJSON token
 // and summary lines, binary records and trailers — for catalog, ad-hoc
-// and vocabulary sources, ?text=1, ?count=1 and a ?hold=1 → ?cursor=
-// pair. Every case is served with body reads of 1, 7 and 4096 bytes and,
-// unless it returns a cursor, must produce the same bytes each time.
+// and vocabulary sources, ?text=1, ?count=1, a ?hold=1 → ?cursor= pair
+// and the cut paths (max_bytes, dead input, both at once). Every case is
+// served with body reads of 1, 7 and 4096 bytes and, unless it is
+// perRead, must produce the same bytes each time.
 func TestWireGolden(t *testing.T) {
 	dir := t.TempDir()
 	path, _ := writeTestVocab(t, dir, "toy")

@@ -346,7 +346,7 @@ func (t *Tokenizer) Vocab() *Vocab { return t.vocab }
 // returns the offset of the first untokenized byte — the stream length
 // when the whole stream tokenized — and any read error.
 func (t *Tokenizer) Tokenize(r io.Reader, bufSize int, emit EmitFunc) (rest int, err error) {
-	return core.TokenizeChunks(context.Background(), t.eng, r, bufSize, emit, nil)
+	return core.TokenizeChunks(context.Background(), t.eng, r, bufSize, emit)
 }
 
 // TokenizeContext is Tokenize with cancellation: ctx is checked between
@@ -354,23 +354,7 @@ func (t *Tokenizer) Tokenize(r io.Reader, bufSize int, emit EmitFunc) (rest int,
 // context stops the stream at a chunk boundary and returns ctx.Err()
 // along with the offset reached.
 func (t *Tokenizer) TokenizeContext(ctx context.Context, r io.Reader, bufSize int, emit EmitFunc) (rest int, err error) {
-	return core.TokenizeChunks(ctx, t.eng, r, bufSize, emit, nil)
-}
-
-// BoundaryFunc is the per-chunk hook of TokenizeContextChunks: it
-// receives the total bytes consumed after each fed block and may stop
-// the stream at that chunk boundary by returning an error.
-type BoundaryFunc = core.BoundaryFunc
-
-// TokenizeContextChunks is TokenizeContext with a chunk-boundary hook:
-// after each fed block, boundary (when non-nil) receives the total
-// bytes consumed so far and may stop the stream by returning an error,
-// which is returned along with the offset reached. This is how the
-// serving layer enforces max-bytes admission limits and flushes
-// responses in step with the input — limits cut at chunk boundaries,
-// never inside the feed loop.
-func (t *Tokenizer) TokenizeContextChunks(ctx context.Context, r io.Reader, bufSize int, emit EmitFunc, boundary BoundaryFunc) (rest int, err error) {
-	return core.TokenizeChunks(ctx, t.eng, r, bufSize, emit, boundary)
+	return core.TokenizeChunks(ctx, t.eng, r, bufSize, emit)
 }
 
 // TokenizeBytes tokenizes an in-memory input and returns the tokens and
