@@ -16,7 +16,6 @@ import (
 	"streamtok/internal/extoracle"
 	"streamtok/internal/ghdataset"
 	"streamtok/internal/grammars"
-	"streamtok/internal/parallel"
 	"streamtok/internal/reps"
 	"streamtok/internal/tepath"
 	"streamtok/internal/tokdfa"
@@ -458,34 +457,6 @@ func BenchmarkAblationDenseVsClass(b *testing.B) {
 			sinkTokens += int(q)
 		}
 	})
-}
-
-// BenchmarkParallel contrasts sequential StreamTok with the speculative
-// parallel engine (§8 future work) on a self-synchronizing format.
-func BenchmarkParallel(b *testing.B) {
-	m := machineFor(b, "log")
-	st := streamTokFor(b, m)
-	in, err := workload.Log("linux", 2026, 8*benchMB)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("sequential", func(b *testing.B) {
-		b.SetBytes(int64(len(in)))
-		for i := 0; i < b.N; i++ {
-			s := st.NewStreamer()
-			s.Feed(in, noopEmit)
-			s.Close(noopEmit)
-		}
-	})
-	for _, workers := range []int{2, 4, 8} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(len(in)))
-			for i := 0; i < b.N; i++ {
-				parallel.Tokenize(st, in, parallel.Options{Workers: workers}, noopEmit)
-			}
-		})
-	}
 }
 
 // BenchmarkOOPSLA25Baselines contrasts the two offline algorithms of

@@ -309,7 +309,6 @@ func TestExamplesRun(t *testing.T) {
 		{"logtotsv", "sshd"},
 		{"jsonminify", `{"name":"streamtok"`},
 		{"csvstats", "score"},
-		{"parallelcount", "tokens"},
 	}
 	for _, c := range cases {
 		c := c

@@ -78,7 +78,7 @@ func (c *Certificate) VerifyBPE(vocabHash string, vm, pm *tokdfa.Machine, maxTND
 		return fmt.Errorf("%w: carry cap %d != engine constant %d", ErrMismatch, c.CarryRetainedCap, core.MaxRetainedCarryCap)
 	}
 	if c.ParallelReworkX != ParallelReworkBound {
-		return fmt.Errorf("%w: parallel rework %dx != structural bound %dx", ErrMismatch, c.ParallelReworkX, ParallelReworkBound)
+		return fmt.Errorf("%w: parallel rework %dx != fixed value %dx", ErrMismatch, c.ParallelReworkX, ParallelReworkBound)
 	}
 	if got := t.RingBytes(); c.RingBytes != got {
 		return fmt.Errorf("%w: ring bytes %d != built engine's %d", ErrMismatch, c.RingBytes, got)

@@ -13,10 +13,10 @@
 //   - the shared per-grammar bytes: the precomputed automata and fused
 //     action tables;
 //   - the accel-state coverage fraction (share of fused slots with bulk
-//     run skipping);
-//   - the speculate+stitch phase-1 work factor (2×: each worker reads
-//     at most one segment past its own, so phase 1 scans at most 2n
-//     bytes of an n-byte input).
+//     run skipping).
+//
+// One more field, ParallelReworkX, is kept only so that machine files
+// keep their layout; it always holds 2.
 //
 // Each bound is either replayable from the certificate itself
 // (the witness pair) or recomputable from the machine and engine it
@@ -35,12 +35,10 @@ import (
 	"streamtok/internal/tokdfa"
 )
 
-// ParallelReworkBound is the speculate+stitch phase-1 work factor: each
-// speculating worker (internal/parallel) reads at most one segment past
-// its own, so phase 1 scans at most 2n bytes of an n-byte input, however
-// long the tokens. The bound is structural (it follows from the
-// speculation algorithm, not the grammar), so every certificate carries
-// the same value and verification checks it as a constant.
+// ParallelReworkBound is the only value ParallelReworkX may hold. The
+// field is a retained format field: the speculative segment-parallel
+// mode it once bounded is gone, but machine files still carry it, so
+// every certificate records 2 and verification checks it as a constant.
 const ParallelReworkBound = 2
 
 // Certificate is a statically derived resource certificate for one
@@ -100,8 +98,10 @@ type Certificate struct {
 	AccelStates int
 	AccelSlots  int
 
-	// ParallelReworkX is the speculate+stitch phase-1 work factor
-	// (always ParallelReworkBound).
+	// ParallelReworkX is a retained format field that no engine reads:
+	// machine files encode it and verification pins it at
+	// ParallelReworkBound, so files written before the speculative
+	// parallel mode was removed still load.
 	ParallelReworkX int
 }
 
@@ -187,9 +187,9 @@ func (c *Certificate) String() string {
 	if c.SparseTableBytes > 0 {
 		classes += fmt.Sprintf(" (sparse %d B)", c.SparseTableBytes)
 	}
-	return fmt.Sprintf("K=%d (≤ dichotomy %d), ring %d B, carry ≤ %d B, tables %d B%s, accel %d/%d slots, parallel rework ≤ %dx",
+	return fmt.Sprintf("K=%d (≤ dichotomy %d), ring %d B, carry ≤ %d B, tables %d B%s, accel %d/%d slots",
 		c.DelayK, c.DichotomyBound, c.RingBytes, c.CarryRetainedCap,
-		c.TableBytes, classes, c.AccelStates, c.AccelSlots, c.ParallelReworkX)
+		c.TableBytes, classes, c.AccelStates, c.AccelSlots)
 }
 
 // MarshalJSON renders the certificate with stable snake_case keys

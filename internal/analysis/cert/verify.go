@@ -26,8 +26,8 @@ var ErrMismatch = errors.New("cert: certificate does not verify")
 //     WitnessU a strict prefix of WitnessV with no token strictly
 //     between, and the length gap is exactly DelayK (required when
 //     DelayK > 0 — the lower-bound evidence is part of the claim);
-//   - the structural constants (carry cap, speculate phase-1 work
-//     factor) are the ones this build enforces.
+//   - the constants (carry cap, the retained ParallelReworkX field)
+//     are the ones this build enforces.
 //
 // Engine-dependent fields (mode, ring/table bytes, accel coverage) are
 // checked by VerifyAgainst once the tokenizer is built.
@@ -51,7 +51,7 @@ func (c *Certificate) VerifyStatic(m *tokdfa.Machine, maxTND int) error {
 		return fmt.Errorf("%w: carry cap %d != engine constant %d", ErrMismatch, c.CarryRetainedCap, core.MaxRetainedCarryCap)
 	}
 	if c.ParallelReworkX != ParallelReworkBound {
-		return fmt.Errorf("%w: parallel rework %dx != structural bound %dx", ErrMismatch, c.ParallelReworkX, ParallelReworkBound)
+		return fmt.Errorf("%w: parallel rework %dx != fixed value %dx", ErrMismatch, c.ParallelReworkX, ParallelReworkBound)
 	}
 	// The compression fields are recomputable from the machine alone.
 	// Certificates decoded from dense-era (format < 3) files predate them

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -104,46 +105,30 @@ func parseF(t *testing.T, s string) float64 {
 	return v
 }
 
-// TestMulticoreShape pins the multicore table: both execution modes at
-// every worker count on the fixed axis, each mode's workers=1 row at
-// exactly 1.00x, and the stats columns (the ones CI gates exactly)
-// present for speculate+stitch and absent for the scheduler.
+// TestMulticoreShape pins the multicore table: one sharded-server row
+// at every worker count on the fixed axis, the workers=1 row at exactly
+// 1.00x, and the column CI's scaling floor reads.
 func TestMulticoreShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
 	}
 	tab := Multicore(Config{Scale: 1, Seed: 2026, Trials: 1})
-	type key struct{ mode, workers string }
-	rows := map[key][]string{}
-	for _, row := range tab.Rows {
+	if want := []string{"mode", "workers", "MB/s", "speedup", "p99_ms"}; !reflect.DeepEqual(tab.Header, want) {
+		t.Fatalf("header %v, want %v", tab.Header, want)
+	}
+	if len(tab.Rows) != 3 {
+		t.Fatalf("%d rows, want 3", len(tab.Rows))
+	}
+	for i, w := range []string{"1", "2", "4"} {
+		row := tab.Rows[i]
 		if len(row) != len(tab.Header) {
 			t.Fatalf("row width %d != header %d (%v)", len(row), len(tab.Header), row)
 		}
-		rows[key{row[0], row[1]}] = row
-	}
-	for _, mode := range []string{"speculate", "sharded-server"} {
-		for _, w := range []string{"1", "2", "4"} {
-			row, ok := rows[key{mode, w}]
-			if !ok {
-				t.Fatalf("missing row %s/%s", mode, w)
-			}
-			if w == "1" && row[3] != "1.00x" {
-				t.Errorf("%s workers=1 speedup = %s, want 1.00x", mode, row[3])
-			}
-			if mode == "sharded-server" {
-				if row[5] != "-" || row[6] != "-" || row[7] != "-" {
-					t.Errorf("scheduler row has speculation stats: %v", row)
-				}
-				continue
-			}
-			for _, col := range []int{5, 6, 7} {
-				if _, err := strconv.Atoi(row[col]); err != nil {
-					t.Errorf("%s/%s column %s = %q is not an exact count", mode, w, tab.Header[col], row[col])
-				}
-			}
+		if row[0] != "sharded-server" || row[1] != w {
+			t.Errorf("row %d = %s/%s, want sharded-server/%s", i, row[0], row[1], w)
 		}
-	}
-	if len(tab.Rows) != 6 {
-		t.Errorf("%d rows, want 6", len(tab.Rows))
+		if w == "1" && row[3] != "1.00x" {
+			t.Errorf("workers=1 speedup = %s, want 1.00x", row[3])
+		}
 	}
 }

@@ -16,37 +16,28 @@ import (
 	"streamtok/internal/workload"
 )
 
-// Multicore proves the parallel engine end to end: aggregate MB/s and
-// p99 completion time vs worker count for both parallel execution modes
-// the repo ships —
-//
-//   - speculate: whole-input speculate+stitch (parallel.Tokenize)
-//   - sharded-server: N concurrent streams driven through the
-//     work-stealing shard scheduler, the serving daemon's admission path
+// Multicore proves the shard scheduler end to end: aggregate MB/s and
+// p99 stream completion time vs worker count for sharded-server — N
+// concurrent streams driven through the work-stealing shard scheduler,
+// the serving daemon's admission path.
 //
 // The input is a fixed 4 MiB log workload with a pinned seed,
-// deliberately independent of cfg.Scale: the segments / synced /
-// rescanned columns are functions of the input bytes and the worker
-// count alone, so CI gates them exactly, on any hardware. The speedup
-// column is per-mode relative to its workers=1 row — the
-// hardware-independent scaling ratio a multi-core runner gates with a
-// floor. speculate's workers=1 row is the sequential engine itself (one
-// segment on one pooled streamer), so its speedup column is an honest
-// speedup over sequential tokenization. Absolute MB/s and p99 are
+// deliberately independent of cfg.Scale. The speedup column is relative
+// to the workers=1 row — the hardware-independent scaling ratio a
+// multi-core runner gates with a floor. Absolute MB/s and p99 are
 // recorded for the human reading the table, never gated.
 func Multicore(cfg Config) Table {
 	const (
 		inputSize = 4 << 20
-		minSeg    = 64 * 1024
 		chunk     = 64 * 1024
-		seed      = 7 // pinned: the stats columns are gated exactly in CI
+		seed      = 7
 		streams   = 8 // concurrent streams per sharded-server round
 	)
 	t := Table{
-		Title: "Multicore: parallel engine scaling by execution mode",
-		Note: fmt.Sprintf("fixed 4 MiB log input (seed %d); speedup is per-mode vs workers=1 (speculate's is the sequential engine); host %s/%s %s GOMAXPROCS=%d NumCPU=%d",
-			seed, runtime.GOOS, runtime.GOARCH, runtime.Version(), runtime.GOMAXPROCS(0), runtime.NumCPU()),
-		Header: []string{"mode", "workers", "MB/s", "speedup", "p99_ms", "segments", "synced", "rescanned"},
+		Title: "Multicore: shard scheduler scaling",
+		Note: fmt.Sprintf("fixed 4 MiB log input (seed %d), %d concurrent streams; speedup is vs workers=1; host %s/%s %s GOMAXPROCS=%d NumCPU=%d",
+			seed, streams, runtime.GOOS, runtime.GOARCH, runtime.Version(), runtime.GOMAXPROCS(0), runtime.NumCPU()),
+		Header: []string{"mode", "workers", "MB/s", "speedup", "p99_ms"},
 	}
 	spec, err := grammars.Lookup("log")
 	if err != nil {
@@ -66,58 +57,15 @@ func Multicore(cfg Config) Table {
 	if samples < 6 {
 		samples = 6
 	}
-	emitNoop := func(token.Token, []byte) {}
 	sinkNoop := func([]token.Token) {}
 
-	// measure runs f samples times and reports the median and p99 of the
-	// per-run wall times (at these sample counts p99 is effectively the
-	// worst run — that is the point: a stitcher stall or a steal storm
-	// shows up here and nowhere else).
-	measure := func(f func()) (med, p99 time.Duration) {
-		f() // warm pools and page in the input
-		ds := make([]time.Duration, samples)
-		for i := range ds {
-			start := time.Now()
-			f()
-			ds[i] = time.Since(start)
-		}
-		return quantileDur(ds, 0.5), quantileDur(ds, 0.99)
-	}
-
-	workersAxis := []int{1, 2, 4}
-	row := func(mode string, n int, bytesPerRun int, med, p99 time.Duration, base time.Duration, stats *parallel.Stats) {
-		mb := float64(bytesPerRun) / 1e6 / med.Seconds()
-		seg, syn, rsc := "-", "-", "-"
-		if stats != nil {
-			seg, syn, rsc = itoa(stats.Segments), itoa(stats.Synchronized), itoa(stats.ReScanned)
-		}
-		t.Rows = append(t.Rows, []string{
-			mode, itoa(n), fmt.Sprintf("%.1f", mb),
-			fmt.Sprintf("%.2fx", base.Seconds()/med.Seconds()),
-			fmt.Sprintf("%.2f", float64(p99.Microseconds())/1e3),
-			seg, syn, rsc,
-		})
-	}
-
-	// speculate+stitch over the whole input.
-	var base time.Duration
-	for _, n := range workersAxis {
-		opts := parallel.Options{Workers: n, MinSegment: minSeg}
-		var stats parallel.Stats
-		med, p99 := measure(func() {
-			_, stats = parallel.Tokenize(tok, input, opts, emitNoop)
-		})
-		if n == workersAxis[0] {
-			base = med
-		}
-		row("speculate", n, len(input), med, p99, base, &stats)
-	}
-
-	// Sharded server: streams concurrent pooled streamers, each driving
+	// Each round runs streams concurrent pooled streamers, each driving
 	// its chunks through the work-stealing scheduler exactly the way a
 	// streamtokd handler does (I/O goroutine blocks in Do, CPU on the
 	// shard). p99 here is over per-stream completion times — the tail a
 	// serving SLO actually sees.
+	workersAxis := []int{1, 2, 4}
+	var base time.Duration
 	for _, n := range workersAxis {
 		sched := parallel.NewScheduler(n, streams)
 		var streamDurs []time.Duration
@@ -166,7 +114,12 @@ func Multicore(cfg Config) Table {
 		if n == workersAxis[0] {
 			base = med
 		}
-		row("sharded-server", n, streams*len(input), med, p99, base, nil)
+		t.Rows = append(t.Rows, []string{
+			"sharded-server", itoa(n),
+			fmt.Sprintf("%.1f", float64(streams*len(input))/1e6/med.Seconds()),
+			fmt.Sprintf("%.2fx", base.Seconds()/med.Seconds()),
+			fmt.Sprintf("%.2f", float64(p99.Microseconds())/1e3),
+		})
 		sched.Close()
 	}
 	return t

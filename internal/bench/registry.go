@@ -36,7 +36,7 @@ func Experiments() []Experiment {
 		{"certstats", "resource-certificate derivation and verification cost per catalog grammar (not a paper figure)", Certstats},
 		{"biggrammar", "byte-class compressed tables vs dense baseline, catalog and 1k-10k-rule grammars (not a paper figure)", Biggrammar},
 		{"bpe", "BPE vocab-DFA compile and streaming encode at 1k-32k merges (not a paper figure)", BPE},
-		{"multicore", "parallel engine scaling vs workers: speculate+stitch and the sharded scheduler (not a paper figure)", Multicore},
+		{"multicore", "shard scheduler scaling vs workers: concurrent streams through the serving admission path (not a paper figure)", Multicore},
 	}
 }
 

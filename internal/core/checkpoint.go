@@ -18,9 +18,9 @@ import (
 // stream order). Restore rebases a fresh streamer at the boundary and
 // replays those bytes through the ordinary Feed path.
 //
-// Replay is exact for the same reason the parallel stitcher is: at a
-// token boundary the tokenization DFA restarts, and tokenization from a
-// true boundary is deterministic regardless of what preceded it, so
+// Replay is exact because at a token boundary the tokenization DFA
+// restarts, and tokenization from a true boundary is deterministic
+// regardless of what preceded it, so
 // the replayed engine reaches a state behaviorally identical to the
 // suspended one — same future emissions, same Rest, same drain. No
 // token is emitted during the replay itself (none ended inside the

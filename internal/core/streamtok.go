@@ -517,25 +517,12 @@ func (s *Streamer) snapshotInto(c *obs.Counters) {
 	c.EmitLatency[s.latK] += total - s.tailTokens
 }
 
-// NoteParallel folds one speculative parallel run's stitching stats into
-// the tokenizer aggregate (internal/parallel reports here).
-func (t *Tokenizer) NoteParallel(segments, synced, rescanned int) {
-	if t.noObs {
-		return
-	}
-	t.obsMu.Lock()
-	t.retired.ParallelRuns++
-	t.retired.ParallelSegments += uint64(segments)
-	t.retired.ParallelSynced += uint64(synced)
-	t.retired.ParallelReScanned += uint64(rescanned)
-	t.obsMu.Unlock()
-}
-
 // Discard retires an unfinished streamer from the observability
 // registry without emitting anything: its counters are folded into the
 // tokenizer aggregate and the stream must not be fed again. Close and
 // dead-input stops retire automatically; Discard is for streams that
-// are abandoned mid-flight (the parallel stitcher's speculative runs).
+// are abandoned mid-flight, such as the pretokenizer stream under a
+// bpe.Stream released before it closed.
 func (s *Streamer) Discard() { s.stopped = true; s.retire() }
 
 // retire folds the stream's counters into the tokenizer aggregate and

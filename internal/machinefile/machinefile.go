@@ -36,9 +36,9 @@
 // artifacts stay byte-identical.
 // The resource certificate (internal/analysis/cert) carries the
 // machine-checkable cost claims: delay K with its dichotomy bound and
-// witness pair, ring/carry/table byte bounds, class count, accel
-// coverage, and the speculate+stitch phase-1 work factor (≤2n bytes
-// scanned for an n-byte input). Decode verifies the static
+// witness pair, ring/carry/table byte bounds, class count and accel
+// coverage, plus the retained ParallelReworkX format field (always 2).
+// Decode verifies the static
 // half of a present certificate and refuses the file on any mismatch, so
 // a shipped machinefile's cost claims can be trusted without re-analysis.
 //

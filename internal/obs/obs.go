@@ -68,13 +68,6 @@ type Counters struct {
 	// confirmed maximal (pow2 buckets; the paper's bound is K).
 	EmitLatency [LatencyBuckets]uint64
 
-	// ParallelRuns.. count speculative parallel tokenization at the
-	// tokenizer level (streams never touch these).
-	ParallelRuns      uint64
-	ParallelSegments  uint64
-	ParallelSynced    uint64
-	ParallelReScanned uint64
-
 	// BPE* count a vocabulary engine's piece encoding, which runs on the
 	// pretokenizer stream's emissions and counts into that stream's
 	// block: pieces encoded (one per pretokenizer token), pieces the
@@ -151,10 +144,6 @@ func (c *Counters) Merge(o *Counters) {
 	for i, n := range o.EmitLatency {
 		c.EmitLatency[i] += n
 	}
-	c.ParallelRuns += o.ParallelRuns
-	c.ParallelSegments += o.ParallelSegments
-	c.ParallelSynced += o.ParallelSynced
-	c.ParallelReScanned += o.ParallelReScanned
 	c.BPEPieces += o.BPEPieces
 	c.BPEBacktracks += o.BPEBacktracks
 	c.BPEFallbacks += o.BPEFallbacks

@@ -1,3 +1,8 @@
+// Package parallel holds the serving daemon's shard Scheduler: many
+// independent streams spread across a fixed set of worker goroutines,
+// each stream's chunks running on one shard at a time. Parallelism is
+// across streams, never within one, so every stream keeps the
+// sequential engine's single-pass O(K)-memory behaviour.
 package parallel
 
 import (

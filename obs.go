@@ -66,14 +66,6 @@ type Stats struct {
 	// with less).
 	EmitLatency [LatencyBuckets]uint64
 
-	// Parallel* count TokenizeParallel activity at the tokenizer level:
-	// runs, segments processed, segments whose speculation synchronized,
-	// and bytes the stitcher re-scanned.
-	ParallelRuns      uint64
-	ParallelSegments  uint64
-	ParallelSynced    uint64
-	ParallelReScanned uint64
-
 	// BPE counters, nonzero only on vocabulary tokenizers. BPEPieces is
 	// how many pretokenizer pieces the vocab stage encoded.
 	// BPEBacktracks counts pieces whose greedy scan the local-validity
@@ -114,10 +106,6 @@ func (t *Tokenizer) statsFrom(c obs.Counters) Stats {
 		CarryMax:          c.CarryMax,
 		RingMax:           c.RingMax,
 		EmitLatency:       c.EmitLatency,
-		ParallelRuns:      c.ParallelRuns,
-		ParallelSegments:  c.ParallelSegments,
-		ParallelSynced:    c.ParallelSynced,
-		ParallelReScanned: c.ParallelReScanned,
 		BPEPieces:         c.BPEPieces,
 		BPEBacktracks:     c.BPEBacktracks,
 		BPEFallbacks:      c.BPEFallbacks,
@@ -188,10 +176,6 @@ func (s Stats) String() string {
 			fmt.Fprintf(&b, "  %-8s %d\n", LatencyBucketLabel(i), n)
 		}
 	}
-	if s.ParallelRuns > 0 {
-		fmt.Fprintf(&b, "parallel:     %d runs, %d segments, %d synced, %d bytes re-scanned\n",
-			s.ParallelRuns, s.ParallelSegments, s.ParallelSynced, s.ParallelReScanned)
-	}
 	if s.BPEPieces > 0 {
 		fmt.Fprintf(&b, "bpe:          %d pieces, %d backtracks, %d fallbacks, cache %d hits / %d misses / %d evictions\n",
 			s.BPEPieces, s.BPEBacktracks, s.BPEFallbacks, s.BPECacheHits, s.BPECacheMisses, s.BPECacheEvictions)
@@ -229,10 +213,6 @@ func (s Stats) MarshalJSON() ([]byte, error) {
 		RingMax           uint64      `json:"ring_max"`
 		EmitLatency       []uint64    `json:"emit_latency"`
 		MaxLatency        uint64      `json:"max_latency"`
-		ParallelRuns      uint64      `json:"parallel_runs"`
-		ParallelSegments  uint64      `json:"parallel_segments"`
-		ParallelSynced    uint64      `json:"parallel_synced"`
-		ParallelReScanned uint64      `json:"parallel_rescanned"`
 		BPEPieces         uint64      `json:"bpe_pieces"`
 		BPEBacktracks     uint64      `json:"bpe_backtracks"`
 		BPEFallbacks      uint64      `json:"bpe_fallbacks"`
@@ -247,8 +227,6 @@ func (s Stats) MarshalJSON() ([]byte, error) {
 		AccelBackoffs: s.AccelBackoffs, FusedFallbacks: s.FusedFallbacks,
 		CarryMax: s.CarryMax, RingMax: s.RingMax,
 		EmitLatency: s.EmitLatency[:], MaxLatency: s.MaxLatency(),
-		ParallelRuns: s.ParallelRuns, ParallelSegments: s.ParallelSegments,
-		ParallelSynced: s.ParallelSynced, ParallelReScanned: s.ParallelReScanned,
 		BPEPieces: s.BPEPieces, BPEBacktracks: s.BPEBacktracks, BPEFallbacks: s.BPEFallbacks,
 		BPECacheHits: s.BPECacheHits, BPECacheMisses: s.BPECacheMisses,
 		BPECacheEvictions: s.BPECacheEvictions,

@@ -246,9 +246,9 @@ type Options struct {
 
 // Certificate is a statically derived resource certificate: the
 // machine-checkable cost claims (delay K with witness, ring/carry/table
-// byte bounds, accel coverage, parallel rework factor) for one grammar
-// on the engine the tokenizer selected. See internal/analysis/cert for
-// the claim-by-claim documentation and the verification rules.
+// byte bounds, accel coverage) for one grammar on the engine the
+// tokenizer selected. See internal/analysis/cert for the claim-by-claim
+// documentation and the verification rules.
 type Certificate = cert.Certificate
 
 // Tokenizer is a compiled StreamTok tokenizer. It is immutable and safe

@@ -236,37 +236,6 @@ func TestSaveLoadCompiled(t *testing.T) {
 	}
 }
 
-// TestTokenizeParallelPublic: the public parallel API matches the
-// sequential tokenizer.
-func TestTokenizeParallelPublic(t *testing.T) {
-	g, err := streamtok.CatalogGrammar("log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tok, err := streamtok.New(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	input := bytes.Repeat([]byte("Jun 14 15:16:01 combo sshd[19939]: failure rhost=1.2.3.4\n"), 8000)
-	want, wantRest := tok.TokenizeBytes(input)
-	var got []streamtok.Token
-	rest, stats := tok.TokenizeParallel(input, 4, func(tk streamtok.Token, _ []byte) {
-		got = append(got, tk)
-	})
-	if rest != wantRest || len(got) != len(want) {
-		t.Fatalf("parallel %d tokens rest %d, sequential %d rest %d (stats %+v)",
-			len(got), rest, len(want), wantRest, stats)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("token %d differs: %+v vs %+v", i, got[i], want[i])
-		}
-	}
-	if stats.Segments == 0 {
-		t.Error("expected parallel segments for a 170KB input")
-	}
-}
-
 // TestEngineModeAPI: the public engine-selection knobs — New picks the
 // fused engine for catalog grammars, a negative MaxFusedTableBytes keeps
 // the split loops, and both produce identical token streams.

@@ -117,16 +117,6 @@ func TestVocabStreamerAndStats(t *testing.T) {
 	if !strings.Contains(names, "word") || !strings.Contains(names, "space") {
 		t.Errorf("RuleNames = %v, want pretokenizer names", st.RuleNames)
 	}
-
-	// Parallel entry points fall back to the sequential BPE path.
-	got = got[:0]
-	rest, ps := tok.TokenizeParallel(input, 4, emit)
-	if rest != len(input) || ps.Segments != 1 {
-		t.Errorf("TokenizeParallel: rest %d segments %d", rest, ps.Segments)
-	}
-	if len(got) != len(want) {
-		t.Errorf("parallel fallback emitted %d, want %d", len(got), len(want))
-	}
 }
 
 func TestLoadVocabSniffsFormat(t *testing.T) {
