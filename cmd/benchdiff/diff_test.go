@@ -212,6 +212,7 @@ func TestAgainstCommittedArtifacts(t *testing.T) {
 		{file: "BENCH_hotloop.json", keys: "workload,grammar,mode", col: "speedup"},
 		{file: "BENCH_biggrammar.json", keys: "grammar", col: "ratio", lower: true},
 		{file: "BENCH_biggrammar.json", keys: "grammar", col: "dfa_bytes", lower: true},
+		{file: "BENCH_biggrammar.json", keys: "grammar", col: "mode", exact: true},
 		{file: "BENCH_bpe.json", keys: "merges", col: "ratio", lower: true},
 		{file: "BENCH_bpe.json", keys: "merges", col: "dfa_bytes", lower: true},
 		{file: "BENCH_bpe.json", keys: "merges", col: "classes", lower: true},

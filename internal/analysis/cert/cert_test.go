@@ -3,6 +3,8 @@ package cert_test
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 
 	"streamtok/internal/analysis"
@@ -32,9 +34,10 @@ func build(t *testing.T, m *tokdfa.Machine) (analysis.Result, *core.Tokenizer, *
 	return res, tok, c
 }
 
-// TestNewAndVerifyCatalog: every bounded catalog grammar certifies, and
-// the certificate passes its own full verification — each bound is
-// recomputed or replayed, none is taken on faith.
+// TestNewAndVerifyCatalog: every bounded catalog grammar certifies, the
+// certificate's file half passes verification — each bound recomputed
+// or replayed, none taken on faith — and its engine half is exactly the
+// engine it was derived from.
 func TestNewAndVerifyCatalog(t *testing.T) {
 	for _, spec := range grammars.All() {
 		spec := spec
@@ -51,8 +54,11 @@ func TestNewAndVerifyCatalog(t *testing.T) {
 				return
 			}
 			res, tok, c := build(t, m)
-			if err := c.Verify(m, res.MaxTND, tok); err != nil {
+			if err := c.VerifyStatic(m, res.MaxTND); err != nil {
 				t.Fatalf("fresh certificate fails verification: %v", err)
+			}
+			if c.Recertified || c.BindEngine(tok) {
+				t.Error("fresh certificate's engine half differs from its engine")
 			}
 			if c.DelayK != res.MaxTND {
 				t.Errorf("DelayK = %d, want %d", c.DelayK, res.MaxTND)
@@ -94,11 +100,11 @@ func TestK0Certificate(t *testing.T) {
 	if res.MaxTND != 0 {
 		t.Skipf("grammar has max-TND %d, want 0", res.MaxTND)
 	}
-	res, tok, c := build(t, m)
+	res, _, c := build(t, m)
 	if len(c.WitnessU) != 0 || len(c.WitnessV) != 0 {
 		t.Fatalf("K=0 certificate carries witness %q -> %q", c.WitnessU, c.WitnessV)
 	}
-	if err := c.Verify(m, res.MaxTND, tok); err != nil {
+	if err := c.VerifyStatic(m, res.MaxTND); err != nil {
 		t.Fatal(err)
 	}
 	bad := *c
@@ -141,11 +147,13 @@ func TestVerifyStaticRejections(t *testing.T) {
 	}
 }
 
-// TestVerifyAgainstRejections: the engine-dependent half catches bounds
-// that drifted from the engine actually built.
+// TestVerifyAgainstRejections: a stored engine half that drifted from
+// the engine actually built is rebound, not refused — each tampered
+// field comes back derived from the engine, the file half is untouched,
+// and the change is reported so a loader can flag it.
 func TestVerifyAgainstRejections(t *testing.T) {
 	m := grammars.JSON().Machine()
-	_, tok, good := build(t, m)
+	res, tok, good := build(t, m)
 
 	tamper := map[string]func(*cert.Certificate){
 		"mode":   func(c *cert.Certificate) { c.EngineMode = "imaginary" },
@@ -158,8 +166,14 @@ func TestVerifyAgainstRejections(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			bad := *good
 			f(&bad)
-			if err := bad.VerifyAgainst(tok); !errors.Is(err, cert.ErrMismatch) {
-				t.Fatalf("err = %v, want ErrMismatch", err)
+			if !bad.BindEngine(tok) {
+				t.Fatal("BindEngine reported no change for a tampered engine half")
+			}
+			if !reflect.DeepEqual(&bad, good) {
+				t.Fatalf("rebound certificate differs from the derived one:\n got  %+v\n want %+v", bad, *good)
+			}
+			if err := bad.VerifyStatic(m, res.MaxTND); err != nil {
+				t.Fatalf("rebinding broke the file half: %v", err)
 			}
 		})
 	}
@@ -196,9 +210,42 @@ func TestJSONShape(t *testing.T) {
 		"grammar_hash", "delay_k", "dichotomy_bound", "engine_mode",
 		"ring_bytes", "carry_retained_cap", "table_bytes",
 		"accel_states", "accel_slots", "accel_coverage", "parallel_rework_x",
+		"recertified",
 	} {
 		if _, ok := decoded[key]; !ok {
 			t.Errorf("JSON missing key %q", key)
+		}
+	}
+}
+
+// TestRecertifiedRendering: the Recertified flag shows in String and
+// JSON, and only when set.
+func TestRecertifiedRendering(t *testing.T) {
+	_, _, c := build(t, grammars.JSON().Machine())
+	if strings.Contains(c.String(), "recertified") {
+		t.Errorf("fresh certificate renders as recertified: %s", c)
+	}
+	r := *c
+	r.Recertified = true
+	if !strings.HasSuffix(r.String(), " (recertified)") {
+		t.Errorf("String() = %q, want a (recertified) suffix", r.String())
+	}
+	for _, tc := range []struct {
+		c    *cert.Certificate
+		want bool
+	}{{c, false}, {&r, true}} {
+		blob, err := json.Marshal(tc.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decoded struct {
+			Recertified bool `json:"recertified"`
+		}
+		if err := json.Unmarshal(blob, &decoded); err != nil {
+			t.Fatal(err)
+		}
+		if decoded.Recertified != tc.want {
+			t.Errorf("JSON recertified = %v, want %v", decoded.Recertified, tc.want)
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"streamtok/internal/tokdfa"
 )
 
-// ErrMismatch is wrapped by every verification failure: the certificate
-// does not describe the machine or engine it ships with. Loaders refuse
+// ErrMismatch is wrapped by every verification failure: the certificate's
+// file half does not describe the machine it ships with. Loaders refuse
 // the artifact on it.
 var ErrMismatch = errors.New("cert: certificate does not verify")
 
@@ -29,8 +29,9 @@ var ErrMismatch = errors.New("cert: certificate does not verify")
 //   - the constants (carry cap, the retained ParallelReworkX field)
 //     are the ones this build enforces.
 //
-// Engine-dependent fields (mode, ring/table bytes, accel coverage) are
-// checked by VerifyAgainst once the tokenizer is built.
+// This is the whole file half. The engine half (mode, ring/table bytes,
+// accel coverage) is not checked but derived: BindEngine overwrites it
+// from the tokenizer a loader builds.
 func (c *Certificate) VerifyStatic(m *tokdfa.Machine, maxTND int) error {
 	if maxTND == analysis.Infinite {
 		return fmt.Errorf("%w: certificate attached to an unbounded machine", ErrMismatch)
@@ -121,40 +122,4 @@ func replayWitness(m *tokdfa.Machine, u, v []byte, k int) error {
 		}
 	}
 	return nil
-}
-
-// VerifyAgainst checks the engine-dependent half of the certificate
-// against a freshly built tokenizer: the mode and every byte bound must
-// match exactly. A loader that rebuilds the engine from the shipped
-// tables calls this after VerifyStatic; together they make every field
-// of the certificate either replayed or recomputed.
-func (c *Certificate) VerifyAgainst(t *core.Tokenizer) error {
-	if got := t.EngineMode(); c.EngineMode != got {
-		return fmt.Errorf("%w: engine mode %q != built engine's %q", ErrMismatch, c.EngineMode, got)
-	}
-	if c.DelayK != t.K() {
-		return fmt.Errorf("%w: delay K %d != built engine's %d", ErrMismatch, c.DelayK, t.K())
-	}
-	if got := t.RingBytes(); c.RingBytes != got {
-		return fmt.Errorf("%w: ring bytes %d != built engine's %d", ErrMismatch, c.RingBytes, got)
-	}
-	if got := t.TableBytes(); c.TableBytes != got {
-		return fmt.Errorf("%w: table bytes %d != built engine's %d", ErrMismatch, c.TableBytes, got)
-	}
-	if got := t.AccelStates(); c.AccelStates != got {
-		return fmt.Errorf("%w: accel states %d != built engine's %d", ErrMismatch, c.AccelStates, got)
-	}
-	if got := t.AccelSlots(); c.AccelSlots != got {
-		return fmt.Errorf("%w: accel slots %d != built engine's %d", ErrMismatch, c.AccelSlots, got)
-	}
-	return nil
-}
-
-// Verify is VerifyStatic followed by VerifyAgainst: the full check a
-// loader performs when it has both the machine and the rebuilt engine.
-func (c *Certificate) Verify(m *tokdfa.Machine, maxTND int, t *core.Tokenizer) error {
-	if err := c.VerifyStatic(m, maxTND); err != nil {
-		return err
-	}
-	return c.VerifyAgainst(t)
 }

@@ -83,9 +83,6 @@ func BPE(cfg Config) Table {
 		if err != nil {
 			panic(fmt.Sprintf("bpe: certify %d merges: %v", merges, err))
 		}
-		if err := c.VerifyBPE(v.Hash(), vm, tok.PretokMachine(), tok.PretokAnalysis().MaxTND, tok.PretokEngine()); err != nil {
-			panic(fmt.Sprintf("bpe: fresh certificate does not verify (%d merges): %v", merges, err))
-		}
 
 		emit := func(token.Token, []byte) {}
 

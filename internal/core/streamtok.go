@@ -51,9 +51,9 @@ const batchCap = 512
 type Tokenizer struct {
 	m  *tokdfa.Machine
 	k  int
-	te *tepath.Table // k ≥ 2: complete, or the template lazy streams clone
-	k1 *tepath.K1Table
-	fe *fused.Engine // fused fast engine, nil → split loops
+	te *tepath.Table   // k ≥ 2: complete, or the template lazy streams clone
+	k1 *tepath.K1Table // split k == 1 only; fused-k1 never reads it
+	fe *fused.Engine   // fused fast engine, nil → split loops
 
 	noObs bool // benchmark-only: skip the observability counters
 
@@ -74,7 +74,7 @@ type Streamer struct {
 	m   *tokdfa.Machine
 	k   int
 	te  *tepath.Table   // general mode (k >= 2): shared if complete, else this stream's own clone
-	k1  *tepath.K1Table // Fig. 5 mode (k == 1)
+	k1  *tepath.K1Table // Fig. 5 mode (split k == 1)
 	fe  *fused.Engine   // fused fast engine, nil → split loops
 	tok *Tokenizer      // owner, for the observability registry
 
@@ -211,12 +211,7 @@ func newWithFused(m *tokdfa.Machine, k int, limits tepath.Limits, opts fused.Opt
 		return nil, fmt.Errorf("streamtok: machine has no class transition table (sparse scanner machines cannot drive the streaming engines)")
 	}
 	t := &Tokenizer{m: m, k: k, live: map[*Streamer]struct{}{}}
-	switch {
-	case k <= 0:
-		// No lookahead needed: every token is maximal at its final state.
-	case k == 1:
-		t.k1 = tepath.BuildK1(m)
-	default:
+	if k >= 2 {
 		te, err := tepath.New(m, k, limits)
 		if err != nil {
 			return nil, err
@@ -233,6 +228,11 @@ func newWithFused(m *tokdfa.Machine, k int, limits tepath.Limits, opts fused.Opt
 		}
 	}
 	t.fe = fused.Build(m, k, t.te, opts)
+	if t.fe == nil && k == 1 {
+		// Only the split loop reads the Fig. 5 table; fused-k1 packs the
+		// same decision into its own words.
+		t.k1 = tepath.BuildK1(m)
+	}
 	return t, nil
 }
 
@@ -319,7 +319,7 @@ const MaxRetainedCarryCap = maxRetainedCarryCap
 
 // TableBytes returns the memory footprint of the precomputed automata and
 // tables: the tokenization DFA, the eager token-extension DFA (k ≥ 2),
-// the split Fig. 5 table (k == 1), and the fused engine's tables.
+// the Fig. 5 table (split k == 1 only), and the fused engine's tables.
 // Together with the input buffer and the K-byte delay ring this is
 // StreamTok's entire stream-independent state (the RQ6 accounting). A
 // lazily grown TeDFA is per-stream state and is not counted.
@@ -330,9 +330,6 @@ func (t *Tokenizer) TableBytes() int {
 		n += t.te.Bytes()
 	}
 	if t.k1 != nil {
-		// The split K1 table. It is built and counted even when fused-k1
-		// serves: certificates bind TableBytes, so dropping it would make
-		// machine files written by earlier builds refuse to load.
 		n += t.k1.Bytes()
 	}
 	n += t.fe.Bytes()

@@ -63,3 +63,33 @@ func TestCarryCapacityBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestK1TableOnlyForSplit: the split Fig. 5 table is built and counted
+// only when the split k == 1 loop serves; fused-k1 packs the same
+// decision into its own words and holds no K1 table.
+func TestK1TableOnlyForSplit(t *testing.T) {
+	m := tokdfa.MustCompile(tokdfa.MustParseGrammar(`[0-9]+`, `[ ]+`), tokdfa.Options{Minimize: true})
+	fusedTok, err := NewWithK(m, 1, tepath.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	splitTok, err := NewWithKBudget(m, 1, tepath.Limits{}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fusedTok.EngineMode() != "fused-k1" || splitTok.EngineMode() != "split-k1" {
+		t.Fatalf("modes %s/%s, want fused-k1/split-k1", fusedTok.EngineMode(), splitTok.EngineMode())
+	}
+	if fusedTok.k1 != nil {
+		t.Error("fused-k1 tokenizer holds a K1 table")
+	}
+	if splitTok.k1 == nil {
+		t.Fatal("split-k1 tokenizer has no K1 table")
+	}
+	if want := m.DFA.TableBytes() + fusedTok.fe.Bytes(); fusedTok.TableBytes() != want {
+		t.Errorf("fused-k1 table bytes %d, want DFA + fused = %d", fusedTok.TableBytes(), want)
+	}
+	if want := m.DFA.TableBytes() + splitTok.k1.Bytes(); splitTok.TableBytes() != want {
+		t.Errorf("split-k1 table bytes %d, want DFA + K1 = %d", splitTok.TableBytes(), want)
+	}
+}

@@ -38,16 +38,23 @@
 // machine-checkable cost claims: delay K with its dichotomy bound and
 // witness pair, ring/carry/table byte bounds, class count and accel
 // coverage, plus the retained ParallelReworkX format field (always 2).
-// Decode verifies the static
-// half of a present certificate and refuses the file on any mismatch, so
-// a shipped machinefile's cost claims can be trusted without re-analysis.
+// Decode verifies the certificate's file half — everything recomputable
+// or replayable from the machine — and refuses the file on any mismatch,
+// so a shipped machinefile's cost claims can be trusted without
+// re-analysis. The engine half (mode, ring, table and accel bytes) is
+// still encoded, but loaders derive it again from the engine they build
+// and mark the certificate recertified when the stored half differs.
+// Builds that predate that rule match the stored engine half exactly,
+// so they may refuse files written by a build with another engine
+// layout.
 //
 // Version 1 files ("STOKDFA1", dense rows, no certificate section) and
 // version 2 files ("STOKDFA2", dense rows + certificate) still decode:
 // the dense table is compressed on load. Version 2 certificates predate
-// class compression, so their byte-accounting fields describe the dense
-// layout; loaders should re-certify (Machine.Version tells them to) —
-// the static half is layout-independent and is still verified here.
+// class compression, so their class count and dense bytes are zero and
+// their engine half describes the dense layout (loaders recertify it);
+// the rest of the file half is layout-independent and is still verified
+// here.
 //
 // Rule regexes are stored as re-parsable source, so the machine can be
 // fully rebuilt (and re-verified) on load; the tables make loading
@@ -99,10 +106,9 @@ type Machine struct {
 	// unbounded machines, which have no certificate).
 	Cert *cert.Certificate
 	// Version is the file format version the machine was decoded from
-	// (3 for class-table files, 4 for sparse-representation files).
-	// Certificates from versions < 3 describe the dense table layout, so
-	// loaders re-certify instead of matching the stored byte accounting
-	// against the compressed engine.
+	// (3 for class-table files, 4 for sparse-representation files). It
+	// is informational: loaders treat every certificate alike, deriving
+	// its engine half from the engine they build whatever the version.
 	Version int
 }
 

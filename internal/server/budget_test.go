@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net/http"
@@ -10,6 +11,12 @@ import (
 	"testing"
 
 	"streamtok"
+	"streamtok/internal/analysis"
+	"streamtok/internal/analysis/cert"
+	"streamtok/internal/core"
+	"streamtok/internal/grammars"
+	"streamtok/internal/machinefile"
+	"streamtok/internal/tepath"
 	"streamtok/internal/workload"
 )
 
@@ -305,5 +312,79 @@ func TestRegistryRepinRefusalKeepsCharge(t *testing.T) {
 		if got, err := c.lookup(r, name); err != nil || got != old {
 			t.Errorf("%s: Lookup(%s) = %v, %v; want the old entry still served", c.file, name, got, err)
 		}
+	}
+}
+
+// TestRegistryRecertifiedPin: a v3 machine file whose stored engine half
+// disagrees with the engine this build constructs — written here with
+// an honest CRC, so only the certificate's claims are off — still pins.
+// It is counted and shown as recertified, and the budget is charged the
+// bytes derived from the built engine, never the stored claim: an
+// inflated claim fits a budget of exactly the derived bytes, and an
+// understated one cannot sneak under a budget one byte short of them.
+func TestRegistryRecertifiedPin(t *testing.T) {
+	m := grammars.JSON().Machine()
+	res := analysis.Analyze(m)
+	inner, err := core.NewWithK(m, res.MaxTND, tepath.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := cert.New(m, res, inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived := int64(good.ResidentBytes())
+	write := func(name string, tamper func(*cert.Certificate)) string {
+		bad := *good
+		tamper(&bad)
+		var buf bytes.Buffer
+		if err := machinefile.EncodeWithCert(&buf, m, res.MaxTND, &bad); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), name+".mach")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+
+	inflated := write("inflated", func(c *cert.Certificate) {
+		c.EngineMode, c.TableBytes, c.AccelStates = "split-general", c.TableBytes+4096, 0
+	})
+	reg := NewRegistry(0)
+	reg.SetMemBudget(derived)
+	ent, err := reg.LoadMachine(inflated)
+	if err != nil {
+		t.Fatalf("recertified file refused: %v", err)
+	}
+	c := ent.Tok.Certificate()
+	if !c.Recertified || c.EngineMode != good.EngineMode || int64(c.ResidentBytes()) != derived {
+		t.Errorf("loaded cert %s, want the derived %s marked recertified", c, good)
+	}
+	st := reg.Stats()
+	if st.Recertified != 1 || st.PinnedBytes != derived {
+		t.Errorf("stats recertified=%d pinned=%d B, want 1 and %d B", st.Recertified, st.PinnedBytes, derived)
+	}
+	_, ts := newTestServer(t, Config{Registry: reg})
+	resp, err := http.Get(ts.URL + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	statusz, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{"1 recertified", "(recertified)"} {
+		if !strings.Contains(string(statusz), want) {
+			t.Errorf("/statusz missing %q:\n%s", want, statusz)
+		}
+	}
+
+	understated := write("understated", func(c *cert.Certificate) { c.TableBytes = 1 })
+	reg = NewRegistry(0)
+	reg.SetMemBudget(derived - 1)
+	if _, err := reg.LoadMachine(understated); err == nil || !strings.Contains(err.Error(), "overflow") {
+		t.Fatalf("err = %v, want a budget overflow at the derived bytes", err)
+	}
+	if st := reg.Stats(); st.Pinned != 0 || st.PinnedBytes != 0 || st.Recertified != 0 {
+		t.Errorf("refused pin left state behind: %+v", st)
 	}
 }

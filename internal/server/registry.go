@@ -96,7 +96,9 @@ func (e *NotFoundError) Error() string {
 // and PinnedBytes sum the certified table bytes of cached and pinned
 // entries; MemBudget is the admission cap over their sum (0 = no
 // budget), and BudgetRejects counts grammars refused because their
-// certified footprint cannot fit it.
+// certified footprint cannot fit it. Recertified counts pinned machine
+// files whose stored engine half differed from the engine this build
+// constructed; they serve (and are charged) on the derived certificate.
 type RegistryStats struct {
 	Resident      int    `json:"resident"`
 	Pinned        int    `json:"pinned"`
@@ -109,6 +111,7 @@ type RegistryStats struct {
 	Evictions     uint64 `json:"evictions"`
 	Rejects       uint64 `json:"rejects"`
 	BudgetRejects uint64 `json:"budget_rejects"`
+	Recertified   uint64 `json:"recertified"`
 }
 
 // slot is one cache cell: a future other requests for the same grammar
@@ -512,6 +515,9 @@ func (r *Registry) pin(table map[string]*Entry, ent *Entry) (*Entry, error) {
 	}
 	r.pinnedBytes += rb - oldBytes
 	table[ent.Name] = ent
+	if ent.Tok.Certificate().Recertified {
+		r.stats.Recertified++
+	}
 	if r.memBudget > 0 {
 		r.evictForBudgetLocked(0, nil)
 	}

@@ -653,9 +653,9 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "volume:     %d tokens out, %d bytes in\n", m.TokensOut, m.BytesIn)
 	fmt.Fprintf(w, "scheduler:  %d shards, %d dispatched, %d stolen\n",
 		m.Scheduler.Workers, m.Scheduler.Dispatched, m.Scheduler.Stolen)
-	fmt.Fprintf(w, "registry:   %d resident (%d pinned), %d hits, %d misses, %d evictions, %d rejects\n",
+	fmt.Fprintf(w, "registry:   %d resident (%d pinned), %d hits, %d misses, %d evictions, %d rejects, %d recertified\n",
 		m.Registry.Resident, m.Registry.Pinned, m.Registry.Hits, m.Registry.Misses,
-		m.Registry.Evictions, m.Registry.Rejects)
+		m.Registry.Evictions, m.Registry.Rejects, m.Registry.Recertified)
 	if m.Registry.MemBudget > 0 {
 		fmt.Fprintf(w, "budget:     %d B resident (%d B pinned) of %d B, %d budget rejects\n",
 			m.Registry.ResidentBytes, m.Registry.PinnedBytes, m.Registry.MemBudget,
