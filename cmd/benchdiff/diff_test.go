@@ -218,6 +218,7 @@ func TestAgainstCommittedArtifacts(t *testing.T) {
 		{file: "BENCH_bpe.json", keys: "merges", col: "classes", lower: true},
 		{file: "BENCH_bpe.json", keys: "merges", col: "mode", exact: true},
 		{file: "BENCH_bpe.json", keys: "merges", col: "cache_hit_pct"},
+		{file: "BENCH_bpe.json", keys: "merges", col: "warm_hit_pct"},
 		{file: "BENCH_multicore.json", keys: "mode,workers", col: "speedup"},
 	} {
 		path := filepath.Join("..", "..", c.file)

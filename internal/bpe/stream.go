@@ -182,7 +182,8 @@ func (t *Tokenizer) Counters() (pieces, fallbacks uint64) {
 // CacheCounters reports the piece-encoding cache's aggregate activity:
 // hits (single-byte pieces, served from the byte table, count as hits
 // of the degenerate always-warm cache), misses (uncacheable oversize
-// pieces included), and entries discarded by wholesale resets. Every
+// pieces included), and evicted entries: each one an insert replaced
+// in its set or a sweep of the full spill arenas dropped. Every
 // piece is exactly one hit or one miss, so hits+misses always equals
 // the pieces counter — the reconciliation stats tests pin.
 func (t *Tokenizer) CacheCounters() (hits, misses, evictions uint64) {

@@ -73,8 +73,8 @@ type Counters struct {
 	// block: pieces encoded (one per pretokenizer token), pieces the
 	// backtracking search certified after a rejected greedy scan,
 	// pieces that ran the merge-loop safety net, and the piece cache's
-	// hits, misses and wholesale-reset evictions. Zero on grammar
-	// engines.
+	// hits, misses and evictions (entries replaced in a full set or
+	// swept from full spill arenas). Zero on grammar engines.
 	BPEPieces         uint64
 	BPEBacktracks     uint64
 	BPEFallbacks      uint64

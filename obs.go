@@ -75,8 +75,9 @@ type Stats struct {
 	// and only cache misses are either. The cache trio describes the
 	// piece-encoding memo: hits (single-byte pieces included — the byte
 	// table is the degenerate always-warm cache), misses (uncacheable
-	// oversize pieces included), and entries discarded by wholesale cache
-	// resets. Every piece is exactly one hit or one miss, so
+	// oversize pieces included), and evicted entries, each one replaced
+	// by an insert into its full set or dropped by a sweep of the full
+	// spill arenas. Every piece is exactly one hit or one miss, so
 	// BPECacheHits+BPECacheMisses == BPEPieces.
 	BPEPieces         uint64
 	BPEBacktracks     uint64
