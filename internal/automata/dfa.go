@@ -1,10 +1,6 @@
 package automata
 
-import (
-	"bytes"
-	"slices"
-	"sort"
-)
+import "sort"
 
 // DFA is a complete deterministic automaton over the byte alphabet with a
 // byte-class compressed transition table. State 0 is the start state.
@@ -261,139 +257,6 @@ func Determinize(n *NFA) *DFA {
 	d := &DFA{Trans: trans, ClassOf: classOf, Reps: reps, Accept: accepts, Start: 0}
 	d.tighten()
 	return d
-}
-
-// LiteralSet builds the tokenization DFA of the literal grammar
-// [lits[0], ..., lits[n-1]] — rule β matches exactly the string lits[β],
-// the least index winning among duplicates — directly as the trie of the
-// set, with no Thompson NFA. The result is the automaton
-// Minimize(Determinize(BuildNFA(Lit(lits[0]), ...))) produces, state for
-// state and class for class:
-//
-//   - a trie with uniquely labeled finals is already minimal: every node
-//     is a prefix of some literal whose label no other node carries, and
-//     one dead state absorbs every missing edge;
-//   - states are numbered breadth-first with children in byte order, and
-//     the dead state takes the next id at the first missing edge the
-//     search meets, which is the canonical order Minimize assigns;
-//   - the class partition is exact by construction: a byte that occurs
-//     in some literal leads from its parent to a distinct live state, so
-//     it is a class of its own, while the bytes no literal uses go to the
-//     dead state from every state and share one class. Classes are
-//     numbered by least byte, as tighten numbers them.
-//
-// The trie is held as one parent/byte array while building; the only
-// states×classes allocation is the output table itself.
-func LiteralSet(lits [][]byte) *DFA {
-	if len(lits) == 0 {
-		// The empty language: one non-final start state looping to itself.
-		return &DFA{Trans: []int32{0}, Reps: []byte{0}, Accept: []int32{NoRule}}
-	}
-
-	// Insert the literals in sorted order, sharing each one's longest
-	// common prefix with its predecessor: nodes are then created in
-	// preorder, so every node's children are created in byte order.
-	order := make([]int32, len(lits))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(lits[a], lits[b]) })
-	parent := []int32{-1} // trie node -> parent node; node 0 is the root
-	byteOf := []byte{0}   // trie node -> label of the edge from its parent
-	label := []int32{NoRule}
-	var used [256]bool
-	path := []int32{0} // path[d] is the node of the current literal's length-d prefix
-	var prev []byte
-	for _, li := range order {
-		lit := lits[li]
-		lcp := 0
-		for lcp < len(lit) && lcp < len(prev) && lit[lcp] == prev[lcp] {
-			lcp++
-		}
-		path = path[:lcp+1]
-		for _, b := range lit[lcp:] {
-			path = append(path, int32(len(parent)))
-			parent = append(parent, path[len(path)-2])
-			byteOf = append(byteOf, b)
-			label = append(label, NoRule)
-			used[b] = true
-		}
-		if u := path[len(path)-1]; label[u] == NoRule || li < label[u] {
-			label[u] = li
-		}
-		prev = lit
-	}
-	n := len(parent)
-
-	// Group children by parent (kids[first[u]:first[u+1]]), keeping
-	// creation order, which is byte order.
-	first := make([]int32, n+1)
-	for c := 1; c < n; c++ {
-		first[parent[c]+1]++
-	}
-	for u := 0; u < n; u++ {
-		first[u+1] += first[u]
-	}
-	kids := make([]int32, n-1)
-	fill := slices.Clone(first[:n])
-	for c := 1; c < n; c++ {
-		p := parent[c]
-		kids[fill[p]] = int32(c)
-		fill[p]++
-	}
-
-	// Breadth-first numbering; the dead state is interned at the first
-	// missing edge. Children bytes are sorted and distinct, so the first
-	// missing byte is the first index i whose child is not on byte i.
-	id := make([]int32, n)
-	queue := make([]int32, 1, n)
-	next, dead := int32(1), int32(-1)
-	for h := 0; h < len(queue); h++ {
-		ks := kids[first[queue[h]]:first[queue[h]+1]]
-		for i, c := range ks {
-			if dead < 0 && int(byteOf[c]) != i {
-				dead, next = next, next+1
-			}
-			id[c], next = next, next+1
-			queue = append(queue, c)
-		}
-		if dead < 0 && len(ks) < 256 {
-			dead, next = next, next+1
-		}
-	}
-
-	var classOf [256]uint8
-	var reps []byte
-	unused := -1
-	for b := 0; b < 256; b++ {
-		switch {
-		case used[b]:
-			classOf[b] = uint8(len(reps))
-			reps = append(reps, byte(b))
-		case unused < 0:
-			unused = len(reps)
-			classOf[b] = uint8(unused)
-			reps = append(reps, byte(b))
-		default:
-			classOf[b] = uint8(unused)
-		}
-	}
-
-	nc := len(reps)
-	trans := make([]int32, int(next)*nc)
-	for i := range trans {
-		trans[i] = dead
-	}
-	accept := make([]int32, next)
-	accept[dead] = NoRule
-	for u := 0; u < n; u++ {
-		q := int(id[u])
-		accept[q] = label[u]
-		for _, c := range kids[first[u]:first[u+1]] {
-			trans[q*nc+int(classOf[byteOf[c]])] = id[c]
-		}
-	}
-	return &DFA{Trans: trans, ClassOf: classOf, Reps: reps, Accept: accept, Start: 0}
 }
 
 // closer computes ε-closures with a stamp array instead of per-call maps;

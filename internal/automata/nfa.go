@@ -1,10 +1,13 @@
 // Package automata implements the finite-automata substrate: Thompson NFAs
 // with ε-transitions, byte-class compressed DFAs over the byte alphabet,
 // the subset construction with rule priorities (run per class, not per
-// byte), the direct trie construction for literal sets (LiteralSet),
+// byte), the direct trie construction for literal sets (Trie),
 // reachability and co-accessibility analyses, partition-refinement
 // minimization over the compressed rows, and row-displacement sparse
-// tables.
+// tables. One packer lays out the sparse tables from either of two row
+// sources, a class table (Sparsify) or a trie's child lists
+// (Trie.Sparse, which never builds the states×classes table), and
+// checks the layout against the rows on every (state, class) pair.
 package automata
 
 import (

@@ -2,7 +2,7 @@ package automata
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // SparseDFA is a row-displacement compressed transition table — the
@@ -93,32 +93,20 @@ func (s *SparseDFA) TableBytes() int {
 // packing anyway.
 func denseRowThreshold(numClasses int) int { return numClasses / 2 }
 
-// Sparsify builds the row-displacement layout for d and verifies it
-// transition-for-transition against the class table before returning.
-// The construction is deterministic: rows are packed first-fit in
-// decreasing entry-count order (ties by state id), so the same DFA
-// always serializes to the same bytes.
-func Sparsify(d *DFA) *SparseDFA {
+// Sparsify builds the row-displacement layout for the class table of d.
+// It is one of the packer's two row sources (Trie.Sparse is the other):
+// each row's majority target becomes its default, ties to the lowest
+// state id, and the classes with any other target become its entries.
+// The construction is deterministic, so the same DFA always serializes
+// to the same bytes.
+func Sparsify(d *DFA) *SparseDFA { return classRows(d).build() }
+
+// classRows extracts the class table's rows for the packer.
+func classRows(d *DFA) *rowTable {
 	m := d.NumStates()
 	nc := len(d.Reps)
-	s := &SparseDFA{
-		Base:    make([]int32, m),
-		Default: make([]int32, m),
-		ClassOf: d.ClassOf,
-		Reps:    d.Reps,
-		Accept:  d.Accept,
-		Start:   d.Start,
-	}
-
-	// Per row: the majority target becomes the default, the rest become
-	// displaced entries (or the row goes dense past the threshold).
-	type row struct {
-		q       int32
-		classes []int32 // class indices with non-default targets
-	}
-	var rows []row
+	rt := newRowTable(&SparseDFA{ClassOf: d.ClassOf, Reps: d.Reps, Accept: d.Accept, Start: d.Start}, 0)
 	counts := make([]int32, m) // per-row target tallies, zeroed after each row
-	threshold := denseRowThreshold(nc)
 	for q := 0; q < m; q++ {
 		tr := d.Trans[q*nc : (q+1)*nc]
 		var def int32
@@ -132,40 +120,126 @@ func Sparsify(d *DFA) *SparseDFA {
 		for _, t := range tr {
 			counts[t] = 0
 		}
-		s.Default[q] = def
-		var classes []int32
 		for c, t := range tr {
 			if t != def {
-				classes = append(classes, int32(c))
+				rt.add(int32(c), t)
 			}
 		}
-		if len(classes) > threshold {
-			r := int32(len(s.Dense) / nc)
-			s.Dense = append(s.Dense, tr...)
-			s.Base[q] = -(r + 1)
-			continue
-		}
-		rows = append(rows, row{q: int32(q), classes: classes})
+		rt.endRow(q, def)
 	}
+	return rt
+}
 
-	sort.Slice(rows, func(i, j int) bool {
-		if len(rows[i].classes) != len(rows[j].classes) {
-			return len(rows[i].classes) > len(rows[j].classes)
+// rowTable is what a row source hands the packer: per state, in state
+// order, a default target and the entries (class, target) whose target
+// differs from it, in class order. The rows are a complete description
+// of δ — every class a row lists no entry for goes to its default — so
+// verify can check the packed layout against them on every (state,
+// class) pair without a class table.
+type rowTable struct {
+	s   *SparseDFA
+	def []int32 // def[q] is row q's default; verify checks s.Default against it
+	off []int32 // row q's entries are cls/tgt[off[q]:off[q+1]]
+	cls []int32
+	tgt []int32
+}
+
+// newRowTable starts the rows of s, which carries the class map, accept
+// labels and start state; entries is a capacity hint.
+func newRowTable(s *SparseDFA, entries int) *rowTable {
+	m := len(s.Accept)
+	s.Base = make([]int32, m)
+	s.Default = make([]int32, m)
+	return &rowTable{
+		s:   s,
+		def: make([]int32, 0, m),
+		off: append(make([]int32, 0, m+1), 0),
+		cls: make([]int32, 0, entries),
+		tgt: make([]int32, 0, entries),
+	}
+}
+
+// add appends an entry to the row under construction.
+func (rt *rowTable) add(c, t int32) {
+	rt.cls = append(rt.cls, c)
+	rt.tgt = append(rt.tgt, t)
+}
+
+// entries returns row q's entry classes and targets.
+func (rt *rowTable) entries(q int) (cls, tgt []int32) {
+	lo, hi := rt.off[q], rt.off[q+1]
+	return rt.cls[lo:hi], rt.tgt[lo:hi]
+}
+
+// endRow closes row q (rows arrive in state order) with default def. A
+// row with more entries than the dense threshold is stored out of line
+// in Dense; the packer displaces the others.
+func (rt *rowTable) endRow(q int, def int32) {
+	s := rt.s
+	rt.def = append(rt.def, def)
+	rt.off = append(rt.off, int32(len(rt.cls)))
+	s.Default[q] = def
+	nc := len(s.Reps)
+	cls, tgt := rt.entries(q)
+	if len(cls) <= denseRowThreshold(nc) {
+		return
+	}
+	r := int32(len(s.Dense) / nc)
+	row := len(s.Dense)
+	for range nc {
+		s.Dense = append(s.Dense, def)
+	}
+	for i, c := range cls {
+		s.Dense[row+int(c)] = tgt[i]
+	}
+	s.Base[q] = -(r + 1)
+}
+
+// build packs the rows and checks the layout against them.
+func (rt *rowTable) build() *SparseDFA {
+	rt.pack()
+	rt.verify()
+	return rt.s
+}
+
+// pack lays the displaced rows into Next/Check first-fit, in decreasing
+// entry-count order (ties by state id): each row takes the least base at
+// or past the first free slot whose slots are all free. Arrays grow as
+// bases push past the current end and are finally padded so Base[q]+c
+// is in bounds for every class. Rows with no entries claim no slots and
+// keep base 0.
+//
+// free is a union-find "next free slot" index over the slots: free[i]
+// == i marks slot i unclaimed, a claimed slot links to its successor,
+// and free[len(Check)] is the always-free end. When slot base+c is
+// claimed, every base up to nextFree(base+c)-c collides on class c, so
+// the search jumps there instead of trying each base in turn.
+func (rt *rowTable) pack() {
+	s := rt.s
+	nc := len(s.Reps)
+	rows := make([]int32, 0, len(s.Base))
+	for q, b := range s.Base {
+		if b == 0 && rt.off[q+1] > rt.off[q] {
+			rows = append(rows, int32(q))
 		}
-		return rows[i].q < rows[j].q
+	}
+	size := func(q int32) int32 { return rt.off[q+1] - rt.off[q] }
+	slices.SortFunc(rows, func(a, b int32) int {
+		if sa, sb := size(a), size(b); sa != sb {
+			return int(sb - sa)
+		}
+		return int(a - b)
 	})
 
-	// First-fit packing into Next/Check: each row takes the least base
-	// at or past the first free slot whose slots are all free. Arrays grow
-	// as bases push past the current end and are finally padded so
-	// Base[q]+c is in bounds for every class.
-	//
-	// free is a union-find "next free slot" index over the slots: free[i]
-	// == i marks slot i unclaimed, a claimed slot links to its successor,
-	// and free[len(Check)] is the always-free end. When slot base+c is
-	// claimed, every base up to nextFree(base+c)-c collides on class c,
-	// so the search jumps there instead of trying each base in turn.
-	free := []int32{0}
+	// The displaced entries plus one row's width is the usual final
+	// size: the packing leaves few holes.
+	slots := nc
+	for _, q := range rows {
+		slots += int(size(q))
+	}
+	s.Next = make([]int32, 0, slots)
+	s.Check = make([]int32, 0, slots)
+	free := append(make([]int32, 0, slots+1), 0)
 	nextFree := func(i int) int {
 		for i < len(free) && int(free[i]) != i {
 			free[i] = free[free[i]] // path halving
@@ -181,15 +255,12 @@ func Sparsify(d *DFA) *SparseDFA {
 		}
 	}
 	firstFree := 0
-	for _, r := range rows {
-		if len(r.classes) == 0 {
-			s.Base[r.q] = 0 // all-default row; claims no slots
-			continue
-		}
+	for _, q := range rows {
+		cls, tgt := rt.entries(int(q))
 		base := firstFree
 	search:
 		for {
-			for _, c := range r.classes {
+			for _, c := range cls {
 				i := base + int(c)
 				if f := nextFree(i); f != i {
 					base = f - int(c)
@@ -198,29 +269,96 @@ func Sparsify(d *DFA) *SparseDFA {
 			}
 			break
 		}
-		grow(base + int(r.classes[len(r.classes)-1]))
-		for _, c := range r.classes {
+		grow(base + int(cls[len(cls)-1]))
+		for k, c := range cls {
 			i := base + int(c)
-			s.Check[i] = r.q
-			s.Next[i] = d.Trans[int(r.q)*nc+int(c)]
+			s.Check[i] = q
+			s.Next[i] = tgt[k]
 			free[i] = int32(i + 1)
 		}
-		s.Base[r.q] = int32(base)
+		s.Base[q] = int32(base)
 		firstFree = nextFree(firstFree)
 	}
 	grow(maxBase(s.Base) + nc - 1)
+}
 
-	// Build-time ground truth: the sparse layout must agree with the
-	// class table on every (state, class) before the class table may be
-	// dropped.
+// verify is the build-time ground truth: the packed layout must agree
+// with the rows on every (state, class) pair, or the build panics. It
+// runs in O(states + entries + slots + dense entries), so neither row
+// source needs a class table to be checked against:
+//
+//   - Default[q] is the row's default;
+//   - a row past the dense threshold is the next dense row, equal to the
+//     row entry by entry;
+//   - every entry of a displaced row resolves through Check/Next in the
+//     row's [Base, Base+C) window, which lies within the arrays, and an
+//     entryless row keeps base 0;
+//   - each state claims exactly as many slots as its row has entries
+//     (none for a dense row), so every class the row lists no entry for
+//     misses its slot and steps to the default.
+func (rt *rowTable) verify() {
+	s := rt.s
+	m, nc := len(s.Accept), len(s.Reps)
+	fail := func(format string, args ...any) {
+		panic(fmt.Sprintf("automata: sparse table disagrees with its rows: "+format, args...))
+	}
+	dense := 0
 	for q := 0; q < m; q++ {
-		for c := 0; c < nc; c++ {
-			if got, want := s.StepClass(q, c), int(d.Trans[q*nc+c]); got != want {
-				panic(fmt.Sprintf("automata: sparse table disagrees at (%d, %d): %d != %d", q, c, got, want))
+		if s.Default[q] != rt.def[q] {
+			fail("state %d default %d, row default %d", q, s.Default[q], rt.def[q])
+		}
+		cls, tgt := rt.entries(q)
+		b := int(s.Base[q])
+		if len(cls) > denseRowThreshold(nc) {
+			if b != -(dense+1) || (dense+1)*nc > len(s.Dense) {
+				fail("state %d base %d, want dense row %d", q, b, dense)
+			}
+			row := s.Dense[dense*nc : (dense+1)*nc]
+			k := 0
+			for c, t := range row {
+				want := rt.def[q]
+				if k < len(cls) && int(cls[k]) == c {
+					want = tgt[k]
+					k++
+				}
+				if t != want {
+					fail("(%d, %d): dense %d, row %d", q, c, t, want)
+				}
+			}
+			dense++
+			continue
+		}
+		if b < 0 || b+nc > len(s.Check) || (len(cls) == 0 && b != 0) {
+			fail("state %d base %d for %d entries in %d slots", q, b, len(cls), len(s.Check))
+		}
+		for k, c := range cls {
+			if i := b + int(c); s.Check[i] != int32(q) || s.Next[i] != tgt[k] {
+				fail("(%d, %d): slot %d owner %d next %d, row %d", q, c, i, s.Check[i], s.Next[i], tgt[k])
 			}
 		}
 	}
-	return s
+	if dense*nc != len(s.Dense) {
+		fail("%d dense entries for %d dense rows", len(s.Dense), dense)
+	}
+	claims := make([]int32, m)
+	for i, owner := range s.Check {
+		if owner == -1 {
+			continue
+		}
+		if owner < 0 || int(owner) >= m {
+			fail("slot %d owner %d", i, owner)
+		}
+		claims[owner]++
+	}
+	for q, n := range claims {
+		want := rt.off[q+1] - rt.off[q]
+		if s.Base[q] < 0 {
+			want = 0
+		}
+		if n != want {
+			fail("state %d claims %d slots for %d entries", q, n, want)
+		}
+	}
 }
 
 func maxBase(base []int32) int {

@@ -49,7 +49,8 @@ const (
 // byte-class compression) against the dense 256-ary baseline; the
 // certified resident footprint of the full pipeline (vocab DFA +
 // pretokenizer engine); which engine the pretokenizer got under the
-// shared fused budget; train and compile time; streaming encode
+// shared fused budget; train and compile time, and the bytes compile
+// allocates (which layer paid for set-up); streaming encode
 // throughput, with and without the piece cache; and, on a fixed
 // cold-stream probe, the piece-cache hit rate, the fraction of pieces
 // whose greedy scan the backtracking search had to repair, and the
@@ -63,7 +64,7 @@ func BPE(cfg Config) Table {
 		Title: "BPE: vocab-DFA compile and streaming encode, 1k–32k merges",
 		Header: []string{"merges", "tokens", "dfa_states", "classes",
 			"dense_dfa_bytes", "dfa_bytes", "ratio", "resident_bytes", "mode",
-			"train_s", "compile_s", "mbps", "nocache_mbps", "cache_hit_pct", "warm_hit_pct", "backtrack_pct", "fallback_pct"},
+			"train_s", "compile_s", "compile_alloc_mb", "mbps", "nocache_mbps", "cache_hit_pct", "warm_hit_pct", "backtrack_pct", "fallback_pct"},
 	}
 	corpus := workload.Prompts(bpeTrainSeed, bpeTrainBytes)
 	in := workload.Prompts(cfg.Seed, cfg.size(1<<20))
@@ -79,12 +80,15 @@ func BPE(cfg Config) Table {
 			}
 		})
 		var tok *bpe.Tokenizer
+		var memBefore, memAfter runtime.MemStats
 		compile := timeIt(1, func() {
+			runtime.ReadMemStats(&memBefore)
 			var err error
 			tok, err = bpe.Compile(v, bpe.Options{})
 			if err != nil {
 				panic(fmt.Sprintf("bpe: compile %d merges: %v", merges, err))
 			}
+			runtime.ReadMemStats(&memAfter)
 		})
 		vm := tok.VocabMachine()
 		c, err := cert.NewBPE(v.Hash(), vm, tok.PretokMachine(), tok.PretokAnalysis(), tok.PretokEngine())
@@ -145,6 +149,7 @@ func BPE(cfg Config) Table {
 			tok.EngineMode(),
 			secs(train),
 			secs(compile),
+			fmt.Sprintf("%.2f", float64(memAfter.TotalAlloc-memBefore.TotalAlloc)/(1<<20)),
 			mbps(len(in), elapsed),
 			mbps(len(in), uncached),
 			pct(probed.BPECacheHits, probed.BPECacheHits+probed.BPECacheMisses),
@@ -153,7 +158,7 @@ func BPE(cfg Config) Table {
 			pct(probed.BPEFallbacks, probed.BPEPieces),
 		})
 	}
-	t.Note = fmt.Sprintf("vocabularies trained on a fixed %d B workload.Prompts corpus (seed %d, max token %d B; the 32k row saturates the token-length cap below its merge budget); dense_dfa_bytes is the 256-ary vocab-DFA layout, dfa_bytes is the serving table (row-displacement sparse once adopted), ratio = dfa_bytes/dense; resident_bytes is the certified vocab-DFA + pretokenizer footprint; mbps is the pooled encode, nocache_mbps the same with the piece cache disabled (ablation; both host-dependent, ungated; host %s/%s %s NumCPU=%d); cache_hit_pct, backtrack_pct and fallback_pct come from one cold-stream pass over a fixed %d B workload.Prompts probe (seed %d): piece-cache hits per piece, pieces whose greedy scan the local-validity check rejected and the backtracking search then certified, and pieces that ran the merge-loop safety net, each per pretokenizer piece; warm_hit_pct is the piece-cache hit rate of the second of two passes of one stream over a fixed %d B workload.Prompts probe (seed %d), whose distinct pieces overflow many of the cache's 8-way sets; encode input %d B per row",
+	t.Note = fmt.Sprintf("vocabularies trained on a fixed %d B workload.Prompts corpus (seed %d, max token %d B; the 32k row saturates the token-length cap below its merge budget); dense_dfa_bytes is the 256-ary vocab-DFA layout, dfa_bytes is the serving table (row-displacement sparse once adopted), ratio = dfa_bytes/dense; compile_alloc_mb is the heap bpe.Compile allocates (runtime.MemStats.TotalAlloc delta; deterministic, so gated); resident_bytes is the certified vocab-DFA + pretokenizer footprint; mbps is the pooled encode, nocache_mbps the same with the piece cache disabled (ablation; both host-dependent, ungated; host %s/%s %s NumCPU=%d); cache_hit_pct, backtrack_pct and fallback_pct come from one cold-stream pass over a fixed %d B workload.Prompts probe (seed %d): piece-cache hits per piece, pieces whose greedy scan the local-validity check rejected and the backtracking search then certified, and pieces that ran the merge-loop safety net, each per pretokenizer piece; warm_hit_pct is the piece-cache hit rate of the second of two passes of one stream over a fixed %d B workload.Prompts probe (seed %d), whose distinct pieces overflow many of the cache's 8-way sets; encode input %d B per row",
 		bpeTrainBytes, bpeTrainSeed, bpeMaxTokenLen, runtime.GOOS, runtime.GOARCH, runtime.Version(), runtime.NumCPU(), bpeProbeBytes, bpeProbeSeed, bpeWarmProbeBytes, bpeProbeSeed, len(in))
 	return t
 }

@@ -62,7 +62,7 @@ func (t *Tokenizer) longestAt(text []byte) int32 {
 	m := t.vm
 	last := -1
 	if sp := m.Sparse; sp != nil {
-		// Row-displacement sparse scan (the class table was dropped).
+		// Row-displacement sparse scan (no class table was built).
 		q := sp.Start
 		for _, b := range text {
 			q = sp.Step(q, b)

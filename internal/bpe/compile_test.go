@@ -3,7 +3,9 @@ package bpe
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -12,38 +14,85 @@ import (
 	"streamtok/internal/workload"
 )
 
-// checkVocabDFA compiles v both ways — the literal-set constructor
-// bpe.Compile uses and the regex path (Thompson NFA, subset
-// construction, minimization) it replaced — and requires the two
-// machines, and then their sparse layouts, to be identical.
+// checkVocabDFA compiles v the way bpe.Compile does and requires the
+// machine to equal, field for field, both references: the regex path
+// (Thompson NFA, subset construction, minimization) and the class-table
+// pipeline the direct sparse builder replaced (automata.LiteralSet, its
+// co-accessibility analysis, Sparsify). The class-table ablation
+// (ClassTable, bpe.Options.DisableSparse) must equal the unadopted
+// references.
 func checkVocabDFA(t *testing.T, v *Vocab) {
 	t.Helper()
-	got, err := tokdfa.CompileLiterals(v.tokens, tokdfa.Options{})
-	if err != nil {
-		t.Fatalf("CompileLiterals: %v", err)
-	}
 	want, err := tokdfa.Compile(v.Rules(), tokdfa.Options{Minimize: true})
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	if !reflect.DeepEqual(got.DFA, want.DFA) {
-		t.Fatalf("DFA differs: %d states, %d classes; want %d states, %d classes",
-			got.DFA.NumStates(), got.DFA.NumClasses(), want.DFA.NumStates(), want.DFA.NumClasses())
+	want.Grammar = nil
+	checkLiteralMachine(t, v.tokens, want)
+}
+
+// checkLiteralMachine requires CompileLiterals(lits), with and without
+// ClassTable, to equal oracle (a class-table machine of lits) and the
+// literal-set reference, with the serving representation chosen by
+// selectSparse. It takes over oracle.
+func checkLiteralMachine(t *testing.T, lits [][]byte, oracle *tokdfa.Machine) {
+	t.Helper()
+	for _, classTable := range []bool{true, false} {
+		got, err := tokdfa.CompileLiterals(lits, tokdfa.Options{ClassTable: classTable})
+		if err != nil {
+			t.Fatalf("CompileLiterals: %v", err)
+		}
+		ref := literalSetReference(lits)
+		if !classTable {
+			selectSparse(ref)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("ClassTable=%v: machine differs from the literal-set reference (%d states, sparse %v; want %d states, sparse %v)",
+				classTable, got.DFA.NumStates(), got.Sparse != nil, ref.DFA.NumStates(), ref.Sparse != nil)
+		}
+		if oracle == nil {
+			continue
+		}
+		if !classTable {
+			selectSparse(oracle)
+		}
+		if !reflect.DeepEqual(got, oracle) {
+			t.Fatalf("ClassTable=%v: machine differs from the regex path: %d states, %d classes; want %d states, %d classes",
+				classTable, got.DFA.NumStates(), got.DFA.NumClasses(), oracle.DFA.NumStates(), oracle.DFA.NumClasses())
+		}
 	}
-	if got.NFASize != want.NFASize {
-		t.Fatalf("NFASize %d, want %d", got.NFASize, want.NFASize)
+}
+
+// literalSetReference builds the vocab machine through the class table:
+// automata.LiteralSet, with CoAcc and Dead from its reverse search.
+func literalSetReference(lits [][]byte) *tokdfa.Machine {
+	d := automata.LiteralSet(lits)
+	m := &tokdfa.Machine{DFA: d, NFASize: 1, CoAcc: d.CoAccessible(), Dead: -1}
+	for _, lit := range lits {
+		m.NFASize += 2 * max(len(lit), 1)
 	}
-	if !reflect.DeepEqual(got.CoAcc, want.CoAcc) {
-		t.Fatal("CoAcc differs")
+	for q, live := range m.CoAcc {
+		if !live {
+			m.Dead = q
+			break
+		}
 	}
-	if got.Dead != want.Dead {
-		t.Fatalf("Dead %d, want %d", got.Dead, want.Dead)
+	return m
+}
+
+// selectSparse is CompileLiterals' choice of serving representation,
+// made on a built class table: adopt Sparsify's layout, and drop the
+// class table, when the table is at least tokdfa.SparseMinRatio of the
+// dense layout and the sparse layout is smaller.
+func selectSparse(m *tokdfa.Machine) {
+	d := m.DFA
+	dense := d.NumStates()*256*4 + len(d.Accept)*4
+	if float64(d.TableBytes()) < tokdfa.SparseMinRatio*float64(dense) {
+		return
 	}
-	if g, w := got.SelectSparse(sparseRatioThreshold), want.SelectSparse(sparseRatioThreshold); g != w {
-		t.Fatalf("SelectSparse adopted %v, want %v", g, w)
-	}
-	if !reflect.DeepEqual(got.Sparse, want.Sparse) {
-		t.Fatal("sparse layout differs")
+	if sp := automata.Sparsify(d); sp.TableBytes() < d.TableBytes() {
+		m.Sparse = sp
+		d.Trans = nil
 	}
 }
 
@@ -104,6 +153,83 @@ func TestVocabDFAMatchesCompile(t *testing.T) {
 		}
 		checkVocabDFA(t, trainedVocab())
 	})
+}
+
+// TestVocabDFAMatchesLiteralSetTrained: on the bpe experiment's trained
+// vocabularies the direct sparse build equals LiteralSet + Sparsify, and
+// the class-table ablation equals LiteralSet (the regex-path oracle is
+// too slow at these sizes; TestVocabDFAMatchesCompile covers it).
+func TestVocabDFAMatchesLiteralSetTrained(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a 32k-merge vocabulary")
+	}
+	v32 := vocab32k()
+	for _, size := range []int{256 + 1000, 256 + 8000, v32.Size()} {
+		lits := v32.tokens[:size]
+		checkLiteralMachine(t, lits, nil)
+		if m, _ := tokdfa.CompileLiterals(lits, tokdfa.Options{}); m.Sparse == nil {
+			t.Fatalf("%d tokens: the vocab DFA did not come sparse", size)
+		}
+	}
+}
+
+// compileAlloc returns the bytes f allocates.
+func compileAlloc(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestVocabCompileAllocBound: setting up a vocabulary allocates in
+// proportion to its size, never states×classes. Compiling the 8k
+// vocabulary allocated 20.9 MiB while the class table was built (15.3
+// MiB of it the table); the bound is 8 MiB. A synthetic byte-complete
+// vocabulary of about 1M trie states, whose class table alone would be
+// 1 GiB, must allocate no more than a constant plus 128 B per token
+// byte.
+func TestVocabCompileAllocBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains an 8k-merge vocabulary")
+	}
+	v := vocab8k()
+	n8k := compileAlloc(func() {
+		if _, err := Compile(v, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n8k > 8<<20 {
+		t.Errorf("compiling the 8k vocabulary allocated %.1f MB, want <= 8 MB", float64(n8k)/(1<<20))
+	}
+
+	// 16384 random 64-byte tokens: nearly every byte is a trie state.
+	rng := rand.New(rand.NewSource(5))
+	toks := byteTokens()
+	sum := 256
+	for len(toks) < 256+16384 {
+		tok := make([]byte, 64)
+		rng.Read(tok)
+		toks = append(toks, tok)
+		sum += len(tok)
+	}
+	big := mustVocab(t, toks)
+	var tok *Tokenizer
+	n := compileAlloc(func() {
+		var err error
+		if tok, err = Compile(big, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	vm := tok.VocabMachine()
+	if vm.Sparse == nil || vm.DFA.NumStates() < 1_000_000 {
+		t.Fatalf("synthetic vocabulary: %d states, sparse %v", vm.DFA.NumStates(), vm.Sparse != nil)
+	}
+	if limit := uint64(8<<20 + 128*sum); n > limit {
+		t.Errorf("compiling %d states (%d token bytes) allocated %d B, over %d", vm.DFA.NumStates(), sum, n, limit)
+	}
+	t.Logf("8k: %.1f MB allocated; synthetic: %d states, %d token bytes, %.1f MB allocated (%.0f B per token byte)",
+		float64(n8k)/(1<<20), vm.DFA.NumStates(), sum, float64(n)/(1<<20), float64(n)/float64(sum))
 }
 
 // encodeTokens serializes a token list in FuzzVocabDFA's input format:

@@ -66,13 +66,6 @@ type Options struct {
 // DefaultFusedBudget mirrors the fused engine's default table budget.
 const DefaultFusedBudget = 16 << 20
 
-// sparseRatioThreshold: the vocab DFA adopts the row-displacement
-// sparse layout when its class table compresses to at least this
-// fraction of the dense 256-ary layout. Byte-complete vocabularies sit
-// at 1.000 (C = 256 structurally); real grammars sit at C/256 ≈
-// 0.04–0.25 and keep the class table.
-const sparseRatioThreshold = 0.9
-
 // Tokenizer is a compiled streaming BPE tokenizer for one vocabulary.
 // Immutable and safe for concurrent use; each stream needs its own
 // Stream.
@@ -98,7 +91,11 @@ var (
 // built directly from the token list, the pretokenizer StreamTok
 // engine, and the budget split between them.
 func Compile(v *Vocab, opts Options) (*Tokenizer, error) {
-	vm, err := tokdfa.CompileLiterals(v.tokens, tokdfa.Options{})
+	// Byte-complete vocabularies defeat byte-class compression (C = 256
+	// structurally), so the vocab DFA comes in the row-displacement
+	// sparse layout; the budget then charges the sparse arrays, leaving
+	// headroom for the pretokenizer's fused tables.
+	vm, err := tokdfa.CompileLiterals(v.tokens, tokdfa.Options{ClassTable: opts.DisableSparse})
 	if err != nil {
 		return nil, fmt.Errorf("bpe: compiling vocab DFA: %w", err)
 	}
@@ -109,13 +106,6 @@ func Compile(v *Vocab, opts Options) (*Tokenizer, error) {
 	pres := analysis.Analyze(pm)
 	if !pres.Bounded() {
 		return nil, fmt.Errorf("bpe: pretokenizer grammar unbounded (build bug)")
-	}
-	// Byte-complete vocabularies defeat byte-class compression (C = 256
-	// structurally), so the vocab DFA switches to the row-displacement
-	// sparse layout; the budget then charges the sparse arrays, leaving
-	// headroom for the pretokenizer's fused tables.
-	if !opts.DisableSparse {
-		vm.SelectSparse(sparseRatioThreshold)
 	}
 	budget := opts.MaxFusedTableBytes
 	if budget == 0 {

@@ -101,10 +101,23 @@ func TestValidityMatchesMergeLoop(t *testing.T) {
 	}
 }
 
+// vocab32k is the bpe experiment's 32k-merge vocabulary (workload.Prompts
+// seed 42, 4 MiB, tokens ≤ 7 bytes); it saturates the token-length cap
+// below its merge budget.
+var vocab32k = sync.OnceValue(func() *Vocab {
+	v, err := Train(workload.Prompts(42, 4<<20), 32000, TrainOptions{MaxTokenLen: 7})
+	if err != nil {
+		panic(err)
+	}
+	return v
+})
+
 // vocab8k is the trained 8k-merge vocabulary of the bpe experiment's
-// operating point (workload.Prompts seed 42, 4 MiB, tokens ≤ 7 bytes).
+// operating point. Training is greedy and rank order is merge order, so
+// it is the first 256+8000 tokens of vocab32k, and one training run
+// serves both.
 var vocab8k = sync.OnceValue(func() *Vocab {
-	v, err := Train(workload.Prompts(42, 4<<20), 8000, TrainOptions{MaxTokenLen: 7})
+	v, err := NewVocab(vocab32k().tokens[:256+8000])
 	if err != nil {
 		panic(err)
 	}

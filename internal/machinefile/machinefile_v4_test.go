@@ -8,6 +8,7 @@ import (
 
 	"streamtok/internal/analysis"
 	"streamtok/internal/analysis/cert"
+	"streamtok/internal/automata"
 	"streamtok/internal/bpe"
 	"streamtok/internal/core"
 	"streamtok/internal/machinefile"
@@ -32,10 +33,20 @@ func sparseMachine(tb testing.TB, merges int) *tokdfa.Machine {
 	if m.DFA.NumClasses() != 256 {
 		tb.Fatalf("vocab machine should be byte-complete, got C=%d", m.DFA.NumClasses())
 	}
-	if !m.SelectSparse(0.9) {
-		tb.Fatal("vocab machine did not adopt the sparse layout")
-	}
+	adoptSparse(tb, m)
 	return m
+}
+
+// adoptSparse swaps m's class table for the row-displacement layout, the
+// serving representation tokdfa.CompileLiterals gives a vocabulary.
+func adoptSparse(tb testing.TB, m *tokdfa.Machine) {
+	tb.Helper()
+	sp := automata.Sparsify(m.DFA)
+	if sp.TableBytes() >= m.DFA.TableBytes() {
+		tb.Fatalf("sparse layout %d B is not smaller than the class table %d B", sp.TableBytes(), m.DFA.TableBytes())
+	}
+	m.Sparse = sp
+	m.DFA.Trans = nil
 }
 
 // sparseStepsEqual walks every state over a byte sample through both
@@ -125,9 +136,7 @@ func TestV4SparseCertRoundTrip(t *testing.T) {
 		t.Fatal("finite vocabulary analyzed as unbounded")
 	}
 	c := certFor(t, m, res)
-	if !m.SelectSparse(0.9) {
-		t.Fatal("vocab machine did not adopt the sparse layout")
-	}
+	adoptSparse(t, m)
 	c.SparseTableBytes = m.Sparse.TableBytes()
 
 	var buf bytes.Buffer

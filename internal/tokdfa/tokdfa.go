@@ -97,10 +97,10 @@ type Machine struct {
 	Grammar *Grammar
 	DFA     *automata.DFA
 	// Sparse, when non-nil, is the serving transition representation: a
-	// row-displacement compressed table adopted by SelectSparse when the
-	// byte-class partition is degenerate (BPE vocab DFAs). The class
-	// table DFA.Trans is dropped on adoption — DFA keeps the class map,
-	// accept labels, and state count, but transitions step through
+	// row-displacement compressed table, which CompileLiterals builds
+	// when the byte-class partition is degenerate (BPE vocab DFAs). The
+	// class table DFA.Trans is then never built — DFA keeps the class
+	// map, accept labels, and state count, but transitions step through
 	// Sparse. Scanner callers (the BPE piece scan, witness replay) honor
 	// this; the streaming engines require a class table and refuse
 	// sparse-only machines.
@@ -124,7 +124,19 @@ type Options struct {
 	// 1<<22); bounded repetition is expanded by duplication, so an
 	// adversarial r{100000000} would otherwise exhaust memory.
 	MaxNFAStates int
+	// ClassTable keeps a literal set (CompileLiterals) on the class
+	// table even where the sparse layout would win (ablation and
+	// differential tests of the class-table scan path).
+	ClassTable bool
 }
+
+// SparseMinRatio: CompileLiterals serves a literal set from the
+// row-displacement sparse layout when its class table is at least this
+// fraction of the dense 256-ary layout (and the sparse layout is
+// smaller). Byte-complete vocabularies sit at 1.000 (C = 256
+// structurally); literal sets over a few bytes sit far below it and
+// keep the class table.
+const SparseMinRatio = 0.9
 
 // nfaLimit returns the Thompson state budget MaxNFAStates selects.
 func (o Options) nfaLimit() int {
@@ -156,13 +168,22 @@ func Compile(g *Grammar, opts Options) (*Machine, error) {
 
 // CompileLiterals builds the minimized tokenization DFA of the literal
 // grammar whose rule β matches exactly lits[β] — the machine Compile
-// returns for rules regex.Lit(lits[β]) with Minimize set — in one pass
-// over the literal trie (automata.LiteralSet) instead of through a
-// Thompson NFA, determinization and minimization. This is how BPE
-// vocabularies compile. Only opts.MaxNFAStates applies: a trie is
-// already minimal. The set is refused exactly when Compile would refuse
-// it: NFASize is the Thompson size Compile reports, computed before
-// anything is allocated and checked against the same state budget.
+// returns for rules regex.Lit(lits[β]) with Minimize set — from the
+// literal trie (automata.Trie) instead of through a Thompson NFA,
+// determinization and minimization. This is how BPE vocabularies
+// compile. opts.Minimize does not apply: a trie is already minimal. The
+// set is refused exactly when Compile would refuse it: NFASize is the
+// Thompson size Compile reports, computed before anything is allocated
+// and checked against the same state budget.
+//
+// The machine comes in its serving representation. When the class
+// table is at least SparseMinRatio of the dense layout (its size is
+// computed, not built) and opts.ClassTable is unset, the sparse layout
+// is built straight from the trie's child lists, and it is adopted if
+// it is the smaller; the class table is built only where it wins. Set-up
+// time and memory are then O(Σ|lits|), never states×classes. CoAcc and
+// Dead come from the trie too: every trie state is co-accessible, and
+// the dead state is the only one that is not.
 //
 // The machine carries no Grammar (a vocabulary needs no regex rules;
 // rule id = literal index), so it is for scanners, not for
@@ -181,7 +202,21 @@ func CompileLiterals(lits [][]byte, opts Options) (*Machine, error) {
 			return nil, fmt.Errorf("%w: literal set of %d strings needs over %d states", automata.ErrNFATooLarge, len(lits), limit)
 		}
 	}
-	return newMachine(nil, automata.LiteralSet(lits), size), nil
+	t := automata.NewTrie(lits)
+	m := &Machine{NFASize: size, CoAcc: make([]bool, t.NumStates()), Dead: t.Dead()}
+	for q := range m.CoAcc {
+		m.CoAcc[q] = q != m.Dead
+	}
+	dense := t.NumStates() * (256 + 1) * 4 // 256-ary rows plus accept labels
+	if classBytes := t.ClassTableBytes(); !opts.ClassTable && float64(classBytes) >= SparseMinRatio*float64(dense) {
+		if sp := t.Sparse(); sp.TableBytes() < classBytes {
+			m.Sparse = sp
+			m.DFA = &automata.DFA{ClassOf: sp.ClassOf, Reps: sp.Reps, Accept: sp.Accept, Start: sp.Start}
+			return m, nil
+		}
+	}
+	m.DFA = t.DFA()
+	return m, nil
 }
 
 // newMachine attaches the dead-state analyses to a compiled DFA.
@@ -214,32 +249,6 @@ func MustCompile(g *Grammar, opts Options) *Machine {
 
 // IsDead reports whether q is a reject/failure state.
 func (m *Machine) IsDead(q int) bool { return !m.CoAcc[q] }
-
-// SelectSparse adopts the row-displacement sparse layout as the serving
-// representation when byte-class compression is ineffective: the class
-// table's ratio against the dense 256-ary layout is at least minRatio
-// (degenerate partitions sit at ~1.0) AND the sparse layout is actually
-// smaller. On adoption the class transition table is freed — the whole
-// point is shedding its resident bytes — while the class map, accept
-// labels, and the precomputed CoAcc survive for the scanner. Reports
-// whether the sparse layout was adopted.
-func (m *Machine) SelectSparse(minRatio float64) bool {
-	d := m.DFA
-	if m.Sparse != nil || d.Trans == nil {
-		return m.Sparse != nil
-	}
-	dense := d.NumStates()*256*4 + len(d.Accept)*4
-	if float64(d.TableBytes()) < minRatio*float64(dense) {
-		return false
-	}
-	sp := automata.Sparsify(d)
-	if sp.TableBytes() >= d.TableBytes() {
-		return false
-	}
-	m.Sparse = sp
-	d.Trans = nil
-	return true
-}
 
 // TableBytes returns the resident bytes of the serving transition
 // representation: the sparse layout when one was adopted, the class

@@ -2,6 +2,7 @@ package tokdfa_test
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -105,5 +106,57 @@ func TestNFAStateLimit(t *testing.T) {
 	// The default limit does not get in the way of real grammars.
 	if _, err := tokdfa.Compile(small, tokdfa.Options{}); err != nil {
 		t.Fatalf("default limit rejected a{100}: %v", err)
+	}
+}
+
+// TestCompileLiteralsServingRepresentation: a literal set over a few
+// bytes keeps LiteralSet's class table; a byte-complete one comes as
+// the layout Sparsify packs from that table, with no class table built;
+// ClassTable keeps the table either way. CoAcc and Dead are the class
+// table's co-accessibility analysis.
+func TestCompileLiteralsServingRepresentation(t *testing.T) {
+	words := [][]byte{[]byte("in"), []byte("int"), []byte("into"), []byte("the"), []byte("then")}
+	complete := append([][]byte(nil), words...)
+	for b := 0; b < 256; b++ {
+		complete = append(complete, []byte{byte(b)})
+	}
+	for _, c := range []struct {
+		name       string
+		lits       [][]byte
+		classTable bool
+		sparse     bool
+	}{
+		{"few-bytes", words, false, false},
+		{"byte-complete", complete, false, true},
+		{"byte-complete-class-table", complete, true, false},
+	} {
+		m, err := tokdfa.CompileLiterals(c.lits, tokdfa.Options{ClassTable: c.classTable})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		d := automata.LiteralSet(c.lits)
+		if c.sparse {
+			if m.Sparse == nil || m.DFA.Trans != nil {
+				t.Fatalf("%s: want the sparse layout alone", c.name)
+			}
+			if !reflect.DeepEqual(m.Sparse, automata.Sparsify(d)) {
+				t.Fatalf("%s: sparse layout differs from Sparsify(LiteralSet)", c.name)
+			}
+			d.Trans = nil
+		} else if m.Sparse != nil {
+			t.Fatalf("%s: want the class table", c.name)
+		}
+		if !reflect.DeepEqual(m.DFA, d) {
+			t.Fatalf("%s: DFA differs from LiteralSet", c.name)
+		}
+		coacc := automata.LiteralSet(c.lits).CoAccessible()
+		if !reflect.DeepEqual(m.CoAcc, coacc) || coacc[m.Dead] {
+			t.Fatalf("%s: CoAcc/Dead differ from the class table's", c.name)
+		}
+		for q := 0; q < m.Dead; q++ {
+			if !coacc[q] {
+				t.Fatalf("%s: dead state %d, but %d is not co-accessible", c.name, m.Dead, q)
+			}
+		}
 	}
 }
