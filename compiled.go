@@ -14,7 +14,7 @@ import (
 
 // ErrCertMismatch is wrapped by LoadCompiled when the file half of a
 // machine file's resource certificate — grammar hash, delay K with its
-// dichotomy bound and witness, class count, dense and sparse bytes —
+// dichotomy bound and witness, class count and dense-equivalent bytes —
 // does not verify against the stored machine: the file's claims were
 // tampered with or produced by a broken toolchain, and the load is
 // refused. The engine half is derived on load, so it never causes this.
@@ -55,8 +55,10 @@ func SaveCompiled(g *Grammar, w io.Writer) error {
 // ready-to-use Tokenizer. It fails with an error wrapping ErrUnbounded
 // when the stored grammar's max-TND is infinite, and with a format error
 // on corrupted input — including a certificate whose file half does not
-// verify, which wraps ErrCertMismatch. A version-1 file without a
-// certificate still loads; its tokenizer is certified fresh.
+// verify, which wraps ErrCertMismatch. Version 1, 2 and 3 files load;
+// a version-1 file carries no certificate, so its tokenizer is
+// certified fresh. A version 4 file (the sparse vocab-DFA format,
+// which no release wrote) fails in decoding with a format error.
 func LoadCompiled(r io.Reader) (*Tokenizer, *Grammar, error) {
 	return LoadCompiledWithOptions(r, Options{})
 }

@@ -21,9 +21,8 @@ import (
 //     scanner is piece-local and adds no stream-level delay;
 //   - TableBytes adds the vocab DFA's serving tables to the
 //     pretokenizer engine's (the registry charges both). The vocab DFA
-//     is charged at its serving representation: the row-displacement
-//     sparse layout when one was adopted (SparseTableBytes records it),
-//     the class table otherwise;
+//     serves from the row-displacement sparse layout, which
+//     SparseTableBytes records;
 //   - NumClasses and DenseTableBytes describe the vocab DFA (the
 //     dominant table; the dense baseline sums both machines).
 
@@ -38,10 +37,8 @@ func NewBPE(vocabHash string, vm, pm *tokdfa.Machine, res analysis.Result, t *co
 	}
 	c.GrammarHash = vocabHash
 	c.EngineMode = "bpe+" + t.EngineMode()
-	c.TableBytes += vm.TableBytes()
-	if vm.Sparse != nil {
-		c.SparseTableBytes = vm.Sparse.TableBytes()
-	}
+	c.SparseTableBytes = vm.Sparse.TableBytes()
+	c.TableBytes += c.SparseTableBytes
 	c.NumClasses = vm.DFA.NumClasses()
 	c.DenseTableBytes = DenseDFABytes(vm) + DenseDFABytes(pm)
 	return c, nil

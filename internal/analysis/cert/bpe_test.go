@@ -46,12 +46,8 @@ func TestBPECertificate(t *testing.T) {
 	if want := vm.TableBytes() + eng.TableBytes(); c.TableBytes != want {
 		t.Errorf("table bytes %d, want vocab %d + engine %d", c.TableBytes, vm.TableBytes(), eng.TableBytes())
 	}
-	wantSparse := 0
-	if vm.Sparse != nil {
-		wantSparse = vm.Sparse.TableBytes()
-	}
-	if c.SparseTableBytes != wantSparse {
-		t.Errorf("sparse table bytes %d, want %d", c.SparseTableBytes, wantSparse)
+	if c.SparseTableBytes != vm.Sparse.TableBytes() {
+		t.Errorf("sparse table bytes %d, want %d", c.SparseTableBytes, vm.Sparse.TableBytes())
 	}
 	if want := cert.DenseDFABytes(vm) + cert.DenseDFABytes(pm); c.DenseTableBytes != want {
 		t.Errorf("dense table bytes %d, want %d", c.DenseTableBytes, want)

@@ -83,12 +83,12 @@ type Certificate struct {
 	// registry's memory budget sums. Tables are byte-class compressed,
 	// so this is the real (compressed) footprint, class maps included.
 	TableBytes int
-	// SparseTableBytes, when nonzero, is the resident footprint of the
-	// row-displacement sparse transition table the tokenization DFA
-	// serves from instead of a class table (BPE vocab DFAs whose class
-	// partition is degenerate). It is included in TableBytes; carrying
-	// it separately lets verification recompute the split and lets
-	// status surfaces report which representation is resident.
+	// SparseTableBytes is set on vocab certificates only (NewBPE): the
+	// resident footprint of the row-displacement sparse table the vocab
+	// DFA serves from. It is included in TableBytes; carrying it
+	// separately lets status surfaces report the vocab table's share.
+	// Grammar certificates, the only ones machine files carry, leave it
+	// 0, and VerifyStatic refuses one that does not.
 	SparseTableBytes int
 	// NumClasses is the byte-class count C of the compressed tables:
 	// the 256 byte values partition into C column-equivalence classes

@@ -128,6 +128,7 @@ func TestVerifyStaticRejections(t *testing.T) {
 		"rework":      func(c *cert.Certificate) { c.ParallelReworkX = 3 },
 		"witness-gap": func(c *cert.Certificate) { c.WitnessV = append(c.WitnessV, c.WitnessV[0]) },
 		"witness-u":   func(c *cert.Certificate) { c.WitnessU = nil; c.WitnessV = c.WitnessV[:c.DelayK] },
+		"sparse":      func(c *cert.Certificate) { c.SparseTableBytes = 64 },
 	}
 	for name, f := range tamper {
 		t.Run(name, func(t *testing.T) {

@@ -68,12 +68,8 @@ func (c *Certificate) VerifyStatic(m *tokdfa.Machine, maxTND int) error {
 	} else if c.DenseTableBytes != 0 {
 		return fmt.Errorf("%w: dense table bytes %d with no class count", ErrMismatch, c.DenseTableBytes)
 	}
-	if m.Sparse != nil {
-		if got := m.Sparse.TableBytes(); c.SparseTableBytes != got {
-			return fmt.Errorf("%w: sparse table bytes %d != machine's %d", ErrMismatch, c.SparseTableBytes, got)
-		}
-	} else if c.SparseTableBytes != 0 {
-		return fmt.Errorf("%w: sparse table bytes %d on a class-table machine", ErrMismatch, c.SparseTableBytes)
+	if c.SparseTableBytes != 0 {
+		return fmt.Errorf("%w: sparse table bytes %d on a grammar machine", ErrMismatch, c.SparseTableBytes)
 	}
 	if c.DelayK == 0 {
 		if len(c.WitnessU) != 0 || len(c.WitnessV) != 0 {
@@ -100,19 +96,16 @@ func replayWitness(m *tokdfa.Machine, u, v []byte, k int) error {
 	if !bytes.HasPrefix(v, u) {
 		return fmt.Errorf("%w: witness u is not a prefix of v", ErrMismatch)
 	}
-	// Step through m.StepByte, not the class table directly: a machine
-	// serving from the sparse layout has no class transition table, and
-	// the witness claim is about the language, not the representation.
 	d := m.DFA
 	q := d.Start
 	for _, b := range u {
-		q = m.StepByte(q, b)
+		q = d.Step(q, b)
 	}
 	if !d.IsFinal(q) {
 		return fmt.Errorf("%w: witness u is not a token", ErrMismatch)
 	}
 	for i, b := range v[len(u):] {
-		q = m.StepByte(q, b)
+		q = d.Step(q, b)
 		last := i == k-1
 		if !last && d.IsFinal(q) {
 			return fmt.Errorf("%w: witness has a token strictly between u and v", ErrMismatch)

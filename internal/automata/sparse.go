@@ -97,11 +97,13 @@ func denseRowThreshold(numClasses int) int { return numClasses / 2 }
 // It is one of the packer's two row sources (Trie.Sparse is the other):
 // each row's majority target becomes its default, ties to the lowest
 // state id, and the classes with any other target become its entries.
-// The construction is deterministic, so the same DFA always serializes
-// to the same bytes.
+// The construction is deterministic. Production never calls it: it is
+// the class-table reference the automata, tokdfa and bpe tests compare
+// Trie.Sparse against.
 func Sparsify(d *DFA) *SparseDFA { return classRows(d).build() }
 
-// classRows extracts the class table's rows for the packer.
+// classRows extracts the class table's rows for the packer (Sparsify's
+// row source; test reference only, like Sparsify).
 func classRows(d *DFA) *rowTable {
 	m := d.NumStates()
 	nc := len(d.Reps)
@@ -369,100 +371,4 @@ func maxBase(base []int32) int {
 		}
 	}
 	return mb
-}
-
-// Validate structurally checks a sparse table (decoded from an
-// untrusted machinefile): every base in range, every target a real
-// state, every check entry a real state or free. It does not prove
-// equivalence to any class table — that check runs at build time, when
-// the class table still exists.
-func (s *SparseDFA) Validate() error {
-	m := len(s.Accept)
-	nc := len(s.Reps)
-	if nc == 0 {
-		return fmt.Errorf("automata: sparse table has no byte classes")
-	}
-	if len(s.Base) != m || len(s.Default) != m {
-		return fmt.Errorf("automata: sparse base/default length %d/%d != %d states", len(s.Base), len(s.Default), m)
-	}
-	if len(s.Next) != len(s.Check) {
-		return fmt.Errorf("automata: sparse next/check length mismatch %d != %d", len(s.Next), len(s.Check))
-	}
-	if len(s.Dense)%nc != 0 {
-		return fmt.Errorf("automata: dense spill length %d not a multiple of %d classes", len(s.Dense), nc)
-	}
-	denseRows := len(s.Dense) / nc
-	for q, b := range s.Base {
-		if b < 0 {
-			if r := int(-b - 1); r >= denseRows {
-				return fmt.Errorf("automata: state %d dense row %d of %d", q, r, denseRows)
-			}
-		} else if int(b)+nc-1 >= len(s.Check) {
-			return fmt.Errorf("automata: state %d base %d overruns %d slots", q, b, len(s.Check))
-		}
-	}
-	inRange := func(t int32) bool { return t >= 0 && int(t) < m }
-	for i, t := range s.Next {
-		if s.Check[i] != -1 && !inRange(t) {
-			return fmt.Errorf("automata: sparse next[%d] = %d", i, t)
-		}
-	}
-	for i, c := range s.Check {
-		if c != -1 && !inRange(c) {
-			return fmt.Errorf("automata: sparse check[%d] = %d", i, c)
-		}
-	}
-	for q, t := range s.Default {
-		if !inRange(t) {
-			return fmt.Errorf("automata: state %d default %d", q, t)
-		}
-	}
-	for i, t := range s.Dense {
-		if !inRange(t) {
-			return fmt.Errorf("automata: dense spill[%d] = %d", i, t)
-		}
-	}
-	if s.Start != 0 {
-		return fmt.Errorf("automata: sparse start state %d", s.Start)
-	}
-	return nil
-}
-
-// CoAccessible returns the set of states from which some final state is
-// reachable, via reverse BFS over the sparse transitions — the analysis
-// machinefile decoding rebuilds when a file carries only the sparse
-// layout.
-func (s *SparseDFA) CoAccessible() []bool {
-	m := len(s.Accept)
-	nc := len(s.Reps)
-	rev := make([][]int32, m)
-	for q := 0; q < m; q++ {
-		prev := int32(-1)
-		for c := 0; c < nc; c++ {
-			t := int32(s.StepClass(q, c))
-			if t != prev {
-				rev[t] = append(rev[t], int32(q))
-				prev = t
-			}
-		}
-	}
-	coacc := make([]bool, m)
-	var queue []int32
-	for q := 0; q < m; q++ {
-		if s.IsFinal(q) {
-			coacc[q] = true
-			queue = append(queue, int32(q))
-		}
-	}
-	for len(queue) > 0 {
-		q := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, p := range rev[q] {
-			if !coacc[p] {
-				coacc[p] = true
-				queue = append(queue, p)
-			}
-		}
-	}
-	return coacc
 }

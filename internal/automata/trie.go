@@ -8,10 +8,11 @@ import (
 // Trie is the trie of a literal set [lits[0], ..., lits[n-1]] — rule β
 // matches exactly the string lits[β], the least index winning among
 // duplicates — numbered as the minimized tokenization DFA of that
-// literal grammar numbers its states. Both serving representations are
-// built from its child lists: DFA, the class table LiteralSet returns,
-// and Sparse, the row-displacement layout, which never materializes the
-// states×classes table. The trie is the automaton
+// literal grammar numbers its states. Sparse, the row-displacement
+// layout vocabularies serve from, is built from its child lists and
+// never materializes the states×classes table; DFA, the class table
+// LiteralSet returns, is the reference the tests compare it against.
+// The trie is the automaton
 // Minimize(Determinize(BuildNFA(Lit(lits[0]), ...))) produces, state for
 // state and class for class:
 //
@@ -165,12 +166,6 @@ func (t *Trie) NumClasses() int { return len(t.reps) }
 // Dead returns the dead state's id.
 func (t *Trie) Dead() int { return int(t.dead) }
 
-// ClassTableBytes is DFA().TableBytes(), computed without building the
-// table.
-func (t *Trie) ClassTableBytes() int {
-	return t.NumStates()*(t.NumClasses()+1)*4 + 256 + t.NumClasses()
-}
-
 // children returns the children of the live state q's node.
 func (t *Trie) children(q int) []int32 {
 	i := q
@@ -252,5 +247,7 @@ func (t *Trie) rows() *rowTable {
 }
 
 // LiteralSet builds the tokenization DFA of the literal grammar lits as
-// a class table: NewTrie(lits).DFA().
+// a class table: NewTrie(lits).DFA(). Production never calls it (nor
+// DFA): vocabularies serve from Trie.Sparse, and LiteralSet is the
+// class-table reference the tests compare that layout against.
 func LiteralSet(lits [][]byte) *DFA { return NewTrie(lits).DFA() }

@@ -45,8 +45,8 @@ const (
 // for BPE vocabularies of 1k–32k merges trained on a fixed
 // workload.Prompts corpus, the maximal-munch vocab DFA's size,
 // byte-class count C, and serving-table bytes (the row-displacement
-// sparse layout once adopted — byte-complete vocabularies defeat
-// byte-class compression) against the dense 256-ary baseline; the
+// sparse layout — byte-complete vocabularies defeat byte-class
+// compression) against the dense 256-ary baseline; the
 // certified resident footprint of the full pipeline (vocab DFA +
 // pretokenizer engine); which engine the pretokenizer got under the
 // shared fused budget; train and compile time, and the bytes compile

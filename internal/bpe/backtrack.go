@@ -57,33 +57,20 @@ type searchScratch struct {
 }
 
 // longestAt returns the rank of the longest vocabulary token that is a
-// prefix of text (nonempty): maximal munch on the vocab DFA.
+// prefix of text (nonempty): maximal munch on the vocab DFA's sparse
+// rows. The trie's dead state is its only state that is not
+// co-accessible, so the scan stops there.
 func (t *Tokenizer) longestAt(text []byte) int32 {
-	m := t.vm
+	sp, dead := t.vm.Sparse, t.vm.Dead
 	last := -1
-	if sp := m.Sparse; sp != nil {
-		// Row-displacement sparse scan (no class table was built).
-		q := sp.Start
-		for _, b := range text {
-			q = sp.Step(q, b)
-			if m.IsDead(q) {
-				break
-			}
-			if sp.IsFinal(q) {
-				last = sp.Rule(q)
-			}
+	q := sp.Start
+	for _, b := range text {
+		q = sp.Step(q, b)
+		if q == dead {
+			break
 		}
-	} else {
-		d := m.DFA
-		q := d.Start
-		for _, b := range text {
-			q = d.Step(q, b)
-			if m.IsDead(q) {
-				break
-			}
-			if d.IsFinal(q) {
-				last = d.Rule(q)
-			}
+		if sp.IsFinal(q) {
+			last = sp.Rule(q)
 		}
 	}
 	return int32(last)

@@ -220,19 +220,14 @@ func TestParallelStreamsShareVocab(t *testing.T) {
 }
 
 // TestCompileAblations pins the optimization ablations byte-identical:
-// the sparse vocab-DFA scan and the piece cache are pure speedups, so
-// disabling either (or both) must not change a single emitted token.
+// the piece cache is a pure speedup, so disabling it must not change a
+// single emitted token.
 func TestCompileAblations(t *testing.T) {
-	if testTok.VocabMachine().Sparse == nil {
-		t.Fatal("default compile did not adopt the sparse vocab DFA (byte-complete vocab should)")
-	}
 	variants := []struct {
 		name string
 		opts Options
 	}{
-		{"no-sparse", Options{DisableSparse: true}},
 		{"no-cache", Options{DisablePieceCache: true}},
-		{"no-sparse-no-cache", Options{DisableSparse: true, DisablePieceCache: true}},
 	}
 	inputs := [][]byte{
 		[]byte("Hello, world! It's 42 degrees outside."),
@@ -246,12 +241,6 @@ func TestCompileAblations(t *testing.T) {
 			tok, err := Compile(testTok.Vocab(), vr.opts)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if vr.opts.DisableSparse && tok.VocabMachine().Sparse != nil {
-				t.Fatal("DisableSparse compile still adopted the sparse table")
-			}
-			if !vr.opts.DisableSparse && tok.VocabMachine().Sparse == nil {
-				t.Fatal("variant compile did not adopt the sparse table")
 			}
 			for _, in := range inputs {
 				checkAgainstReference(t, tok, in)

@@ -18,9 +18,7 @@ import (
 // machine to equal, field for field, both references: the regex path
 // (Thompson NFA, subset construction, minimization) and the class-table
 // pipeline the direct sparse builder replaced (automata.LiteralSet, its
-// co-accessibility analysis, Sparsify). The class-table ablation
-// (ClassTable, bpe.Options.DisableSparse) must equal the unadopted
-// references.
+// co-accessibility analysis), each packed by Sparsify.
 func checkVocabDFA(t *testing.T, v *Vocab) {
 	t.Helper()
 	want, err := tokdfa.Compile(v.Rules(), tokdfa.Options{Minimize: true})
@@ -31,35 +29,25 @@ func checkVocabDFA(t *testing.T, v *Vocab) {
 	checkLiteralMachine(t, v.tokens, want)
 }
 
-// checkLiteralMachine requires CompileLiterals(lits), with and without
-// ClassTable, to equal oracle (a class-table machine of lits) and the
-// literal-set reference, with the serving representation chosen by
-// selectSparse. It takes over oracle.
+// checkLiteralMachine requires CompileLiterals(lits) to equal the
+// literal-set reference and oracle (a class-table machine of lits, or
+// nil), each served from its Sparsify layout. It takes over oracle.
 func checkLiteralMachine(t *testing.T, lits [][]byte, oracle *tokdfa.Machine) {
 	t.Helper()
-	for _, classTable := range []bool{true, false} {
-		got, err := tokdfa.CompileLiterals(lits, tokdfa.Options{ClassTable: classTable})
-		if err != nil {
-			t.Fatalf("CompileLiterals: %v", err)
-		}
-		ref := literalSetReference(lits)
-		if !classTable {
-			selectSparse(ref)
-		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("ClassTable=%v: machine differs from the literal-set reference (%d states, sparse %v; want %d states, sparse %v)",
-				classTable, got.DFA.NumStates(), got.Sparse != nil, ref.DFA.NumStates(), ref.Sparse != nil)
-		}
-		if oracle == nil {
-			continue
-		}
-		if !classTable {
-			selectSparse(oracle)
-		}
-		if !reflect.DeepEqual(got, oracle) {
-			t.Fatalf("ClassTable=%v: machine differs from the regex path: %d states, %d classes; want %d states, %d classes",
-				classTable, got.DFA.NumStates(), got.DFA.NumClasses(), oracle.DFA.NumStates(), oracle.DFA.NumClasses())
-		}
+	got, err := tokdfa.CompileLiterals(lits, tokdfa.Options{})
+	if err != nil {
+		t.Fatalf("CompileLiterals: %v", err)
+	}
+	if ref := sparsified(literalSetReference(lits)); !reflect.DeepEqual(got, ref) {
+		t.Fatalf("machine differs from the literal-set reference (%d states; want %d states)",
+			got.DFA.NumStates(), ref.DFA.NumStates())
+	}
+	if oracle == nil {
+		return
+	}
+	if oracle = sparsified(oracle); !reflect.DeepEqual(got, oracle) {
+		t.Fatalf("machine differs from the regex path: %d states, %d classes; want %d states, %d classes",
+			got.DFA.NumStates(), got.DFA.NumClasses(), oracle.DFA.NumStates(), oracle.DFA.NumClasses())
 	}
 }
 
@@ -80,20 +68,12 @@ func literalSetReference(lits [][]byte) *tokdfa.Machine {
 	return m
 }
 
-// selectSparse is CompileLiterals' choice of serving representation,
-// made on a built class table: adopt Sparsify's layout, and drop the
-// class table, when the table is at least tokdfa.SparseMinRatio of the
-// dense layout and the sparse layout is smaller.
-func selectSparse(m *tokdfa.Machine) {
-	d := m.DFA
-	dense := d.NumStates()*256*4 + len(d.Accept)*4
-	if float64(d.TableBytes()) < tokdfa.SparseMinRatio*float64(dense) {
-		return
-	}
-	if sp := automata.Sparsify(d); sp.TableBytes() < d.TableBytes() {
-		m.Sparse = sp
-		d.Trans = nil
-	}
+// sparsified moves a class-table machine to the serving layout
+// CompileLiterals gives a literal set: Sparsify's rows, no class table.
+func sparsified(m *tokdfa.Machine) *tokdfa.Machine {
+	m.Sparse = automata.Sparsify(m.DFA)
+	m.DFA.Trans = nil
+	return m
 }
 
 // byteTokens returns the 256 single-byte tokens in byte order.
@@ -156,20 +136,16 @@ func TestVocabDFAMatchesCompile(t *testing.T) {
 }
 
 // TestVocabDFAMatchesLiteralSetTrained: on the bpe experiment's trained
-// vocabularies the direct sparse build equals LiteralSet + Sparsify, and
-// the class-table ablation equals LiteralSet (the regex-path oracle is
-// too slow at these sizes; TestVocabDFAMatchesCompile covers it).
+// vocabularies the direct sparse build equals LiteralSet + Sparsify (the
+// regex-path oracle is too slow at these sizes;
+// TestVocabDFAMatchesCompile covers it).
 func TestVocabDFAMatchesLiteralSetTrained(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a 32k-merge vocabulary")
 	}
 	v32 := vocab32k()
 	for _, size := range []int{256 + 1000, 256 + 8000, v32.Size()} {
-		lits := v32.tokens[:size]
-		checkLiteralMachine(t, lits, nil)
-		if m, _ := tokdfa.CompileLiterals(lits, tokdfa.Options{}); m.Sparse == nil {
-			t.Fatalf("%d tokens: the vocab DFA did not come sparse", size)
-		}
+		checkLiteralMachine(t, v32.tokens[:size], nil)
 	}
 }
 

@@ -48,15 +48,11 @@ type Options struct {
 	// leaves, and a vocabulary whose table alone exceeds the budget
 	// serves with the pretokenizer on the split loops. A negative budget
 	// keeps the pretokenizer on the split loops (ablation). The vocab table
-	// is charged at its serving representation — the sparse
-	// row-displacement layout once adopted — which is what lets 32k+
-	// merge vocabularies fit the default budget with room for fused
+	// is charged at its serving representation, the sparse
+	// row-displacement layout, which is what lets 32k+ merge
+	// vocabularies fit the default budget with room for fused
 	// pretokenizer tables.
 	MaxFusedTableBytes int
-	// DisableSparse keeps the vocab DFA on the class-compressed table
-	// even when its partition is degenerate (ablation and differential
-	// tests of the sparse scan path).
-	DisableSparse bool
 	// DisablePieceCache turns off the piece-encoding memo cache, paying
 	// the backtracking search per piece occurrence (ablation and
 	// differential tests of the uncached path).
@@ -95,7 +91,7 @@ func Compile(v *Vocab, opts Options) (*Tokenizer, error) {
 	// structurally), so the vocab DFA comes in the row-displacement
 	// sparse layout; the budget then charges the sparse arrays, leaving
 	// headroom for the pretokenizer's fused tables.
-	vm, err := tokdfa.CompileLiterals(v.tokens, tokdfa.Options{ClassTable: opts.DisableSparse})
+	vm, err := tokdfa.CompileLiterals(v.tokens, tokdfa.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("bpe: compiling vocab DFA: %w", err)
 	}
@@ -147,8 +143,8 @@ func (t *Tokenizer) EngineMode() string { return "bpe+" + t.ptok.EngineMode() }
 // emitted at most K bytes plus one piece after its last byte.
 func (t *Tokenizer) K() int { return t.ptok.K() }
 
-// TableBytes is the resident footprint: the vocab DFA's serving table
-// (sparse when adopted) plus the pretokenizer engine's tables.
+// TableBytes is the resident footprint: the vocab DFA's sparse table
+// plus the pretokenizer engine's tables.
 func (t *Tokenizer) TableBytes() int { return t.vm.TableBytes() + t.ptok.TableBytes() }
 
 // AccelStates is the pretokenizer engine's count of accelerated states.

@@ -1,6 +1,10 @@
 package bpe
 
-import "math"
+import (
+	"bytes"
+	"math"
+	"slices"
+)
 
 // Local validity from merge splits: the pair test of the BPE-DFA
 // construction without running the merge loop, in the form the bpe
@@ -93,22 +97,15 @@ func (p *pairTable) merged(a, b int32) int32 {
 // is inverted. Called once by NewVocab, after tokens and ranks.
 func (v *Vocab) deriveValidity() {
 	n := len(v.tokens)
-	v.next = make([]int32, n)
 	v.tokLen = make([]uint16, n)
 	v.split = make([]tokenSplit, n)
 	v.selfEnc = make([]bool, n)
+	v.next, _ = v.prefixChain()
 	multi := 0
 	for r, tok := range v.tokens {
 		v.tokLen[r] = uint16(len(tok))
 		v.split[r] = tokenSplit{int32(r), int32(r)}
 		v.selfEnc[r] = len(tok) == 1 // bytes first: they may rank after their merges
-		v.next[r] = -1
-		for l := len(tok) - 1; l > 0; l-- {
-			if p, ok := v.ranks[string(tok[:l])]; ok {
-				v.next[r] = int32(p)
-				break
-			}
-		}
 		if len(tok) > 1 {
 			multi++
 		}
@@ -145,6 +142,69 @@ func (v *Vocab) deriveValidity() {
 			v.selfEnc[r] = v.mergeLoopSelfEncodes(r)
 		}
 	}
+}
+
+// shortToken bounds the prefixes prefixChain looks up in the rank map:
+// at most shortToken of them, of at most shortToken bytes each, per
+// token.
+const shortToken = 8
+
+// prefixChain returns, for each of v's tokens, the rank of its longest
+// proper prefix that is itself a token, or -1, in O(Σ token bytes) plus
+// a comparison sort of the tokens longer than shortToken.
+//
+// A prefix token of at most shortToken bytes is found by looking the
+// prefixes up in the rank map, longest first: a bounded cost per token,
+// and on trained vocabularies, where nearly every token is short and
+// extends its prefix by one byte, usually one lookup. Hashing every
+// proper prefix of a long token that way would be quadratic in its
+// length, so a longer prefix token is found by walking the long tokens
+// in sorted order with a stack of the current token and its long prefix
+// tokens. A prefix token of t sorts before t, and so does every token
+// between them, which extends it, so it is still on the stack when t
+// comes; popping the entries longer than t's common prefix with its
+// predecessor leaves exactly t's. Each step of the walk compares one
+// adjacent pair up to its common prefix and pushes and pops one token.
+//
+// probes counts the work outside the sort, bytes hashed or compared
+// plus stack operations, for the tests that bound it.
+func (v *Vocab) prefixChain() (next []int32, probes int) {
+	next = make([]int32, len(v.tokens))
+	var long []int32
+	for r, tok := range v.tokens {
+		next[r] = -1
+		for l := min(len(tok)-1, shortToken); l > 0; l-- {
+			probes += l
+			if p, ok := v.ranks[string(tok[:l])]; ok {
+				next[r] = int32(p)
+				break
+			}
+		}
+		if len(tok) > shortToken {
+			long = append(long, int32(r))
+		}
+	}
+	slices.SortFunc(long, func(a, b int32) int { return bytes.Compare(v.tokens[a], v.tokens[b]) })
+	var stack []int32
+	var prev []byte
+	for _, r := range long {
+		tok := v.tokens[r]
+		lcp := 0
+		for lcp < len(tok) && lcp < len(prev) && tok[lcp] == prev[lcp] {
+			lcp++
+		}
+		probes += lcp + 1
+		for len(stack) > 0 && len(v.tokens[stack[len(stack)-1]]) > lcp {
+			stack = stack[:len(stack)-1]
+			probes++
+		}
+		if len(stack) > 0 {
+			next[r] = stack[len(stack)-1]
+		}
+		stack = append(stack, r)
+		prev = tok
+	}
+	return next, probes
 }
 
 // below reports whether token p can be a parent of token r in a

@@ -1,7 +1,9 @@
 package bpe
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -39,11 +41,13 @@ func walkCompatible(v *Vocab, a, b int) bool {
 	return walkSelfEncodes(v, a) && walkSelfEncodes(v, b) && v.splitValid(int32(a), int32(b))
 }
 
-// checkPredicates compares SelfEncodes on every token in toks, and
-// Compatible on every pair of them, with the merge loop, and reports
+// checkPredicates checks v's prefix chain against the probing oracle,
+// compares SelfEncodes on every token in toks, and Compatible on every
+// pair of them, with the merge loop, and reports
 // whether the walk alone would have been wrong on any of them.
 func checkPredicates(t *testing.T, v *Vocab, toks []int) (walkWrong bool) {
 	t.Helper()
+	checkPrefixChain(t, v)
 	for _, r := range toks {
 		want := slowSelfEncodes(v, r)
 		if got := v.SelfEncodes(r); got != want {
@@ -305,4 +309,137 @@ func FuzzLocalValidity(f *testing.F) {
 			t.Fatalf("walk wrong %v, inverted flag %v", walkWrong, v.inverted)
 		}
 	})
+}
+
+// prefixChainByProbes is the prefix-chain derivation the sorted walk
+// replaced, kept as its oracle: probe every proper prefix of every
+// token in the rank map, longest first. Quadratic in token length.
+func prefixChainByProbes(v *Vocab) []int32 {
+	next := make([]int32, len(v.tokens))
+	for r, tok := range v.tokens {
+		next[r] = -1
+		for l := len(tok) - 1; l > 0; l-- {
+			if p, ok := v.ranks[string(tok[:l])]; ok {
+				next[r] = int32(p)
+				break
+			}
+		}
+	}
+	return next
+}
+
+// checkPrefixChain requires v's prefix chain to equal the probing
+// oracle's.
+func checkPrefixChain(t *testing.T, v *Vocab) {
+	t.Helper()
+	if want := prefixChainByProbes(v); !reflect.DeepEqual(v.next, want) {
+		for r := range want {
+			if v.next[r] != want[r] {
+				t.Fatalf("next[%q] = %d, prefix probes %d", v.tokens[r], v.next[r], want[r])
+			}
+		}
+	}
+}
+
+// TestPrefixChainTrained: on the trained 1k, 8k and 32k vocabularies
+// the sorted walk derives the prefix chain the probing oracle does.
+func TestPrefixChainTrained(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a 32k-merge vocabulary")
+	}
+	v32 := vocab32k()
+	for _, size := range []int{256 + 1000, 256 + 8000, v32.Size()} {
+		checkPrefixChain(t, mustVocab(t, v32.tokens[:size]))
+	}
+}
+
+// TestPrefixChainRandom: on 300 random vocabularies over "ab" with
+// tokens of up to 24 bytes, most of them past the rank-map lookups'
+// reach and prefixes of each other, the chain equals the probing
+// oracle's.
+func TestPrefixChainRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 300; i++ {
+		toks := byteTokens()
+		seen := map[string]bool{}
+		for j := rng.Intn(60); j > 0; j-- {
+			tok := make([]byte, 2+rng.Intn(23))
+			for k := range tok {
+				tok[k] = "ab"[rng.Intn(2)]
+			}
+			if !seen[string(tok)] {
+				seen[string(tok)] = true
+				toks = append(toks, tok)
+			}
+		}
+		rng.Shuffle(len(toks), func(a, b int) { toks[a], toks[b] = toks[b], toks[a] })
+		checkPrefixChain(t, mustVocab(t, toks))
+	}
+}
+
+// TestPrefixChainLinear loads a vocabulary of tokens up to the
+// 65,535-byte limit: a random string's prefixes at every power of two,
+// eight tokens that share a 60,000-byte prefix, and eight random
+// tokens. Deriving the chain must cost at most one probe per token byte
+// plus 40 per token (the 36 bytes of a token's eight shortest prefixes
+// hashed, bytes compared, stack operations), where probing every proper
+// prefix in the rank map hashes about 2^31 bytes per long token. The
+// chain must equal a brute-force prefix search.
+func TestPrefixChainLinear(t *testing.T) {
+	const maxLen = maxTokenBytes
+	rng := rand.New(rand.NewSource(29))
+	random := func(first byte, n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		b[0] = first
+		return b
+	}
+	toks := byteTokens()
+	r := random('r', maxLen)
+	for l := 2; l < maxLen; l *= 2 {
+		toks = append(toks, r[:l])
+	}
+	toks = append(toks, r)
+	shared := random('s', 60000)
+	for i := 0; i < 8; i++ {
+		toks = append(toks, append(append([]byte(nil), shared...), random(byte(i), maxLen-len(shared))...))
+		toks = append(toks, random('t', maxLen))
+	}
+	v := mustVocab(t, toks)
+
+	sum := 0
+	for _, tok := range toks {
+		sum += len(tok)
+	}
+	next, probes := v.prefixChain()
+	if limit := sum + 40*len(toks); probes > limit {
+		t.Errorf("%d tokens of %d bytes: %d probes, over %d", len(toks), sum, probes, limit)
+	}
+	if !reflect.DeepEqual(next, v.next) {
+		t.Fatal("prefixChain differs from the loaded vocabulary's chain")
+	}
+	for i, tok := range v.tokens {
+		want := int32(-1)
+		for j, p := range v.tokens {
+			if len(p) < len(tok) && bytes.HasPrefix(tok, p) && (want < 0 || len(p) > len(v.tokens[want])) {
+				want = int32(j)
+			}
+		}
+		if next[i] != want {
+			t.Fatalf("token %d (%d bytes): next %d, brute force %d", i, len(tok), next[i], want)
+		}
+	}
+	t.Logf("%d tokens, %d bytes: %d probes", len(toks), sum, probes)
+}
+
+// BenchmarkNewVocab8k measures loading the trained 8k vocabulary's
+// tokens: the rank map and the local-validity tables.
+func BenchmarkNewVocab8k(b *testing.B) {
+	toks := vocab8k().tokens
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewVocab(toks); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

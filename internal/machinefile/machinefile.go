@@ -2,28 +2,8 @@
 // grammar can be compiled once (analysis included) and shipped as tables
 // — the deployment mode of generated lexers, without code generation.
 //
-// The current format (version 4) is a versioned little-endian binary
-// carrying the transition table in its serving representation. The
-// table section opens with the class map and a representation tag:
-//
-//	magic "STOKDFA4" | ruleCount | rules (name, regex source) |
-//	nfaSize | dfaStates | numClasses | classOf[256] | reprTag |
-//	  tag 0 (class table):  trans[dfaStates*numClasses]
-//	  tag 1 (sparse):       base[dfaStates] | default[dfaStates] |
-//	                        entryLen | next[entryLen] | check[entryLen] |
-//	                        denseRows | dense[denseRows*numClasses]
-//	accept[dfaStates] |
-//	certPresent | [resource certificate] |
-//	maxTND (-1 = unbounded) | crc32 of everything before it
-//
-// Tag 1 is the row-displacement sparse layout BPE vocab DFAs adopt when
-// their class partition is degenerate (C = 256): shipping the sparse
-// arrays instead of a states×256 class table keeps 32k-merge vocabulary
-// files (and their resident decode) small. Sparse machines are
-// scanner-only — the streaming engines require a class table and refuse
-// them at construction.
-//
-// Version 3 files ("STOKDFA3") are the class-table-only layout:
+// The current format (version 3) is a versioned little-endian binary
+// carrying the byte-class compressed transition table:
 //
 //	magic "STOKDFA3" | ruleCount | rules (name, regex source) |
 //	nfaSize | dfaStates | numClasses | classOf[256] |
@@ -31,9 +11,15 @@
 //	certPresent | [resource certificate] |
 //	maxTND (-1 = unbounded) | crc32 of everything before it
 //
-// Encode still emits version 3 for class-table machines — only machines
-// that actually serve sparse need the version 4 section, so existing
-// artifacts stay byte-identical.
+// Only grammar machines are written: Encode refuses a machine without a
+// class table, such as the sparse literal-set machine a BPE vocabulary
+// compiles to (tokdfa.CompileLiterals). Vocabularies ship as rank files
+// and rebuild their sparse tables from the token trie in O(Σ token
+// bytes), so they need no machine file. Version 4 files ("STOKDFA4"),
+// which carried such sparse tables, are refused with ErrFormat: no
+// release wrote one, and the streaming engines cannot serve the
+// scanner-only machine they decode to.
+//
 // The resource certificate (internal/analysis/cert) carries the
 // machine-checkable cost claims: delay K with its dichotomy bound and
 // witness pair, ring/carry/table byte bounds, class count and accel
@@ -81,13 +67,6 @@ var (
 	magicV1 = [8]byte{'S', 'T', 'O', 'K', 'D', 'F', 'A', '1'}
 	magicV2 = [8]byte{'S', 'T', 'O', 'K', 'D', 'F', 'A', '2'}
 	magicV3 = [8]byte{'S', 'T', 'O', 'K', 'D', 'F', 'A', '3'}
-	magicV4 = [8]byte{'S', 'T', 'O', 'K', 'D', 'F', 'A', '4'}
-)
-
-// Representation tags of the version 4 table section.
-const (
-	reprClassTable = 0
-	reprSparse     = 1
 )
 
 // ErrFormat is wrapped by all decoding errors caused by malformed input,
@@ -106,9 +85,9 @@ type Machine struct {
 	// unbounded machines, which have no certificate).
 	Cert *cert.Certificate
 	// Version is the file format version the machine was decoded from
-	// (3 for class-table files, 4 for sparse-representation files). It
-	// is informational: loaders treat every certificate alike, deriving
-	// its engine half from the engine they build whatever the version.
+	// (1, 2 or 3). It is informational: loaders treat every certificate
+	// alike, deriving its engine half from the engine they build
+	// whatever the version.
 	Version int
 }
 
@@ -162,41 +141,11 @@ func (e *encoder) writeCompressedTables(m *tokdfa.Machine) {
 	}
 }
 
-// writeSparseTables writes the version 4 table section: the class map,
-// the sparse representation tag, the row-displacement arrays, and the
-// accept labels.
-func (e *encoder) writeSparseTables(m *tokdfa.Machine) {
-	d, sp := m.DFA, m.Sparse
-	e.ints(int64(d.NumClasses()))
-	if e.err == nil {
-		_, e.err = e.out.Write(d.ClassOf[:])
-	}
-	e.ints(reprSparse)
-	for _, arr := range [][]int32{sp.Base, sp.Default} {
-		if e.err == nil {
-			e.err = binary.Write(e.out, binary.LittleEndian, arr)
-		}
-	}
-	e.ints(int64(len(sp.Next)))
-	for _, arr := range [][]int32{sp.Next, sp.Check} {
-		if e.err == nil {
-			e.err = binary.Write(e.out, binary.LittleEndian, arr)
-		}
-	}
-	e.ints(int64(len(sp.Dense) / d.NumClasses()))
-	if e.err == nil {
-		e.err = binary.Write(e.out, binary.LittleEndian, sp.Dense)
-	}
-	if e.err == nil {
-		e.err = binary.Write(e.out, binary.LittleEndian, d.Accept)
-	}
-}
-
 // writeCert writes the certificate section: the presence flag and, when
 // c is non-nil, the certificate fields — the original eight, then the
 // two compression-era fields (class count, dense-equivalent table
-// bytes); v4 files add the sparse table bytes.
-func (e *encoder) writeCert(c *cert.Certificate, version int) {
+// bytes).
+func (e *encoder) writeCert(c *cert.Certificate) {
 	if c == nil {
 		e.ints(0)
 		return
@@ -207,9 +156,6 @@ func (e *encoder) writeCert(c *cert.Certificate, version int) {
 		int64(c.RingBytes), int64(c.CarryRetainedCap), int64(c.TableBytes),
 		int64(c.AccelStates), int64(c.AccelSlots), int64(c.ParallelReworkX))
 	e.ints(int64(c.NumClasses), int64(c.DenseTableBytes))
-	if version >= 4 {
-		e.ints(int64(c.SparseTableBytes))
-	}
 	e.bytes([]byte(c.EngineMode))
 	e.bytes(c.WitnessU)
 	e.bytes(c.WitnessV)
@@ -236,30 +182,23 @@ func Encode(w io.Writer, m *tokdfa.Machine, maxTND int) error {
 }
 
 // EncodeWithCert writes m with its resource certificate (nil c writes
-// "certificate absent"). Machines serving from the sparse layout are
-// written in the version 4 format (the only one that can carry it);
-// class-table machines stay on version 3, keeping existing artifacts
-// byte-identical. The certificate is covered by the trailing checksum
-// like every other section.
+// "certificate absent") in the version 3 format. The certificate is
+// covered by the trailing checksum like every other section. A machine
+// without a grammar and a class table (a sparse literal-set machine) is
+// refused: the format carries neither its layout nor a rule list for
+// it.
 func EncodeWithCert(w io.Writer, m *tokdfa.Machine, maxTND int, c *cert.Certificate) error {
+	if m.Grammar == nil || m.DFA.Trans == nil {
+		return errors.New("machinefile: only grammar machines with a class table can be encoded")
+	}
 	crc := crc32.NewIEEE()
 	e := &encoder{out: io.MultiWriter(w, crc)}
-
-	if m.Sparse != nil {
-		if _, err := e.out.Write(magicV4[:]); err != nil {
-			return err
-		}
-		e.writeRules(m)
-		e.writeSparseTables(m)
-		e.writeCert(c, 4)
-		return e.writeTail(w, crc, maxTND)
-	}
 	if _, err := e.out.Write(magicV3[:]); err != nil {
 		return err
 	}
 	e.writeRules(m)
 	e.writeCompressedTables(m)
-	e.writeCert(c, 3)
+	e.writeCert(c)
 	return e.writeTail(w, crc, maxTND)
 }
 
@@ -318,8 +257,6 @@ func Decode(r io.Reader) (*Machine, error) {
 		version = 2
 	case magicV3:
 		version = 3
-	case magicV4:
-		version = 4
 	default:
 		return nil, fmt.Errorf("%w: bad magic %q", ErrFormat, gotMagic[:])
 	}
@@ -379,12 +316,10 @@ func Decode(r io.Reader) (*Machine, error) {
 		return nil, fmt.Errorf("%w: %d states", ErrFormat, states)
 	}
 
-	// Table section. Version 3/4 files carry the byte-class compressed
-	// layout natively (version 4 optionally the sparse representation);
-	// dense v1/v2 tables are compressed on load so the rest of the engine
-	// only ever sees the class-native DFA.
+	// Table section. Version 3 files carry the byte-class compressed
+	// layout natively; dense v1/v2 tables are compressed on load so the
+	// rest of the engine only ever sees the class-native DFA.
 	var dfa *automata.DFA
-	var sparse *automata.SparseDFA
 	if version >= 3 {
 		numClasses, err := rd()
 		if err != nil {
@@ -418,81 +353,18 @@ func Decode(r io.Reader) (*Machine, error) {
 				return nil, fmt.Errorf("%w: byte class %d has no representative", ErrFormat, c)
 			}
 		}
-		repr := int64(reprClassTable)
-		if version >= 4 {
-			if repr, err = rd(); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-			}
+		trans, err := readInt32s(in, int(states)*int(numClasses))
+		if err != nil {
+			return nil, fmt.Errorf("%w: transition table: %v", ErrFormat, err)
 		}
-		switch repr {
-		case reprClassTable:
-			trans, err := readInt32s(in, int(states)*int(numClasses))
-			if err != nil {
-				return nil, fmt.Errorf("%w: transition table: %v", ErrFormat, err)
-			}
-			accept, err := readInt32s(in, int(states))
-			if err != nil {
-				return nil, fmt.Errorf("%w: accept table: %v", ErrFormat, err)
-			}
-			if err := validateTables(trans, accept, states, ruleCount); err != nil {
-				return nil, err
-			}
-			dfa = &automata.DFA{Trans: trans, ClassOf: classOf, Reps: reps, Accept: accept, Start: 0}
-		case reprSparse:
-			base, err := readInt32s(in, int(states))
-			if err != nil {
-				return nil, fmt.Errorf("%w: sparse base: %v", ErrFormat, err)
-			}
-			def, err := readInt32s(in, int(states))
-			if err != nil {
-				return nil, fmt.Errorf("%w: sparse default: %v", ErrFormat, err)
-			}
-			entryLen, err := rd()
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-			}
-			if entryLen < 0 || entryLen > states*int64(numClasses) {
-				return nil, fmt.Errorf("%w: sparse entry array %d slots", ErrFormat, entryLen)
-			}
-			next, err := readInt32s(in, int(entryLen))
-			if err != nil {
-				return nil, fmt.Errorf("%w: sparse next: %v", ErrFormat, err)
-			}
-			check, err := readInt32s(in, int(entryLen))
-			if err != nil {
-				return nil, fmt.Errorf("%w: sparse check: %v", ErrFormat, err)
-			}
-			denseRows, err := rd()
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-			}
-			if denseRows < 0 || denseRows > states {
-				return nil, fmt.Errorf("%w: %d dense rows", ErrFormat, denseRows)
-			}
-			dense, err := readInt32s(in, int(denseRows)*int(numClasses))
-			if err != nil {
-				return nil, fmt.Errorf("%w: sparse dense spill: %v", ErrFormat, err)
-			}
-			accept, err := readInt32s(in, int(states))
-			if err != nil {
-				return nil, fmt.Errorf("%w: accept table: %v", ErrFormat, err)
-			}
-			if err := validateTables(nil, accept, states, ruleCount); err != nil {
-				return nil, err
-			}
-			sparse = &automata.SparseDFA{
-				Base: base, Next: next, Check: check, Default: def, Dense: dense,
-				ClassOf: classOf, Reps: reps, Accept: accept, Start: 0,
-			}
-			// The untrusted structural checks: every base/check/default/
-			// next/dense value must stay inside the decoded machine.
-			if err := sparse.Validate(); err != nil {
-				return nil, fmt.Errorf("%w: sparse table: %v", ErrFormat, err)
-			}
-			dfa = &automata.DFA{ClassOf: classOf, Reps: reps, Accept: accept, Start: 0}
-		default:
-			return nil, fmt.Errorf("%w: table representation tag %d", ErrFormat, repr)
+		accept, err := readInt32s(in, int(states))
+		if err != nil {
+			return nil, fmt.Errorf("%w: accept table: %v", ErrFormat, err)
 		}
+		if err := validateTables(trans, accept, states, ruleCount); err != nil {
+			return nil, err
+		}
+		dfa = &automata.DFA{Trans: trans, ClassOf: classOf, Reps: reps, Accept: accept, Start: 0}
 	} else {
 		trans, err := readInt32s(in, int(states)*256)
 		if err != nil {
@@ -540,12 +412,7 @@ func Decode(r io.Reader) (*Machine, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrFormat)
 	}
 
-	var coacc []bool
-	if sparse != nil {
-		coacc = sparse.CoAccessible()
-	} else {
-		coacc = dfa.CoAccessible()
-	}
+	coacc := dfa.CoAccessible()
 	dead := -1
 	for q := 0; q < dfa.NumStates(); q++ {
 		if !coacc[q] {
@@ -557,7 +424,6 @@ func Decode(r io.Reader) (*Machine, error) {
 		Machine: &tokdfa.Machine{
 			Grammar: g,
 			DFA:     dfa,
-			Sparse:  sparse,
 			NFASize: int(nfaSize),
 			CoAcc:   coacc,
 			Dead:    dead,
@@ -583,7 +449,8 @@ func Decode(r io.Reader) (*Machine, error) {
 }
 
 // validateTables rejects transition targets and accept labels outside
-// the decoded machine, whichever layout they arrived in.
+// the decoded machine, whichever layout (dense or class) they arrived
+// in.
 func validateTables(trans, accept []int32, states, ruleCount int64) error {
 	for _, t := range trans {
 		if t < 0 || int64(t) >= states {
@@ -600,18 +467,14 @@ func validateTables(trans, accept []int32, states, ruleCount int64) error {
 
 // decodeCert reads the certificate section (bounds on every
 // variable-length field keep a corrupted header from committing
-// memory). Version 3 files carry two extra integer fields; version 4
-// files add the sparse table bytes.
+// memory). Version 3 files carry two extra integer fields.
 func decodeCert(rd func() (int64, error), readString func(int64) (string, error), version int) (*cert.Certificate, error) {
 	hash, err := readString(128)
 	if err != nil {
 		return nil, fmt.Errorf("%w: certificate hash: %v", ErrFormat, err)
 	}
 	numFields := 8
-	switch {
-	case version >= 4:
-		numFields = 11
-	case version >= 3:
+	if version >= 3 {
 		numFields = 10
 	}
 	fields := make([]int64, numFields)
@@ -652,9 +515,6 @@ func decodeCert(rd func() (int64, error), readString func(int64) (string, error)
 	if version >= 3 {
 		c.NumClasses = int(fields[8])
 		c.DenseTableBytes = int(fields[9])
-	}
-	if version >= 4 {
-		c.SparseTableBytes = int(fields[10])
 	}
 	if u != "" {
 		c.WitnessU = []byte(u)

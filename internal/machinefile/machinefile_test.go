@@ -245,14 +245,13 @@ func FuzzDecode(f *testing.F) {
 		oob[cmOff+5] = 0xff
 		f.Add(oob)
 	}
-	// A version 4 sparse-representation file, so the fuzzer mutates the
-	// sparse table section and its structural validation.
-	sm := sparseMachine(f, 120)
-	var v4 bytes.Buffer
-	if err := machinefile.Encode(&v4, sm, 0); err != nil {
+	// A well-formed version 3 file relabeled version 4: refused by its
+	// magic, however sound the rest is.
+	var relabeled bytes.Buffer
+	if err := machinefile.Encode(&relabeled, grammars.CSV().Machine(), 1); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v4.Bytes())
+	f.Add(append([]byte("STOKDFA4"), relabeled.Bytes()[8:]...))
 	f.Add([]byte("STOKDFA1"))
 	f.Add([]byte("STOKDFA2"))
 	f.Add([]byte("STOKDFA3"))
@@ -273,18 +272,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode of accepted machine: %v", err)
 		}
-		if again.MaxTND != got.MaxTND {
-			t.Fatal("accepted machine does not round-trip")
-		}
-		// Sparse machines have no class table, so compare stepping
-		// through the serving representation instead.
-		equiv := false
-		if got.Machine.DFA.Trans != nil && again.Machine.DFA.Trans != nil {
-			equiv = automata.Equivalent(got.Machine.DFA, again.Machine.DFA)
-		} else {
-			equiv = sparseStepsEqual(got.Machine, again.Machine)
-		}
-		if !equiv {
+		if again.MaxTND != got.MaxTND || !automata.Equivalent(got.Machine.DFA, again.Machine.DFA) {
 			t.Fatal("accepted machine does not round-trip")
 		}
 		if (again.Cert == nil) != (got.Cert == nil) {
@@ -468,8 +456,9 @@ func TestV1CrossVersionLoad(t *testing.T) {
 // under testdata/fuzz/FuzzDecode when MACHINEFILE_REGEN_SEEDS=1 — run
 // it after changing the cert section layout so the committed corpus
 // keeps exercising the current format. A no-op (skip) otherwise. The
-// seed-v1-* and seed-v2-* files are not rewritten: those formats are
-// frozen and their writers are gone.
+// seed-v1-*, seed-v2-* and version 4 (seed-v4-*, seed-magic-v4) files
+// are not rewritten: those formats are frozen and their writers are
+// gone; the version 4 ones stay as inputs Decode must refuse.
 func TestRegenFuzzSeeds(t *testing.T) {
 	if os.Getenv("MACHINEFILE_REGEN_SEEDS") == "" {
 		t.Skip("set MACHINEFILE_REGEN_SEEDS=1 to rewrite the seed corpus")
@@ -516,22 +505,48 @@ func TestRegenFuzzSeeds(t *testing.T) {
 		oob[cmOff+5] = 0xff
 		write("seed-classmap-oob-"+name, oob)
 	}
-	// Version 4 sparse-representation seeds: a clean file, one truncated
-	// inside the sparse arrays, and one with a flipped byte there.
-	sm := sparseMachine(t, 120)
-	var v4 bytes.Buffer
-	if err := machinefile.Encode(&v4, sm, 0); err != nil {
-		t.Fatal(err)
-	}
-	s4 := v4.Bytes()
-	write("seed-v4-sparse", s4)
-	write("seed-v4-trunc", s4[:len(s4)*3/4])
-	flip4 := append([]byte(nil), s4...)
-	flip4[len(flip4)*2/3] ^= 0x08
-	write("seed-v4-flip", flip4)
 	write("seed-magic-v2", []byte("STOKDFA2"))
 	write("seed-magic-v3", []byte("STOKDFA3"))
-	write("seed-magic-v4", []byte("STOKDFA4"))
+}
+
+// TestV4Refused: version 4 files, which carried a vocabulary's sparse
+// vocab-DFA tables, fail in Decode with ErrFormat, clean or damaged;
+// and Encode refuses a machine without a class table rather than write
+// a version 3 file with no transitions: the sparse literal-set machine
+// a vocabulary compiles to, and a grammar machine stripped of its
+// table.
+func TestV4Refused(t *testing.T) {
+	for _, name := range []string{"seed-v4-sparse", "seed-v4-trunc", "seed-v4-flip", "seed-magic-v4"} {
+		data := legacySeed(t, name)
+		if !bytes.HasPrefix(data, []byte("STOKDFA4")) {
+			t.Fatalf("%s: not a version 4 file", name)
+		}
+		if _, err := machinefile.Decode(bytes.NewReader(data)); !errors.Is(err, machinefile.ErrFormat) {
+			t.Errorf("%s: err = %v, want ErrFormat", name, err)
+		}
+	}
+
+	lits := [][]byte{[]byte("in"), []byte("int"), []byte("the")}
+	for b := 0; b < 256; b++ {
+		lits = append(lits, []byte{byte(b)})
+	}
+	vm, err := tokdfa.CompileLiterals(lits, tokdfa.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripped := *grammars.CSV().Machine()
+	dfa := *stripped.DFA
+	dfa.Trans = nil
+	stripped.DFA = &dfa
+	for name, m := range map[string]*tokdfa.Machine{"sparse": vm, "no-class-table": &stripped} {
+		var buf bytes.Buffer
+		if err := machinefile.Encode(&buf, m, 0); err == nil {
+			t.Errorf("%s: Encode accepted a machine without a class table", name)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: Encode wrote %d bytes before refusing", name, buf.Len())
+		}
+	}
 }
 
 // failWriter fails after n bytes, exercising Encode's error paths.

@@ -96,14 +96,13 @@ type Machine struct {
 	// (CompileLiterals).
 	Grammar *Grammar
 	DFA     *automata.DFA
-	// Sparse, when non-nil, is the serving transition representation: a
-	// row-displacement compressed table, which CompileLiterals builds
-	// when the byte-class partition is degenerate (BPE vocab DFAs). The
-	// class table DFA.Trans is then never built — DFA keeps the class
-	// map, accept labels, and state count, but transitions step through
-	// Sparse. Scanner callers (the BPE piece scan, witness replay) honor
+	// Sparse is the serving transition representation of a literal-set
+	// machine (CompileLiterals): the row-displacement layout built from
+	// the token trie. DFA then keeps the class map, accept labels and
+	// state count but no class table (DFA.Trans is nil), and transitions
+	// step through Sparse. Scanner callers (the BPE piece scan) honor
 	// this; the streaming engines require a class table and refuse
-	// sparse-only machines.
+	// sparse-only machines. Nil for grammar machines (Compile).
 	Sparse *automata.SparseDFA
 	// NFASize is the number of states of the Thompson NFA before
 	// determinization (Table 1's "NFA/Grammar Size").
@@ -124,19 +123,7 @@ type Options struct {
 	// 1<<22); bounded repetition is expanded by duplication, so an
 	// adversarial r{100000000} would otherwise exhaust memory.
 	MaxNFAStates int
-	// ClassTable keeps a literal set (CompileLiterals) on the class
-	// table even where the sparse layout would win (ablation and
-	// differential tests of the class-table scan path).
-	ClassTable bool
 }
-
-// SparseMinRatio: CompileLiterals serves a literal set from the
-// row-displacement sparse layout when its class table is at least this
-// fraction of the dense 256-ary layout (and the sparse layout is
-// smaller). Byte-complete vocabularies sit at 1.000 (C = 256
-// structurally); literal sets over a few bytes sit far below it and
-// keep the class table.
-const SparseMinRatio = 0.9
 
 // nfaLimit returns the Thompson state budget MaxNFAStates selects.
 func (o Options) nfaLimit() int {
@@ -176,14 +163,15 @@ func Compile(g *Grammar, opts Options) (*Machine, error) {
 // Thompson size Compile reports, computed before anything is allocated
 // and checked against the same state budget.
 //
-// The machine comes in its serving representation. When the class
-// table is at least SparseMinRatio of the dense layout (its size is
-// computed, not built) and opts.ClassTable is unset, the sparse layout
-// is built straight from the trie's child lists, and it is adopted if
-// it is the smaller; the class table is built only where it wins. Set-up
-// time and memory are then O(Σ|lits|), never states×classes. CoAcc and
-// Dead come from the trie too: every trie state is co-accessible, and
-// the dead state is the only one that is not.
+// The machine comes in its serving representation, the sparse layout
+// built straight from the trie's child lists (automata.Trie.Sparse);
+// the states×classes class table is never built, so set-up time and
+// memory are O(Σ|lits|). A literal set over few bytes would have a
+// smaller class table, but vocabularies, the only literal sets
+// compiled, carry all 256 single bytes (C = 256), where the sparse
+// layout is the smaller by far. CoAcc and Dead come from the trie too:
+// every trie state is co-accessible, and the dead state is the only one
+// that is not.
 //
 // The machine carries no Grammar (a vocabulary needs no regex rules;
 // rule id = literal index), so it is for scanners, not for
@@ -207,15 +195,8 @@ func CompileLiterals(lits [][]byte, opts Options) (*Machine, error) {
 	for q := range m.CoAcc {
 		m.CoAcc[q] = q != m.Dead
 	}
-	dense := t.NumStates() * (256 + 1) * 4 // 256-ary rows plus accept labels
-	if classBytes := t.ClassTableBytes(); !opts.ClassTable && float64(classBytes) >= SparseMinRatio*float64(dense) {
-		if sp := t.Sparse(); sp.TableBytes() < classBytes {
-			m.Sparse = sp
-			m.DFA = &automata.DFA{ClassOf: sp.ClassOf, Reps: sp.Reps, Accept: sp.Accept, Start: sp.Start}
-			return m, nil
-		}
-	}
-	m.DFA = t.DFA()
+	m.Sparse = t.Sparse()
+	m.DFA = &automata.DFA{ClassOf: m.Sparse.ClassOf, Reps: m.Sparse.Reps, Accept: m.Sparse.Accept, Start: m.Sparse.Start}
 	return m, nil
 }
 
@@ -251,8 +232,9 @@ func MustCompile(g *Grammar, opts Options) *Machine {
 func (m *Machine) IsDead(q int) bool { return !m.CoAcc[q] }
 
 // TableBytes returns the resident bytes of the serving transition
-// representation: the sparse layout when one was adopted, the class
-// table otherwise. Budgets and certificates account this figure.
+// representation: the sparse layout of a literal-set machine, the class
+// table of a grammar machine. Budgets and certificates account this
+// figure.
 func (m *Machine) TableBytes() int {
 	if m.Sparse != nil {
 		return m.Sparse.TableBytes()
@@ -261,9 +243,9 @@ func (m *Machine) TableBytes() int {
 }
 
 // StepByte returns δ(q, b) through whichever transition representation
-// the machine serves from. Scanner-style callers that cannot assume a
-// class table (certificate witness replay, tests) go through this; hot
-// loops dispatch once and inline the representation-specific stepping.
+// the machine serves from. Callers that step both kinds of machine
+// (tests, the per-layer step benchmark) go through this; hot loops
+// inline the representation-specific stepping.
 func (m *Machine) StepByte(q int, b byte) int {
 	if m.Sparse != nil {
 		return m.Sparse.Step(q, b)

@@ -109,11 +109,11 @@ func TestNFAStateLimit(t *testing.T) {
 	}
 }
 
-// TestCompileLiteralsServingRepresentation: a literal set over a few
-// bytes keeps LiteralSet's class table; a byte-complete one comes as
-// the layout Sparsify packs from that table, with no class table built;
-// ClassTable keeps the table either way. CoAcc and Dead are the class
-// table's co-accessibility analysis.
+// TestCompileLiteralsServingRepresentation: every literal set, one over
+// a few bytes as well as a byte-complete one, comes as the layout
+// Sparsify packs from LiteralSet's class table, with no class table
+// built. CoAcc and Dead are the class table's co-accessibility
+// analysis.
 func TestCompileLiteralsServingRepresentation(t *testing.T) {
 	words := [][]byte{[]byte("in"), []byte("int"), []byte("into"), []byte("the"), []byte("then")}
 	complete := append([][]byte(nil), words...)
@@ -121,31 +121,24 @@ func TestCompileLiteralsServingRepresentation(t *testing.T) {
 		complete = append(complete, []byte{byte(b)})
 	}
 	for _, c := range []struct {
-		name       string
-		lits       [][]byte
-		classTable bool
-		sparse     bool
+		name string
+		lits [][]byte
 	}{
-		{"few-bytes", words, false, false},
-		{"byte-complete", complete, false, true},
-		{"byte-complete-class-table", complete, true, false},
+		{"few-bytes", words},
+		{"byte-complete", complete},
 	} {
-		m, err := tokdfa.CompileLiterals(c.lits, tokdfa.Options{ClassTable: c.classTable})
+		m, err := tokdfa.CompileLiterals(c.lits, tokdfa.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		d := automata.LiteralSet(c.lits)
-		if c.sparse {
-			if m.Sparse == nil || m.DFA.Trans != nil {
-				t.Fatalf("%s: want the sparse layout alone", c.name)
-			}
-			if !reflect.DeepEqual(m.Sparse, automata.Sparsify(d)) {
-				t.Fatalf("%s: sparse layout differs from Sparsify(LiteralSet)", c.name)
-			}
-			d.Trans = nil
-		} else if m.Sparse != nil {
-			t.Fatalf("%s: want the class table", c.name)
+		if m.Sparse == nil || m.DFA.Trans != nil {
+			t.Fatalf("%s: want the sparse layout alone", c.name)
 		}
+		if !reflect.DeepEqual(m.Sparse, automata.Sparsify(d)) {
+			t.Fatalf("%s: sparse layout differs from Sparsify(LiteralSet)", c.name)
+		}
+		d.Trans = nil
 		if !reflect.DeepEqual(m.DFA, d) {
 			t.Fatalf("%s: DFA differs from LiteralSet", c.name)
 		}
