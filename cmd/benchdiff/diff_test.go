@@ -225,6 +225,7 @@ func TestAgainstCommittedArtifacts(t *testing.T) {
 		{file: "BENCH_bpe.json", keys: "merges", col: "backtrack_pct", tol: 0.05, slack: 0.2, lower: true},
 		{file: "BENCH_bpe.json", keys: "merges", col: "fallback_pct", tol: 0.05, slack: 0.2, lower: true},
 		{file: "BENCH_bpe.json", keys: "merges", col: "compile_alloc_mb", tol: 0.25, lower: true},
+		{file: "BENCH_bpe.json", keys: "merges", col: "pack_words", tol: 0.25, lower: true},
 		{file: "BENCH_multicore.json", keys: "mode,workers", col: "speedup", tol: 0.25},
 	} {
 		path := filepath.Join("..", "..", c.file)

@@ -2,7 +2,7 @@ package automata
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 )
 
 // SparseDFA is a row-displacement compressed transition table — the
@@ -144,6 +144,8 @@ type rowTable struct {
 	off []int32 // row q's entries are cls/tgt[off[q]:off[q+1]]
 	cls []int32
 	tgt []int32
+	// words is the bitmap words pack's first-fit search read.
+	words int
 }
 
 // newRowTable starts the rows of s, which carries the class map, accept
@@ -211,77 +213,234 @@ func (rt *rowTable) build() *SparseDFA {
 // is in bounds for every class. Rows with no entries claim no slots and
 // keep base 0.
 //
-// free is a union-find "next free slot" index over the slots: free[i]
-// == i marks slot i unclaimed, a claimed slot links to its successor,
-// and free[len(Check)] is the always-free end. When slot base+c is
-// claimed, every base up to nextFree(base+c)-c collides on class c, so
-// the search jumps there instead of trying each base in turn.
+// The search works in start slots, a row's base plus its first class,
+// over a bitmap of claimed slots (freeMap), 64 candidate starts per
+// step. A row's shape is its classes less its first one. Whether a start
+// slot fits a shape depends only on the claimed slots, and slots are
+// only ever claimed, so a start that once did not fit never will: each
+// shape keeps the last span of starts its rows' searches ruled out, and
+// a row whose search would begin inside that span begins past it. Every
+// row still lands on the base the one-base-at-a-time search picks.
+//
+// The search is not linear. A row reads up to two words per entry for
+// every 64 starts between where its search begins and where it lands,
+// O(entries × slots / 64) words in the worst case. The spans pay off
+// when many rows share a shape: the trained 8k vocabulary reads 0.10 M
+// words (3.29 M without them). Random tries have few repeated shapes,
+// and their word count grows about as the square of the state count:
+// 0.6 M words at 24.6k states, 103 M at 309k (EXPERIMENTS.md, "Packer
+// without rescans").
 func (rt *rowTable) pack() {
 	s := rt.s
 	nc := len(s.Reps)
-	rows := make([]int32, 0, len(s.Base))
-	for q, b := range s.Base {
-		if b == 0 && rt.off[q+1] > rt.off[q] {
-			rows = append(rows, int32(q))
-		}
-	}
-	size := func(q int32) int32 { return rt.off[q+1] - rt.off[q] }
-	slices.SortFunc(rows, func(a, b int32) int {
-		if sa, sb := size(a), size(b); sa != sb {
-			return int(sb - sa)
-		}
-		return int(a - b)
-	})
+	rows, entries := rt.packOrder()
 
 	// The displaced entries plus one row's width is the usual final
 	// size: the packing leaves few holes.
-	slots := nc
-	for _, q := range rows {
-		slots += int(size(q))
-	}
+	slots := nc + entries
 	s.Next = make([]int32, 0, slots)
 	s.Check = make([]int32, 0, slots)
-	free := append(make([]int32, 0, slots+1), 0)
-	nextFree := func(i int) int {
-		for i < len(free) && int(free[i]) != i {
-			free[i] = free[free[i]] // path halving
-			i = int(free[i])
-		}
-		return i
-	}
-	grow := func(upto int) {
-		for len(s.Check) <= upto {
+	grow := func(n int) {
+		for len(s.Check) < n {
 			s.Next = append(s.Next, 0)
 			s.Check = append(s.Check, -1)
-			free = append(free, int32(len(free)))
 		}
 	}
+	free := freeMap{used: make([]uint64, 0, slots/64+1)}
+	shapes := newShapeIndex(rt)
 	firstFree := 0
 	for _, q := range rows {
 		cls, tgt := rt.entries(int(q))
-		base := firstFree
-	search:
-		for {
-			for _, c := range cls {
-				i := base + int(c)
-				if f := nextFree(i); f != i {
-					base = f - int(c)
-					continue search
-				}
-			}
-			break
+		// base >= firstFree, as the one-base-at-a-time search starts there.
+		from := firstFree + int(cls[0])
+		sp := shapes.ruledOut(q)
+		lo, hi := int(sp[0]), int(sp[1])
+		if lo <= from && from < hi {
+			from = hi
 		}
-		grow(base + int(cls[len(cls)-1]))
+		start := free.fit(cls, from)
+		// The starts [from, start] are now ruled out for the shape.
+		if lo <= from && from <= hi {
+			sp[1] = int32(start + 1)
+		} else {
+			sp[0], sp[1] = int32(from), int32(start+1)
+		}
+		base := start - int(cls[0])
+		grow(base + int(cls[len(cls)-1]) + 1)
 		for k, c := range cls {
 			i := base + int(c)
 			s.Check[i] = q
 			s.Next[i] = tgt[k]
-			free[i] = int32(i + 1)
+			free.claim(i)
 		}
 		s.Base[q] = int32(base)
-		firstFree = nextFree(firstFree)
+		firstFree = free.next(firstFree)
 	}
-	grow(maxBase(s.Base) + nc - 1)
+	grow(maxBase(s.Base) + nc)
+	rt.words = free.reads
+}
+
+// packOrder returns the displaced rows with entries in packing order,
+// by a stable counting sort on entry count, and their entry total.
+func (rt *rowTable) packOrder() (rows []int32, entries int) {
+	s := rt.s
+	start := make([]int32, denseRowThreshold(len(s.Reps))+1)
+	n := 0
+	for q, b := range s.Base {
+		if k := rt.off[q+1] - rt.off[q]; b == 0 && k > 0 {
+			start[k]++
+			n++
+			entries += int(k)
+		}
+	}
+	at := int32(0)
+	for k := len(start) - 1; k > 0; k-- {
+		at, start[k] = at+start[k], at
+	}
+	rows = make([]int32, n)
+	for q, b := range s.Base {
+		if k := rt.off[q+1] - rt.off[q]; b == 0 && k > 0 {
+			rows[start[k]] = int32(q)
+			start[k]++
+		}
+	}
+	return rows, entries
+}
+
+// freeMap records the packer's claimed slots: bit i%64 of used[i/64] is
+// set once slot i is claimed. Slots past the end of used are free.
+type freeMap struct {
+	used  []uint64
+	reads int // words window has read: the search's cost
+}
+
+// window returns the claim bits of slots p..p+63, bit j for slot p+j.
+func (f *freeMap) window(p int) uint64 {
+	w, sh := p>>6, uint(p&63)
+	if w >= len(f.used) {
+		return 0
+	}
+	f.reads++
+	x := f.used[w] >> sh
+	if sh != 0 && w+1 < len(f.used) {
+		f.reads++
+		x |= f.used[w+1] << (64 - sh)
+	}
+	return x
+}
+
+// fit returns the least start slot p >= from such that every slot
+// p+c-cls[0], c in cls, is free.
+func (f *freeMap) fit(cls []int32, from int) int {
+	c0 := cls[0]
+	for p := from; ; p += 64 {
+		fits := ^uint64(0)
+		for _, c := range cls {
+			if fits &^= f.window(p + int(c-c0)); fits == 0 {
+				break
+			}
+		}
+		if fits != 0 {
+			return p + bits.TrailingZeros64(fits)
+		}
+	}
+}
+
+// claim marks slot i claimed.
+func (f *freeMap) claim(i int) {
+	for len(f.used) <= i>>6 {
+		f.used = append(f.used, 0)
+	}
+	f.used[i>>6] |= 1 << uint(i&63)
+}
+
+// next returns the least free slot at or past i.
+func (f *freeMap) next(i int) int {
+	for w := i >> 6; w < len(f.used); w++ {
+		if x := ^f.used[w] >> uint(i&63); x != 0 {
+			return i + bits.TrailingZeros64(x)
+		}
+		i = (w + 1) << 6
+	}
+	return i
+}
+
+// shapeIndex maps a row's shape to the span of start slots ruled out
+// for it: an open-addressed table keyed by the first row of each shape,
+// at most 3/4 full, doubled as shapes arrive. A vocabulary trie has
+// few shapes for its rows (259 for the 2,105 rows of two or more
+// entries of the trained 8k vocabulary).
+type shapeIndex struct {
+	rt  *rowTable
+	rep []int32    // a row of the slot's shape, or -1 for an empty slot
+	out [][2]int32 // starts in [out[i][0], out[i][1]) fit no row of the shape
+	n   int        // shapes in the table
+}
+
+// newShapeIndex returns an empty index over rt's rows.
+func newShapeIndex(rt *rowTable) *shapeIndex {
+	x := &shapeIndex{rt: rt}
+	x.resize(64)
+	return x
+}
+
+// resize rehashes the table into size slots.
+func (x *shapeIndex) resize(size int) {
+	rep, out := x.rep, x.out
+	x.rep, x.out = make([]int32, size), make([][2]int32, size)
+	for i := range x.rep {
+		x.rep[i] = -1
+	}
+	for i, r := range rep {
+		if r >= 0 {
+			j := x.slot(r)
+			x.rep[j], x.out[j] = r, out[i]
+		}
+	}
+}
+
+// ruledOut returns the ruled-out span of row q's shape, adding the
+// shape (with an empty span) on first sight.
+func (x *shapeIndex) ruledOut(q int32) *[2]int32 {
+	i := x.slot(q)
+	if x.rep[i] < 0 {
+		if x.n++; x.n*4 > len(x.rep)*3 {
+			x.resize(2 * len(x.rep))
+			i = x.slot(q)
+		}
+		x.rep[i] = q
+	}
+	return &x.out[i]
+}
+
+// slot returns the slot of row q's shape, or the empty slot it would
+// take.
+func (x *shapeIndex) slot(q int32) int {
+	cls, _ := x.rt.entries(int(q))
+	h := uint32(len(cls))
+	for _, c := range cls[1:] {
+		h = (h ^ uint32(c-cls[0])) * 0x9e3779b1
+	}
+	mask := len(x.rep) - 1
+	for i := int(h^h>>15) & mask; ; i = (i + 1) & mask {
+		if r := x.rep[i]; r < 0 || x.sameShape(cls, r) {
+			return i
+		}
+	}
+}
+
+// sameShape reports whether row r has the shape of the entry classes cls.
+func (x *shapeIndex) sameShape(cls []int32, r int32) bool {
+	other, _ := x.rt.entries(int(r))
+	if len(other) != len(cls) {
+		return false
+	}
+	for k := 1; k < len(cls); k++ {
+		if other[k]-other[0] != cls[k]-cls[0] {
+			return false
+		}
+	}
+	return true
 }
 
 // verify is the build-time ground truth: the packed layout must agree

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"streamtok/internal/regex"
@@ -87,123 +86,6 @@ func TestSparsifyDeterministic(t *testing.T) {
 	}
 }
 
-// sparsifyReference is Sparsify as it stood before the packer learned
-// to skip occupied slots: the one-base-at-a-time first-fit search, kept
-// verbatim as the oracle the packer-identity tests compare against.
-//
-// It builds the row-displacement layout for d and verifies it
-// transition-for-transition against the class table before returning.
-// The construction is deterministic: rows are packed first-fit in
-// decreasing entry-count order (ties by state id), so the same DFA
-// always serializes to the same bytes.
-func sparsifyReference(d *DFA) *SparseDFA {
-	m := d.NumStates()
-	nc := len(d.Reps)
-	s := &SparseDFA{
-		Base:    make([]int32, m),
-		Default: make([]int32, m),
-		ClassOf: d.ClassOf,
-		Reps:    d.Reps,
-		Accept:  d.Accept,
-		Start:   d.Start,
-	}
-
-	// Per row: the majority target becomes the default, the rest become
-	// displaced entries (or the row goes dense past the threshold).
-	type row struct {
-		q       int32
-		classes []int32 // class indices with non-default targets
-	}
-	var rows []row
-	counts := make(map[int32]int, nc)
-	threshold := denseRowThreshold(nc)
-	for q := 0; q < m; q++ {
-		tr := d.Trans[q*nc : (q+1)*nc]
-		clear(counts)
-		var def int32
-		best := -1
-		for _, t := range tr {
-			counts[t]++
-			if c := counts[t]; c > best || (c == best && t < def) {
-				best, def = c, t
-			}
-		}
-		s.Default[q] = def
-		var classes []int32
-		for c, t := range tr {
-			if t != def {
-				classes = append(classes, int32(c))
-			}
-		}
-		if len(classes) > threshold {
-			r := int32(len(s.Dense) / nc)
-			s.Dense = append(s.Dense, tr...)
-			s.Base[q] = -(r + 1)
-			continue
-		}
-		rows = append(rows, row{q: int32(q), classes: classes})
-	}
-
-	sort.Slice(rows, func(i, j int) bool {
-		if len(rows[i].classes) != len(rows[j].classes) {
-			return len(rows[i].classes) > len(rows[j].classes)
-		}
-		return rows[i].q < rows[j].q
-	})
-
-	// First-fit packing into Next/Check. Check doubles as the free map
-	// (-1 = free); arrays grow as bases push past the current end and
-	// are finally padded so Base[q]+c is in bounds for every class.
-	grow := func(upto int) {
-		for len(s.Check) <= upto {
-			s.Next = append(s.Next, 0)
-			s.Check = append(s.Check, -1)
-		}
-	}
-	firstFree := 0
-	for _, r := range rows {
-		if len(r.classes) == 0 {
-			s.Base[r.q] = 0 // all-default row; claims no slots
-			continue
-		}
-		base := firstFree
-	search:
-		for {
-			for _, c := range r.classes {
-				i := base + int(c)
-				if i < len(s.Check) && s.Check[i] != -1 {
-					base++
-					continue search
-				}
-			}
-			break
-		}
-		grow(base + int(r.classes[len(r.classes)-1]))
-		for _, c := range r.classes {
-			i := base + int(c)
-			s.Check[i] = r.q
-			s.Next[i] = d.Trans[int(r.q)*nc+int(c)]
-		}
-		s.Base[r.q] = int32(base)
-		for firstFree < len(s.Check) && s.Check[firstFree] != -1 {
-			firstFree++
-		}
-	}
-	grow(maxBase(s.Base) + nc - 1)
-
-	// Build-time ground truth: the sparse layout must agree with the
-	// class table on every (state, class) before the class table may be
-	// dropped.
-	for q := 0; q < m; q++ {
-		for c := 0; c < nc; c++ {
-			if got, want := s.StepClass(q, c), int(d.Trans[q*nc+c]); got != want {
-				panic(fmt.Sprintf("automata: sparse table disagrees at (%d, %d): %d != %d", q, c, got, want))
-			}
-		}
-	}
-	return s
-}
-
 // randomSparsifyDFA builds a DFA whose rows mix the three shapes the
 // packer handles: all-default rows (no displaced entries), sparse rows
 // (a default plus a few exceptions) and rows past the dense threshold
@@ -246,19 +128,54 @@ func randomSparsifyDFA(rng *rand.Rand) *DFA {
 	return d
 }
 
-// TestSparsifyMatchesReference: the free-slot packer picks the same
+// manyShapeTries are byte-complete literal sets of random tokens over
+// 26-, 64- and 256-byte alphabets: tries whose rows come in hundreds of
+// shapes and a range of sizes, with first classes far from 0, so the
+// packer's per-shape spans are both reused and replaced. They are sized
+// for the one-base-at-a-time reference to pack them in about a second.
+func manyShapeTries() map[string][][]byte {
+	rng := rand.New(rand.NewSource(87))
+	tries := map[string][][]byte{}
+	for _, c := range []struct {
+		first, alphabet, tokens, maxLen int
+	}{{'a', 26, 6000, 8}, {'@', 64, 6000, 6}, {0, 256, 6000, 4}} {
+		lits := byteComplete()
+		for range c.tokens {
+			lit := make([]byte, 1+rng.Intn(c.maxLen))
+			for j := range lit {
+				lit[j] = byte(c.first + rng.Intn(c.alphabet))
+			}
+			lits = append(lits, lit)
+		}
+		tries[fmt.Sprintf("random-%d", c.alphabet)] = lits
+	}
+	return tries
+}
+
+// TestSparsifyMatchesReference: the bitmap-window packer picks the same
 // first-fit bases as the one-base-at-a-time search, so the layouts are
-// identical, on random DFAs and on the trie fixtures.
+// identical, on random DFAs, on the trie fixtures and on many-shape
+// tries, through both row sources.
 func TestSparsifyMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for trial := 0; trial < 300; trial++ {
 		d := randomSparsifyDFA(rng)
-		if got, want := Sparsify(d), sparsifyReference(d); !reflect.DeepEqual(got, want) {
+		if got, want := Sparsify(d), SparsifyReference(d); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (%d states, %d classes): layout differs from the reference", trial, d.NumStates(), d.NumClasses())
 		}
 	}
 	d := sparseFixture(t, []string{"the", "then", "they", "there", "in", "int", "into", "stream", "streaming"})
-	if !reflect.DeepEqual(Sparsify(d), sparsifyReference(d)) {
+	if !reflect.DeepEqual(Sparsify(d), SparsifyReference(d)) {
 		t.Fatal("trie fixture: layout differs from the reference")
+	}
+	for name, lits := range manyShapeTries() {
+		tr := NewTrie(lits)
+		want := SparsifyReference(tr.DFA())
+		if !reflect.DeepEqual(tr.Sparse(), want) {
+			t.Errorf("%s (%d states): Trie.Sparse differs from the reference", name, tr.NumStates())
+		}
+		if !reflect.DeepEqual(Sparsify(tr.DFA()), want) {
+			t.Errorf("%s (%d states): Sparsify differs from the reference", name, tr.NumStates())
+		}
 	}
 }

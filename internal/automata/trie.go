@@ -196,13 +196,23 @@ func (t *Trie) DFA() *DFA {
 }
 
 // Sparse builds the row-displacement layout Sparsify(t.DFA()) returns,
-// straight from the child lists in O(trie edges) time and memory. Each
-// row's default is the one Sparsify picks (the most frequent target,
-// ties to the lowest state id): the dead state when two or more classes
-// miss, the lowest target otherwise. The layout passes the same
-// complete build-time check as Sparsify's, against the rows the child
-// lists define.
-func (t *Trie) Sparse() *SparseDFA { return t.rows().build() }
+// straight from the child lists, in O(trie edges) memory. Each row's
+// default is the one Sparsify picks (the most frequent target, ties to
+// the lowest state id): the dead state when two or more classes miss,
+// the lowest target otherwise. The layout passes the same complete
+// build-time check as Sparsify's, against the rows the child lists
+// define. Extracting and checking the rows takes O(trie edges) time;
+// the packer's first-fit search does not (rowTable.pack): on random
+// tries its work grows about as the square of the state count.
+func (t *Trie) Sparse() *SparseDFA { s, _ := t.SparseCost(); return s }
+
+// SparseCost is Sparse that also returns the number of bitmap words the
+// packer's first-fit search read: a deterministic measure of the
+// packing work, independent of the host.
+func (t *Trie) SparseCost() (*SparseDFA, int) {
+	rt := t.rows()
+	return rt.build(), rt.words
+}
 
 // rows extracts the trie's rows for the packer.
 func (t *Trie) rows() *rowTable {

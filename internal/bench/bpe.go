@@ -5,6 +5,7 @@ import (
 	"runtime"
 
 	"streamtok/internal/analysis/cert"
+	"streamtok/internal/automata"
 	"streamtok/internal/bpe"
 	"streamtok/internal/token"
 	"streamtok/internal/workload"
@@ -49,10 +50,11 @@ const (
 // compression) against the dense 256-ary baseline; the
 // certified resident footprint of the full pipeline (vocab DFA +
 // pretokenizer engine); which engine the pretokenizer got under the
-// shared fused budget; train and compile time, and the bytes compile
-// allocates (which layer paid for set-up); streaming encode
-// throughput, with and without the piece cache; and, on a fixed
-// cold-stream probe, the piece-cache hit rate, the fraction of pieces
+// shared fused budget; train and compile time, the bytes compile
+// allocates (which layer paid for set-up) and the bitmap words the
+// vocab-DFA packer reads (the packing work, host-independent);
+// streaming encode throughput, with and without the piece cache; and,
+// on a fixed cold-stream probe, the piece-cache hit rate, the fraction of pieces
 // whose greedy scan the backtracking search had to repair, and the
 // fraction that ran the merge-loop safety net; and, on a fixed probe
 // that overflows many of the cache's sets, the warm stream's hit rate. The 8k row
@@ -64,7 +66,7 @@ func BPE(cfg Config) Table {
 		Title: "BPE: vocab-DFA compile and streaming encode, 1k–32k merges",
 		Header: []string{"merges", "tokens", "dfa_states", "classes",
 			"dense_dfa_bytes", "dfa_bytes", "ratio", "resident_bytes", "mode",
-			"train_s", "compile_s", "compile_alloc_mb", "mbps", "nocache_mbps", "cache_hit_pct", "warm_hit_pct", "backtrack_pct", "fallback_pct"},
+			"train_s", "compile_s", "compile_alloc_mb", "pack_words", "mbps", "nocache_mbps", "cache_hit_pct", "warm_hit_pct", "backtrack_pct", "fallback_pct"},
 	}
 	corpus := workload.Prompts(bpeTrainSeed, bpeTrainBytes)
 	in := workload.Prompts(cfg.Seed, cfg.size(1<<20))
@@ -91,6 +93,11 @@ func BPE(cfg Config) Table {
 			runtime.ReadMemStats(&memAfter)
 		})
 		vm := tok.VocabMachine()
+		lits := make([][]byte, v.Size())
+		for r := range lits {
+			lits[r] = v.Token(r)
+		}
+		_, packWords := automata.NewTrie(lits).SparseCost()
 		c, err := cert.NewBPE(v.Hash(), vm, tok.PretokMachine(), tok.PretokAnalysis(), tok.PretokEngine())
 		if err != nil {
 			panic(fmt.Sprintf("bpe: certify %d merges: %v", merges, err))
@@ -150,6 +157,7 @@ func BPE(cfg Config) Table {
 			secs(train),
 			secs(compile),
 			fmt.Sprintf("%.2f", float64(memAfter.TotalAlloc-memBefore.TotalAlloc)/(1<<20)),
+			itoa(packWords),
 			mbps(len(in), elapsed),
 			mbps(len(in), uncached),
 			pct(probed.BPECacheHits, probed.BPECacheHits+probed.BPECacheMisses),
@@ -158,7 +166,7 @@ func BPE(cfg Config) Table {
 			pct(probed.BPEFallbacks, probed.BPEPieces),
 		})
 	}
-	t.Note = fmt.Sprintf("vocabularies trained on a fixed %d B workload.Prompts corpus (seed %d, max token %d B; the 32k row saturates the token-length cap below its merge budget); dense_dfa_bytes is the 256-ary vocab-DFA layout, dfa_bytes is the serving table (row-displacement sparse once adopted), ratio = dfa_bytes/dense; compile_alloc_mb is the heap bpe.Compile allocates (runtime.MemStats.TotalAlloc delta; deterministic, so gated); resident_bytes is the certified vocab-DFA + pretokenizer footprint; mbps is the pooled encode, nocache_mbps the same with the piece cache disabled (ablation; both host-dependent, ungated; host %s/%s %s NumCPU=%d); cache_hit_pct, backtrack_pct and fallback_pct come from one cold-stream pass over a fixed %d B workload.Prompts probe (seed %d): piece-cache hits per piece, pieces whose greedy scan the local-validity check rejected and the backtracking search then certified, and pieces that ran the merge-loop safety net, each per pretokenizer piece; warm_hit_pct is the piece-cache hit rate of the second of two passes of one stream over a fixed %d B workload.Prompts probe (seed %d), whose distinct pieces overflow many of the cache's 8-way sets; encode input %d B per row",
+	t.Note = fmt.Sprintf("vocabularies trained on a fixed %d B workload.Prompts corpus (seed %d, max token %d B; the 32k row saturates the token-length cap below its merge budget); dense_dfa_bytes is the 256-ary vocab-DFA layout, dfa_bytes is the serving table (row-displacement sparse once adopted), ratio = dfa_bytes/dense; compile_alloc_mb is the heap bpe.Compile allocates (runtime.MemStats.TotalAlloc delta; deterministic, so gated); pack_words is the 64-bit bitmap words the sparse packer's first-fit search reads laying out the vocab DFA (automata.Trie.SparseCost; deterministic, so gated); resident_bytes is the certified vocab-DFA + pretokenizer footprint; mbps is the pooled encode, nocache_mbps the same with the piece cache disabled (ablation; both host-dependent, ungated; host %s/%s %s NumCPU=%d); cache_hit_pct, backtrack_pct and fallback_pct come from one cold-stream pass over a fixed %d B workload.Prompts probe (seed %d): piece-cache hits per piece, pieces whose greedy scan the local-validity check rejected and the backtracking search then certified, and pieces that ran the merge-loop safety net, each per pretokenizer piece; warm_hit_pct is the piece-cache hit rate of the second of two passes of one stream over a fixed %d B workload.Prompts probe (seed %d), whose distinct pieces overflow many of the cache's 8-way sets; encode input %d B per row",
 		bpeTrainBytes, bpeTrainSeed, bpeMaxTokenLen, runtime.GOOS, runtime.GOARCH, runtime.Version(), runtime.NumCPU(), bpeProbeBytes, bpeProbeSeed, bpeWarmProbeBytes, bpeProbeSeed, len(in))
 	return t
 }

@@ -18,7 +18,9 @@ import (
 // machine to equal, field for field, both references: the regex path
 // (Thompson NFA, subset construction, minimization) and the class-table
 // pipeline the direct sparse builder replaced (automata.LiteralSet, its
-// co-accessibility analysis), each packed by Sparsify.
+// co-accessibility analysis), each packed by Sparsify. Sparsify shares
+// the packer with the direct build, so the layout is also checked
+// against the one-base-at-a-time automata.SparsifyReference.
 func checkVocabDFA(t *testing.T, v *Vocab) {
 	t.Helper()
 	want, err := tokdfa.Compile(v.Rules(), tokdfa.Options{Minimize: true})
@@ -31,14 +33,19 @@ func checkVocabDFA(t *testing.T, v *Vocab) {
 
 // checkLiteralMachine requires CompileLiterals(lits) to equal the
 // literal-set reference and oracle (a class-table machine of lits, or
-// nil), each served from its Sparsify layout. It takes over oracle.
+// nil), each served from its Sparsify layout, and its layout to equal
+// the reference packer's. It takes over oracle.
 func checkLiteralMachine(t *testing.T, lits [][]byte, oracle *tokdfa.Machine) {
 	t.Helper()
 	got, err := tokdfa.CompileLiterals(lits, tokdfa.Options{})
 	if err != nil {
 		t.Fatalf("CompileLiterals: %v", err)
 	}
-	if ref := sparsified(literalSetReference(lits)); !reflect.DeepEqual(got, ref) {
+	ref := literalSetReference(lits)
+	if want := automata.SparsifyReference(ref.DFA); !reflect.DeepEqual(got.Sparse, want) {
+		t.Fatalf("sparse layout differs from the reference packer's (%d states)", got.DFA.NumStates())
+	}
+	if ref := sparsified(ref); !reflect.DeepEqual(got, ref) {
 		t.Fatalf("machine differs from the literal-set reference (%d states; want %d states)",
 			got.DFA.NumStates(), ref.DFA.NumStates())
 	}

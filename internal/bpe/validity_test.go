@@ -443,3 +443,18 @@ func BenchmarkNewVocab8k(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkVocabCompile8k measures compiling the trained 8k vocabulary:
+// the vocab DFA's trie and sparse layout, and the pretokenizer engine.
+// With BenchmarkNewVocab8k it is the set-up a process pays to serve a
+// vocabulary.
+func BenchmarkVocabCompile8k(b *testing.B) {
+	v := vocab8k()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Compile(v, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

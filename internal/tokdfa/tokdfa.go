@@ -165,11 +165,13 @@ func Compile(g *Grammar, opts Options) (*Machine, error) {
 //
 // The machine comes in its serving representation, the sparse layout
 // built straight from the trie's child lists (automata.Trie.Sparse);
-// the states×classes class table is never built, so set-up time and
-// memory are O(Σ|lits|). A literal set over few bytes would have a
-// smaller class table, but vocabularies, the only literal sets
-// compiled, carry all 256 single bytes (C = 256), where the sparse
-// layout is the smaller by far. CoAcc and Dead come from the trie too:
+// the states×classes class table is never built, so memory is
+// O(Σ|lits|), and so is the time to build the trie and its rows.
+// Packing the rows is superlinear (automata.Trie.Sparse): 1.4 ms for
+// the trained 8k vocabulary, about 0.1 s at 160k trie states. A literal
+// set over few bytes would have a smaller class table, but
+// vocabularies, the only literal sets compiled, carry all 256 single
+// bytes (C = 256), where the sparse layout is the smaller by far. CoAcc and Dead come from the trie too:
 // every trie state is co-accessible, and the dead state is the only one
 // that is not.
 //
