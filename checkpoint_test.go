@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"streamtok"
@@ -274,6 +276,57 @@ func TestResumeCrossEngine(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestResumeFusedGeneralCursor resumes cursors committed under
+// testdata/cursors, written by a build that served tsv and yaml from the
+// pair-action engine (mode fused-general). Each was taken after the
+// first 1500 bytes of workload.Generate(name, 7, 4096), fed in 100-byte
+// chunks; the packed engine now serving both must continue it exactly.
+func TestResumeFusedGeneralCursor(t *testing.T) {
+	const cut, chunk = 1500, 100
+	for _, name := range []string{"tsv", "yaml"} {
+		t.Run(name, func(t *testing.T) {
+			blob, err := os.ReadFile(filepath.Join("testdata", "cursors", name+"-fused-general.cur"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur, err := machinefile.DecodeCursor(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tok := compileCatalog(t, name, streamtok.Options{Minimize: true})
+			if cur.EngineMode != "fused-general" || tok.Engine().Mode != "fused-k2" {
+				t.Fatalf("cursor mode %s, engine %s; want fused-general onto fused-k2", cur.EngineMode, tok.Engine().Mode)
+			}
+			input, err := workload.Generate(name, 7, 4096)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantRest := tok.TokenizeBytes(input)
+			var got []streamtok.Token
+			for _, tk := range want {
+				if tk.End <= int(cur.Boundary) {
+					got = append(got, tk)
+				}
+			}
+			r, err := streamtok.Resume(tok, blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedChunks(t, r, input[cut:], input, chunk, &got)
+			rest := r.Close(func(tk streamtok.Token, _ []byte) { got = append(got, tk) })
+			tok.ReleaseStreamer(r)
+			if rest != wantRest || len(got) != len(want) {
+				t.Fatalf("rest %d tokens %d, want %d/%d", rest, len(got), wantRest, len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("token %d = %+v, want %+v", i, got[i], want[i])
+				}
+			}
+		})
 	}
 }
 

@@ -215,6 +215,7 @@ func TestAgainstCommittedArtifacts(t *testing.T) {
 		{file: "BENCH_biggrammar.json", keys: "grammar", col: "ratio", tol: 0.01, lower: true},
 		{file: "BENCH_biggrammar.json", keys: "grammar", col: "dfa_bytes", tol: 0.01, lower: true},
 		{file: "BENCH_biggrammar.json", keys: "grammar", col: "mode", exact: true},
+		{file: "BENCH_biggrammar.json", keys: "grammar", col: "packed_states", exact: true},
 		{file: "BENCH_bpe.json", keys: "merges", col: "ratio", tol: 0.01, lower: true},
 		{file: "BENCH_bpe.json", keys: "merges", col: "dfa_states", exact: true},
 		{file: "BENCH_bpe.json", keys: "merges", col: "dfa_bytes", tol: 0.01, lower: true},

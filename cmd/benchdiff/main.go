@@ -18,7 +18,7 @@
 //
 // Categorical columns gate with -exact: the cells are compared as
 // strings and any change fails. That is how CI pins bpe's engine-mode
-// column — "bpe+fused-general" silently degrading to split is a
+// column — "bpe+fused-k2" silently degrading to split is a
 // regression no numeric tolerance can express. -tol, -slack, and
 // -lower-better are ignored under -exact.
 //

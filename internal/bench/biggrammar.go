@@ -34,7 +34,7 @@ func Biggrammar(cfg Config) Table {
 	t := Table{
 		Title: "Biggrammar: byte-class compressed tables vs the dense baseline, catalog and 1k–10k-rule grammars",
 		Header: []string{"grammar", "rules", "dfa_states", "classes",
-			"dense_dfa_bytes", "dfa_bytes", "ratio", "resident_bytes", "mode", "compile_s", "mbps"},
+			"dense_dfa_bytes", "dfa_bytes", "ratio", "resident_bytes", "mode", "packed_states", "compile_s", "mbps"},
 	}
 	n := cfg.size(1 << 20)
 
@@ -60,7 +60,7 @@ func Biggrammar(cfg Config) Table {
 		name := fmt.Sprintf("big-%dk", rules/1000)
 		t.Rows = append(t.Rows, bigGrammarRow(cfg, name, tokdfa.MustParseGrammar(srcs...), in))
 	}
-	t.Note = fmt.Sprintf("dense_dfa_bytes is the 256-ary layout the pre-v3 format stored; ratio = dfa_bytes/dense_dfa_bytes (~C/256); resident_bytes is the certified full-engine footprint; input %d B per row; compile_s and mbps are host-dependent (host %s/%s %s NumCPU=%d)",
+	t.Note = fmt.Sprintf("dense_dfa_bytes is the 256-ary layout the pre-v3 format stored; ratio = dfa_bytes/dense_dfa_bytes (~C/256); resident_bytes is the certified full-engine footprint; packed_states is the minimized K>=2 product a fused-k<K> engine runs (0 for K<=1 and for products past the 1024-state cap); input %d B per row; compile_s and mbps are host-dependent (host %s/%s %s NumCPU=%d)",
 		n, runtime.GOOS, runtime.GOARCH, runtime.Version(), runtime.NumCPU())
 	return t
 }
@@ -77,7 +77,7 @@ func bigGrammarRow(cfg Config, name string, g *tokdfa.Grammar, in []byte) []stri
 	if !res.Bounded() {
 		return []string{name, itoa(len(g.Rules)), itoa(m.DFA.NumStates()), itoa(m.DFA.NumClasses()),
 			itoa(cert.DenseDFABytes(m)), itoa(m.DFA.TableBytes()), ratio,
-			"-", "unbounded", secs(compile), "-"}
+			"-", "unbounded", "0", secs(compile), "-"}
 	}
 	tok, err := core.NewWithK(m, res.MaxTND, tepath.Limits{})
 	if err != nil {
@@ -106,6 +106,7 @@ func bigGrammarRow(cfg Config, name string, g *tokdfa.Grammar, in []byte) []stri
 		ratio,
 		itoa(c.TableBytes),
 		tok.EngineMode(),
+		itoa(tok.PackedStates()),
 		secs(compile),
 		mbps(len(in), elapsed),
 	}

@@ -2,11 +2,14 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 
 	"streamtok/internal/analysis"
+	"streamtok/internal/bpe"
 	"streamtok/internal/core"
 	"streamtok/internal/grammars"
 	"streamtok/internal/tepath"
+	"streamtok/internal/tokdfa"
 	"streamtok/internal/token"
 	"streamtok/internal/workload"
 )
@@ -17,11 +20,14 @@ import (
 // skipping, reporting MB/s and the speedup of fused over split. The
 // run-heavy rows (long JSON strings, column-aligned log whitespace,
 // long CSV fields) are where the accel states pay off; the realistic
-// workload rows show the action-table fusion alone.
+// workload rows show the action-table fusion alone. The yaml and
+// prompts rows (the BPE pretokenizer on prompt text) cover the packed
+// K=2 single-table engine.
 func Hotloop(cfg Config) Table {
 	t := Table{
-		Title:  "Hotloop: fused engine vs split loops (MB/s)",
-		Note:   "fused = action-table fusion + accel states; noaccel isolates the fusion layer",
+		Title: "Hotloop: fused engine vs split loops (MB/s)",
+		Note: fmt.Sprintf("fused = action-table fusion + accel states; noaccel isolates the fusion layer; MB/s are host-dependent (host %s/%s %s NumCPU=%d)",
+			runtime.GOOS, runtime.GOARCH, runtime.Version(), runtime.NumCPU()),
 		Header: []string{"workload", "grammar", "mode", "accel", "split", "fused-noaccel", "fused", "speedup"},
 	}
 	emit := func(token.Token, []byte) {}
@@ -55,13 +61,20 @@ func Hotloop(cfg Config) Table {
 		{"json-longstr", "json", workload.JSONWithTokenLen(cfg.Seed, n, 512)},
 		{"log-aligned", "log", workload.LogAligned(cfg.Seed, n, 32)},
 		{"csv-longfield", "csv", workload.CSVWithTokenLen(cfg.Seed, n, 256)},
+		{"yaml", "yaml", mustGen("yaml")},
+		{"prompts", "pretok", workload.Prompts(cfg.Seed, n)},
 	}
 	for _, c := range cases {
-		spec, err := grammars.Lookup(c.grammar)
-		if err != nil {
-			panic(err)
+		var m *tokdfa.Machine
+		if c.grammar == "pretok" {
+			m = tokdfa.MustCompile(bpe.PretokGrammar(), tokdfa.Options{Minimize: true})
+		} else {
+			spec, err := grammars.Lookup(c.grammar)
+			if err != nil {
+				panic(err)
+			}
+			m = spec.Machine()
 		}
-		m := spec.Machine()
 		res := analysis.Analyze(m)
 		split, err := core.NewWithKBudget(m, res.MaxTND, tepath.Limits{}, -1)
 		if err != nil {

@@ -91,7 +91,7 @@ func (s *Streamer) CheckpointState() (CheckpointState, error) {
 	return CheckpointState{
 		Boundary: s.startP,
 		Pending:  pending,
-		QA:       s.qa,
+		QA:       s.stateA(),
 		Counters: s.c.Clone(),
 	}, nil
 }
@@ -137,7 +137,7 @@ func (s *Streamer) Restore(cs CheckpointState) error {
 		return errCheckpointf("pending bytes complete a token (boundary is not a true token boundary)")
 	case s.pos+delayed != cs.Boundary+len(cs.Pending):
 		return errCheckpointf("pending bytes not conserved by replay")
-	case cs.CheckQA && s.qa != cs.QA:
+	case cs.CheckQA && s.stateA() != cs.QA:
 		return errCheckpointf("tokenization DFA state mismatch after replay")
 	}
 	if !s.noObs {

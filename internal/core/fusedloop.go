@@ -11,10 +11,17 @@ import (
 // runs skipped in bulk. Streamer fields are hoisted into locals for the
 // duration of a chunk and written back at every exit.
 
-// feedFusedSmall is the k ≤ 1 fast path. Unlike split feedK1, A runs
-// undelayed: the packed word already folds the one-byte-lookahead
-// decision of Fig. 5 into the transition for the current byte, so the
-// loop is one table load and one predictable branch per byte.
+// feedFusedSmall is the single-table fast path: one packed word per
+// (state, class) carries the next state, an accel flag and the action,
+// so the loop is one table load and one predictable branch per byte.
+// For k ≤ 1 the states are A's, run undelayed (the word folds Fig. 5's
+// one-byte lookahead into the transition for the current byte). For
+// k ≥ 2 they are the minimized packed product, which folds B and A's
+// delay into the state: a token decided on byte i ends k−1 bytes before
+// it, and the loop keeps no per-byte ring. The chunk's first k bytes
+// make A consume the previous chunk's delayed bytes, which join the
+// carry as they go; the chunk's last k bytes become the delayed bytes
+// at the exit.
 func (s *Streamer) feedFusedSmall(chunk []byte, emit EmitFunc) {
 	e := s.fe
 	words := e.Words
@@ -22,19 +29,40 @@ func (s *Streamer) feedFusedSmall(chunk []byte, emit EmitFunc) {
 	accelIdx := e.AccelIdx
 	classOf := &e.ClassOf // 256-entry class map: L1-resident, one load per byte
 	nc := e.NumClasses
+	k := e.K
 	q := s.qa
-	base := s.pos // stream offset of chunk[0]; A is not delayed here
+	f := s.filled
+	base := s.pos + f // stream offset of chunk[0]
 	n := len(chunk)
-	// Emitted tokens end before the current byte for k=1 (the byte is
-	// the lookahead that proves maximality) and after it for k=0.
-	endAdj := 0
-	if e.K <= 0 {
-		endAdj = 1
-	}
+	// A token decided on byte i ends at base+i+endAdj: after the byte for
+	// k=0, before it for k=1, k−1 bytes before it for a packed product.
+	endAdj := 1 - k
 	// Accel tallies stay in locals for the chunk and fold into the
 	// counters at the exits (before stop(), which retires the block).
 	attempts, skipped := 0, 0
-	for i := 0; i < n; i++ {
+	i := 0
+	if k >= 2 {
+		for lim := min(n, k); i < lim; i++ {
+			w := words[q*nc+int(classOf[chunk[i]])]
+			q = int(w & fused.StateMask)
+			if j := i - (k - f); j >= 0 {
+				// A consumed a delayed byte of an earlier chunk: keep it
+				// for the pending token's text.
+				s.carry = append(s.carry, s.ring[j])
+			}
+			act := w >> fused.SmallActShift
+			if act == fused.SActContinue {
+				continue // accel words too: no skipping over the ring
+			}
+			if act == fused.SActDead {
+				s.dieFused(q, base+i+endAdj, attempts, skipped)
+				return
+			}
+			s.pos = base + i + endAdj
+			s.emitToken(emit, int(act-fused.SActEmitBase), chunk, base)
+		}
+	}
+	for ; i < n; i++ {
 		w := words[q*nc+int(classOf[chunk[i]])]
 		q = int(w & fused.StateMask)
 		if w <= fused.StateMask {
@@ -56,19 +84,48 @@ func (s *Streamer) feedFusedSmall(chunk []byte, emit EmitFunc) {
 		}
 		act := w >> fused.SmallActShift
 		if act == fused.SActDead {
-			s.qa = q
-			s.pos = base + i + endAdj
-			s.noteAccel(attempts, skipped)
-			s.stop()
+			s.dieFused(q, base+i+endAdj, attempts, skipped)
 			return
 		}
 		s.pos = base + i + endAdj
 		s.emitToken(emit, int(act-fused.SActEmitBase), chunk, base)
 	}
 	s.qa = q
-	s.pos = base + n
+	if k >= 2 {
+		s.keepDelayed(chunk)
+	}
+	s.pos = base + n - s.filled
 	s.noteAccel(attempts, skipped)
 	s.saveCarry(chunk, base)
+}
+
+// dieFused stops a single-table stream whose input died at A position
+// pos. A packed product only reaches a dead action once A steps, so its
+// delay ring is full.
+func (s *Streamer) dieFused(q, pos, attempts, skipped int) {
+	s.qa = q
+	s.pos = pos
+	if s.k >= 2 {
+		s.filled = s.k
+	}
+	s.noteAccel(attempts, skipped)
+	s.stop()
+}
+
+// keepDelayed leaves in the ring, in stream order from index 0, the
+// stream's last min(k, filled+len(b)) bytes once b is fed: the bytes a
+// packed product has folded into its state but A has not consumed.
+func (s *Streamer) keepDelayed(b []byte) {
+	k := s.k
+	if len(b) >= k {
+		copy(s.ring, b[len(b)-k:])
+		s.filled = k
+		return
+	}
+	keep := min(s.filled, k-len(b))
+	copy(s.ring, s.ring[s.filled-keep:s.filled])
+	copy(s.ring[keep:], b)
+	s.filled = keep + len(b)
 }
 
 // feedFusedGeneral is the k ≥ 2 fast path over the eager TeDFA: B and A

@@ -21,17 +21,25 @@ var (
 
 func fuzzSetup() {
 	for _, c := range testutil.Corpus() {
-		m := c.Compile(false)
-		res := analysis.Analyze(m)
-		if !res.Bounded() {
-			continue
+		ms := []*tokdfa.Machine{c.Compile(false)}
+		if c.Name == "pretok" {
+			// Unminimized, the pretokenizer's product passes the packed
+			// cap and serves fused-general; minimized, as bpe.Compile
+			// builds it, it packs (fused-k2). Fuzz both.
+			ms = append(ms, c.Compile(true))
 		}
-		tok, err := core.NewWithK(m, res.MaxTND, tepath.Limits{})
-		if err != nil {
-			continue
+		for _, m := range ms {
+			res := analysis.Analyze(m)
+			if !res.Bounded() {
+				continue
+			}
+			tok, err := core.NewWithK(m, res.MaxTND, tepath.Limits{})
+			if err != nil {
+				continue
+			}
+			fuzzToks = append(fuzzToks, tok)
+			fuzzMachs = append(fuzzMachs, m)
 		}
-		fuzzToks = append(fuzzToks, tok)
-		fuzzMachs = append(fuzzMachs, m)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"streamtok/internal/analysis"
 	"streamtok/internal/core"
+	"streamtok/internal/grammars"
 	"streamtok/internal/tepath"
 	"streamtok/internal/testutil"
 	"streamtok/internal/tokdfa"
@@ -43,18 +44,21 @@ func buildLazy(m *tokdfa.Machine, k int) (*core.Tokenizer, error) {
 func servingCases() []servingCase {
 	k0Rules := []string{`[0-9]`, `[ ]`}
 	k1Rules := []string{`[0-9]+`, `[ ]+`}
-	genRules := []string{`[0-9]+`, `[0-9]+\.[0-9]+`, `[ ]+`}
+	genRules := []string{`[0-9]+`, `[0-9]+\.[0-9]+`, `[ ]+`} // K=2, packs
+	jsonRules := grammars.JSON().Rules                       // K=3, too large to pack
 	k0Chunk := []byte("1 2 3 4 5 6 7 8 ")
 	k1Chunk := []byte("123 456 78 9012 ")
 	genChunk := []byte("3.14 15.92 6.5 35.89 ")
+	jsonChunk := []byte(`{"ab": [1, 2.5e3, true], "c": null} `)
 	return []servingCase{
 		{"fused-k0", k0Rules, func(k int) bool { return k == 0 }, k0Chunk, buildFused},
 		{"split-k0", k0Rules, func(k int) bool { return k == 0 }, k0Chunk, buildSplit},
 		{"fused-k1", k1Rules, func(k int) bool { return k == 1 }, k1Chunk, buildFused},
 		{"split-k1", k1Rules, func(k int) bool { return k == 1 }, k1Chunk, buildSplit},
-		{"fused-general", genRules, func(k int) bool { return k >= 2 }, genChunk, buildFused},
+		{"fused-general", jsonRules, func(k int) bool { return k >= 2 }, jsonChunk, buildFused},
 		{"split-general", genRules, func(k int) bool { return k >= 2 }, genChunk, buildSplit},
 		{"split-general-lazy", genRules, func(k int) bool { return k >= 2 }, genChunk, buildLazy},
+		{"fused-k2", genRules, func(k int) bool { return k == 2 }, genChunk, buildFused},
 	}
 }
 
@@ -68,6 +72,9 @@ func buildCase(t *testing.T, c servingCase) *core.Tokenizer {
 	tok, err := c.build(m, res.MaxTND)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if mode := tok.EngineMode(); mode != c.name {
+		t.Fatalf("%s: engine mode %s", c.name, mode)
 	}
 	return tok
 }
@@ -302,7 +309,7 @@ func TestPoolReuseAndReset(t *testing.T) {
 // TeDFA template, which must never be written.
 func TestPoolConcurrentReconciliation(t *testing.T) {
 	for _, c := range servingCases() {
-		if c.name == "fused-general" || c.name == "split-general-lazy" {
+		if c.name == "fused-general" || c.name == "fused-k2" || c.name == "split-general-lazy" {
 			t.Run(c.name, func(t *testing.T) { poolConcurrentReconciliation(t, c) })
 		}
 	}

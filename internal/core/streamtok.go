@@ -51,7 +51,7 @@ const batchCap = 512
 type Tokenizer struct {
 	m  *tokdfa.Machine
 	k  int
-	te *tepath.Table   // k ≥ 2: complete, or the template lazy streams clone
+	te *tepath.Table   // k ≥ 2 unless packed: complete, or the template lazy streams clone
 	k1 *tepath.K1Table // split k == 1 only; fused-k1 never reads it
 	fe *fused.Engine   // fused fast engine, nil → split loops
 
@@ -73,7 +73,7 @@ type Tokenizer struct {
 type Streamer struct {
 	m   *tokdfa.Machine
 	k   int
-	te  *tepath.Table   // general mode (k >= 2): shared if complete, else this stream's own clone
+	te  *tepath.Table   // general modes (k >= 2, not packed): shared if complete, else this stream's own clone
 	k1  *tepath.K1Table // Fig. 5 mode (split k == 1)
 	fe  *fused.Engine   // fused fast engine, nil → split loops
 	tok *Tokenizer      // owner, for the observability registry
@@ -84,7 +84,7 @@ type Streamer struct {
 	latK       int          // EmitLatency bucket for latency K (every Feed-path emission)
 	tailTokens uint64       // tokens the Close drain emitted (latency < K)
 
-	qa       int    // current state of the tokenization DFA A
+	qa       int    // current state of A, or of a packed product (see stateA)
 	s        int    // current state of the token-extension DFA B
 	ring     []byte // delay ring: bytes B has consumed but A has not
 	ringMask int    // len(ring)-1 when the ring is power-of-two sized (fused general mode), else 0
@@ -228,10 +228,15 @@ func newWithFused(m *tokdfa.Machine, k int, limits tepath.Limits, opts fused.Opt
 		}
 	}
 	t.fe = fused.Build(m, k, t.te, opts)
-	if t.fe == nil && k == 1 {
+	switch {
+	case t.fe == nil && k == 1:
 		// Only the split loop reads the Fig. 5 table; fused-k1 packs the
 		// same decision into its own words.
 		t.k1 = tepath.BuildK1(m)
+	case t.fe.PackedStates() > 0:
+		// A packed product folded B into its states; the Close drain
+		// needs only A.
+		t.te = nil
 	}
 	return t, nil
 }
@@ -243,7 +248,8 @@ func (t *Tokenizer) K() int { return t.k }
 func (t *Tokenizer) Machine() *tokdfa.Machine { return t.m }
 
 // TeDFASize returns the size of the eager token-extension DFA (0 when
-// k ≤ 1 or when the streams grow the TeDFA lazily).
+// k ≤ 1, when the streams grow the TeDFA lazily, or when a packed fused
+// engine folded it into its states).
 func (t *Tokenizer) TeDFASize() int {
 	if t.te == nil || !t.te.Complete() {
 		return 0
@@ -252,8 +258,9 @@ func (t *Tokenizer) TeDFASize() int {
 }
 
 // EngineMode names the execution mode the tokenizer selected:
-// "fused-k0", "fused-k1", or "fused-general" when the fused fast engine
-// is active; "split-k0", "split-k1", "split-general", or
+// "fused-k<K>" for the single-table fused engine (K ≥ 2: the packed
+// product) or "fused-general" for the pair-action one when the fused fast
+// engine is active; "split-k0", "split-k1", "split-general", or
 // "split-general-lazy" for the interpreted loops.
 func (t *Tokenizer) EngineMode() string {
 	if t.fe != nil {
@@ -286,15 +293,16 @@ func (t *Tokenizer) AccelStates() int {
 // RingBytes returns the exact size in bytes of the delay ring each of
 // this tokenizer's streams allocates: 0 when no ring is needed (k ≤ 1
 // fused, or k == 0), 1 for the split k == 1 delay slot, k for the split
-// general loops, and the next power of two ≥ k for the fused general
-// loop (which indexes the ring with a mask). This is the per-stream
-// figure resource certificates bind; the observed RingMax high-water
-// mark never exceeds it.
+// general loops and the packed single-table engine (which copies each
+// chunk's last k bytes into it), and the next power of two ≥ k for the
+// pair-action fused loop (which indexes the ring with a mask). This is
+// the per-stream figure resource certificates bind; the observed RingMax
+// high-water mark never exceeds it.
 func (t *Tokenizer) RingBytes() int {
 	switch {
 	case t.fe != nil && t.fe.Mode == fused.ModeGeneral:
 		return nextPow2(t.k)
-	case t.te != nil:
+	case t.k >= 2:
 		return t.k
 	case t.fe == nil && t.k == 1:
 		return 1 // the split Fig. 5 one-byte delay slot
@@ -302,6 +310,11 @@ func (t *Tokenizer) RingBytes() int {
 		return 0
 	}
 }
+
+// PackedStates returns the state count of the packed product the fused
+// engine runs for K ≥ 2 (0 for any other engine, or when the product was
+// too large and the pair-action tables serve).
+func (t *Tokenizer) PackedStates() int { return t.fe.PackedStates() }
 
 // AccelSlots returns how many fused states (ModeSmall) or (q_A, s_B)
 // pairs (ModeGeneral) the engine has at all — the denominator of the
@@ -318,8 +331,9 @@ func (t *Tokenizer) AccelSlots() int {
 const MaxRetainedCarryCap = maxRetainedCarryCap
 
 // TableBytes returns the memory footprint of the precomputed automata and
-// tables: the tokenization DFA, the eager token-extension DFA (k ≥ 2),
-// the Fig. 5 table (split k == 1 only), and the fused engine's tables.
+// tables: the tokenization DFA, the eager token-extension DFA (k ≥ 2,
+// unless a packed fused engine folded it in), the Fig. 5 table (split
+// k == 1 only), and the fused engine's tables.
 // Together with the input buffer and the K-byte delay ring this is
 // StreamTok's entire stream-independent state (the RQ6 accounting). A
 // lazily grown TeDFA is per-stream state and is not counted.
@@ -359,9 +373,9 @@ func (t *Tokenizer) NewStreamer() *Streamer {
 		c := nextPow2(t.k)
 		s.ring = make([]byte, c)
 		s.ringMask = c - 1
-	case t.te != nil:
+	case t.k >= 2:
 		s.ring = make([]byte, t.k)
-		if !t.te.Complete() {
+		if t.te != nil && !t.te.Complete() {
 			s.te = t.te.Clone()
 		}
 	}
@@ -377,6 +391,9 @@ func (t *Tokenizer) NewStreamer() *Streamer {
 func (s *Streamer) start() {
 	t := s.tok
 	s.qa = t.m.DFA.Start
+	if s.fe != nil {
+		s.qa = s.fe.Start
+	}
 	s.s = 0
 	if s.te != nil {
 		s.s = s.te.Start
@@ -859,6 +876,7 @@ func (s *Streamer) Close(emit EmitFunc) int {
 		// lookahead, so maximality is checked directly against the
 		// remaining tail (< K bytes). The fused general ring is
 		// power-of-two sized, hence the mask-aware advance.
+		s.qa = s.stateA()
 		for s.filled > 0 {
 			a := s.ring[s.head]
 			if s.ringMask != 0 {
@@ -874,7 +892,7 @@ func (s *Streamer) Close(emit EmitFunc) int {
 			s.qa = d.Step(s.qa, a)
 			s.pos++
 			if d.IsFinal(s.qa) {
-				if !s.te.ExtendsWithinTail(s.qa, s.ringContents()) {
+				if !s.extendsWithinTail(s.qa, s.ringContents()) {
 					s.emitTail(emit, d.Rule(s.qa), streamEnd)
 				}
 			} else if s.m.IsDead(s.qa) {
@@ -887,6 +905,39 @@ func (s *Streamer) Close(emit EmitFunc) int {
 	s.rest = s.startP // == s.pos when the final token ended the stream
 	s.retire()
 	return s.rest
+}
+
+// extendsWithinTail reports whether the token ending at A's final state
+// q can be extended to a longer token using only the bytes of tail (the
+// remainder of a finite stream, len(tail) < K). Used to drain the last
+// positions at end of stream, where B has run out of lookahead.
+func (s *Streamer) extendsWithinTail(q int, tail []byte) bool {
+	d := s.m.DFA
+	for _, b := range tail {
+		q = d.Step(q, b)
+		if d.IsFinal(q) {
+			return true
+		}
+		if s.m.IsDead(q) {
+			return false
+		}
+	}
+	return false
+}
+
+// stateA returns A's state. A packed product's state does not name it,
+// but A restarted at the pending token's first byte and has consumed
+// exactly the carry since, so it is replayed from there.
+func (s *Streamer) stateA() int {
+	if s.fe.PackedStates() == 0 {
+		return s.qa
+	}
+	d := s.m.DFA
+	q := d.Start
+	for _, b := range s.carry {
+		q = d.Step(q, b)
+	}
+	return q
 }
 
 // ringContents returns the delayed bytes in stream order, reusing the

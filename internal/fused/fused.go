@@ -10,13 +10,18 @@
 //     packed into one uint32 per (state, byte-class): the next state already
 //     accounts for the restart after an emission, and the action
 //     (continue / dead / emit rule β) sits in the top byte — one load and
-//     one predictable branch per input byte. For K ≥ 2 the tokenization
-//     DFA A and the token-extension DFA B keep their own transition
-//     tables (they step on different bytes: B on the current byte, A on
-//     the byte K positions back, so a literal single-table product would
-//     need the delay ring in its state space), but the maximality bitset
-//     probe + dead check + rule lookup collapse into one int32 action
-//     word indexed by the (q_A, s_B) pair.
+//     one predictable branch per input byte. For K ≥ 2 the Fig. 6 engine
+//     steps B on the current byte and A on the byte K positions back, so
+//     a single table needs the delay ring in its state space: a packed
+//     engine explores the reachable (q_A, s_B, classes of the K delayed
+//     bytes) product breadth-first, minimizes it on each transition's
+//     action and target, and emits the same one-word-per-(state, class)
+//     layout (the BPE pretokenizer's 499 reachable states minimize to 73);
+//     B then lives in the states, so the tokenizer keeps no TeDFA.
+//     When the product passes packedStateCap states (json reaches
+//     118,045), A and B keep their own transition tables and the
+//     maximality bitset probe + dead check + rule lookup collapse into
+//     one int32 action word indexed by the (q_A, s_B) pair.
 //
 //  2. Accel states. At build time the engine finds states (pairs) whose
 //     action is "continue" and that self-loop on a byte class C — string
@@ -35,6 +40,7 @@ package fused
 
 import (
 	"math/bits"
+	"strconv"
 
 	"streamtok/internal/tepath"
 	"streamtok/internal/tokdfa"
@@ -44,9 +50,11 @@ import (
 type Mode int
 
 const (
-	// ModeSmall is the K ≤ 1 single-table engine.
+	// ModeSmall is the single-table engine: over A's states for K ≤ 1,
+	// over the minimized packed product for K ≥ 2.
 	ModeSmall Mode = iota
-	// ModeGeneral is the K ≥ 2 pair-action engine over an eager TeDFA.
+	// ModeGeneral is the K ≥ 2 pair-action engine over an eager TeDFA,
+	// built when the packed product is too large.
 	ModeGeneral
 )
 
@@ -117,6 +125,9 @@ type Engine struct {
 
 	// Words is the ModeSmall packed table, stride NumClasses per state.
 	Words []uint32
+	// Start is the state a stream starts in: A's start state, or the
+	// product's (always 0) for a packed engine.
+	Start int
 
 	// Act is the ModeGeneral action table, Act[qa*TeStates+s].
 	Act []int32
@@ -133,12 +144,23 @@ type Engine struct {
 	// Infos holds the deduplicated accel classes.
 	Infos []AccelInfo
 
-	accelStates int
+	name         string
+	accelStates  int
+	packedStates int // K ≥ 2 ModeSmall: the minimized product's states
 }
 
 // AccelStates returns how many states (pairs) were marked for run
 // acceleration.
 func (e *Engine) AccelStates() int { return e.accelStates }
+
+// PackedStates returns the minimized product's state count for a
+// packed (K ≥ 2, ModeSmall) engine and 0 for any other engine.
+func (e *Engine) PackedStates() int {
+	if e == nil {
+		return 0
+	}
+	return e.packedStates
+}
 
 // Slots returns how many states (ModeSmall) or (q_A, s_B) pairs
 // (ModeGeneral) the engine has at all — the denominator of the
@@ -165,24 +187,22 @@ func (e *Engine) Bytes() int {
 	return len(e.Words)*4 + len(e.Act)*4 + len(e.AccelIdx)*4 + len(e.Infos)*40 + 256
 }
 
-// ModeName names the engine for diagnostics.
-func (e *Engine) ModeName() string {
-	switch {
-	case e.Mode == ModeSmall && e.K <= 0:
-		return "fused-k0"
-	case e.Mode == ModeSmall:
-		return "fused-k1"
-	default:
-		return "fused-general"
-	}
-}
+// ModeName names the engine for diagnostics: "fused-k<K>" for the
+// single-table engine ("fused-k0", "fused-k1", and "fused-k2" and up for
+// a packed product) and "fused-general" for the pair-action engine.
+func (e *Engine) ModeName() string { return e.name }
+
+// smallName is ModeName for a single-table engine with lookahead k.
+func smallName(k int) string { return "fused-k" + strconv.Itoa(max(k, 0)) }
 
 // Build compiles the fused engine for a machine with lookahead bound k.
 // te is the token-extension table when k ≥ 2; the fused engine needs
 // its full powerstate space, so Build bows out when te is not complete
-// (the tokenizer grows the TeDFA lazily per stream). Build returns nil
-// when fusion is not applicable or the tables would exceed the budget
-// (any negative budget does) — the caller keeps the split loops.
+// (the tokenizer grows the TeDFA lazily per stream). For k ≥ 2 it first
+// tries the packed product and builds the pair-action tables only when
+// that aborts or does not fit. Build returns nil when fusion is not
+// applicable or the tables would exceed the budget (any negative budget
+// does) — the caller keeps the split loops.
 func Build(m *tokdfa.Machine, k int, te *tepath.Table, opts Options) *Engine {
 	opts = opts.withDefaults()
 	if k <= 1 {
@@ -190,6 +210,9 @@ func Build(m *tokdfa.Machine, k int, te *tepath.Table, opts Options) *Engine {
 	}
 	if !te.Complete() {
 		return nil
+	}
+	if e, _ := buildPacked(m, k, te, opts); e != nil {
+		return e
 	}
 	return buildGeneral(m, k, te, opts)
 }
@@ -214,7 +237,7 @@ func buildSmall(m *tokdfa.Machine, k int, opts Options) *Engine {
 	if n*nc*4+n*4+256 > opts.MaxTableBytes {
 		return nil
 	}
-	e := &Engine{Mode: ModeSmall, K: k, ClassOf: d.ClassOf, NumClasses: nc}
+	e := &Engine{Mode: ModeSmall, K: k, ClassOf: d.ClassOf, NumClasses: nc, Start: d.Start, name: smallName(k)}
 	e.Words = make([]uint32, n*nc)
 	start := uint32(d.Start)
 	for q := 0; q < n; q++ {
@@ -318,6 +341,8 @@ func buildGeneral(m *tokdfa.Machine, k int, te *tepath.Table, opts Options) *Eng
 	e := &Engine{
 		Mode:       ModeGeneral,
 		K:          k,
+		Start:      d.Start,
+		name:       "fused-general",
 		ClassOf:    d.ClassOf,
 		NumClasses: nc,
 		TeTrans:    teTrans,

@@ -57,9 +57,9 @@ type Cursor struct {
 	// tokenizer's certificate and refuses a mismatch.
 	GrammarHash string
 	// EngineMode names the engine mode that produced the cursor (e.g.
-	// "fused-general", or "bpe+fused-k1" for a vocabulary). Cursors are
-	// portable across modes of the same source; the QA cross-check is
-	// enforced only when the resuming mode matches.
+	// "fused-general", "fused-k2", or "bpe+fused-k2" for a vocabulary).
+	// Cursors are portable across modes of the same source; the QA
+	// cross-check is enforced only when the resuming mode matches.
 	EngineMode string
 	// Boundary is the stream offset of the pending token's first byte.
 	Boundary int64

@@ -54,6 +54,7 @@ var wantLayouts = map[string]tableLayout{
 	"corpus/rk12-lazy":        {8190, 0, "c4f18a6cff522efb"},
 	"corpus/keyword-ladder":   {3, 0, "945f62ce6da9c586"},
 	"corpus/crlf-lines":       {2, 0, "c6c687772831d8a2"},
+	"corpus/pretok":           {78, 0, "747d43803913bf7c"},
 }
 
 func layoutOf(t *testing.T, m *tokdfa.Machine, k int) tableLayout {

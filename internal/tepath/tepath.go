@@ -94,9 +94,6 @@ type Table struct {
 	// complete is set once every transition has been computed.
 	complete bool
 
-	// machine the table was built for (used by the EOF drain check).
-	machine *tokdfa.Machine
-
 	// The powerset construction's state, dropped once the table is
 	// complete: the shared, immutable TeNFA, each powerstate's sorted
 	// NFA-state set and its interning index, and scratch Grow reuses.
@@ -164,25 +161,6 @@ func (t *Table) Maximal(q, s int) bool {
 // T[q][S] for arbitrary q, false when q is not final.
 func (t *Table) MaximalFinal(q, s int) bool {
 	return t.emitOK[s][q>>6]&(1<<(q&63)) != 0
-}
-
-// ExtendsWithinTail reports whether the token ending at final state q can
-// be extended to a longer token using only the bytes of tail (the
-// remainder of a finite stream, len(tail) < K). Used to drain the last
-// positions at end of stream, where B has run out of lookahead.
-func (t *Table) ExtendsWithinTail(q int, tail []byte) bool {
-	d := t.machine.DFA
-	p := q
-	for _, b := range tail {
-		p = d.Step(p, b)
-		if d.IsFinal(p) {
-			return true
-		}
-		if t.machine.IsDead(p) {
-			return false
-		}
-	}
-	return false
 }
 
 // Grow computes the missing transition of powerstate s on class c,
@@ -324,7 +302,6 @@ func New(m *tokdfa.Machine, k int, limits Limits) (*Table, error) {
 		classOf: m.DFA.ClassOf,
 		nc:      nfa.nc,
 		words:   len(nfa.finals),
-		machine: m,
 		nfa:     nfa,
 		ids:     map[string]int32{},
 	}

@@ -53,6 +53,24 @@ func Corpus() []GrammarCase {
 		{"rk12-lazy", []string{`a{0,12}b`, `a`}, 12, []byte("aab")},
 		{"keyword-ladder", []string{`i`, `if`, `iff`, `[a-z]+`, `[ ]+`}, Unknown, []byte("iff i zz ")},
 		{"crlf-lines", []string{`[^\r\n]+`, `\r\n|\n`}, Unknown, []byte("ab\r\ncd\n\r")},
+		{"pretok", PretokRules(), 2, []byte("a Z9's\t\n.!'\xc3\xa9\x80\xff")},
+	}
+}
+
+// PretokRules is a copy of the BPE pretokenizer grammar, bpe.PretokRules
+// (bpe's tests import this package, so it cannot import bpe); a bpe test
+// pins the two equal. Its K = 2 product is small enough for the packed
+// single-table engine.
+func PretokRules() []string {
+	return []string{
+		`'(s|t|re|ve|m|ll|d)`,
+		`( )?[A-Za-z]+`,
+		`( )?[0-9]+`,
+		`( )?([\xc2-\xf4][\x80-\xbf]+)+`,
+		`( )?[^ \t\r\nA-Za-z0-9\x80-\xff']+`,
+		`'`,
+		`[ \t\r\n]+`,
+		`[\x80-\xff]`,
 	}
 }
 

@@ -263,10 +263,12 @@ func (t *Tokenizer) PublishStats(name string) {
 // acceleration, the memory footprint of the precomputed tables, and
 // whether the token-extension DFA is determinized lazily.
 type EngineInfo struct {
-	// Mode is "fused-k0", "fused-k1", or "fused-general" when the fused
-	// action-table engine is active; "split-k0", "split-k1",
-	// "split-general", or "split-general-lazy" for the interpreter
-	// loops. All modes emit byte-identical token streams.
+	// Mode is "fused-k<K>" for the single-table fused engine ("fused-k0",
+	// "fused-k1", and "fused-k2" and up for a packed K ≥ 2 product) or
+	// "fused-general" for the pair-action one when the fused engine is
+	// active; "split-k0", "split-k1", "split-general", or
+	// "split-general-lazy" for the interpreter loops. All modes emit
+	// byte-identical token streams.
 	Mode string
 	// K is the lookahead bound (the grammar's max-TND).
 	K int
