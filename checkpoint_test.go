@@ -13,10 +13,6 @@ import (
 	"streamtok/internal/workload"
 )
 
-// checkpointFormats are the bounded catalog grammars with a workload
-// generator — the differential matrix for resumable streams.
-var checkpointFormats = []string{"json", "csv", "tsv", "xml", "yaml", "fasta", "dns", "log"}
-
 func compileCatalog(t *testing.T, name string, opts streamtok.Options) *streamtok.Tokenizer {
 	t.Helper()
 	g, err := streamtok.CatalogGrammar(name)
@@ -47,235 +43,6 @@ func feedChunks(t *testing.T, s *streamtok.Streamer, input, full []byte, chunk i
 			end = len(input)
 		}
 		s.Feed(input[off:end], emit)
-	}
-}
-
-// checkpointSource is one row of the resumable-stream matrices: a
-// tokenizer builder and an input for it. ranks, set for a vocabulary,
-// is Vocab.Encode of the input — the ranks the tokens must carry.
-type checkpointSource struct {
-	name    string
-	compile func(t *testing.T, opts streamtok.Options) *streamtok.Tokenizer
-	input   []byte
-	ranks   []int
-}
-
-func catalogSource(t *testing.T, name string, seed int64, n int) checkpointSource {
-	t.Helper()
-	input, err := workload.Generate(name, seed, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return checkpointSource{
-		name: name,
-		compile: func(t *testing.T, opts streamtok.Options) *streamtok.Tokenizer {
-			return compileCatalog(t, name, opts)
-		},
-		input: input,
-	}
-}
-
-// vocabSource is the trained test vocabulary over a prompt input of n
-// bytes.
-func vocabSource(t *testing.T, seed int64, n int) checkpointSource {
-	t.Helper()
-	v := trainTestVocab(t)
-	input := workload.Prompts(seed, n)
-	return checkpointSource{
-		name: "vocab",
-		compile: func(t *testing.T, opts streamtok.Options) *streamtok.Tokenizer {
-			t.Helper()
-			tok, err := streamtok.Compile(v, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tok
-		},
-		input: input,
-		ranks: v.Encode(nil, input),
-	}
-}
-
-// checkRanks verifies a vocabulary source's tokens carry the reference
-// encoding's ranks.
-func (src checkpointSource) checkRanks(t *testing.T, toks []streamtok.Token) {
-	t.Helper()
-	if src.ranks == nil {
-		return
-	}
-	if len(toks) != len(src.ranks) {
-		t.Fatalf("%d tokens, Vocab.Encode gives %d ranks", len(toks), len(src.ranks))
-	}
-	for i, tk := range toks {
-		if tk.Rule != src.ranks[i] {
-			t.Fatalf("token %d: rank %d, Vocab.Encode gives %d", i, tk.Rule, src.ranks[i])
-		}
-	}
-}
-
-// TestCheckpointResumeDifferential is the tentpole correctness test:
-// for every bounded catalog grammar and a trained vocabulary, under
-// both the fused and the split engines, a single pass feeds the input
-// in small chunks and takes a cursor at every chunk boundary (proving
-// Checkpoint does not perturb the live stream), then every cursor is
-// resumed on a second tokenizer of the same build and driven to EOF.
-// Each resumed stream must emit exactly the reference tokens the
-// suspended stream had not yet emitted, with identical offsets, texts,
-// and Rest; vocabulary tokens must also carry Vocab.Encode's ranks.
-func TestCheckpointResumeDifferential(t *testing.T) {
-	var sources []checkpointSource
-	for _, name := range checkpointFormats {
-		sources = append(sources, catalogSource(t, name, 7, 600))
-	}
-	sources = append(sources, vocabSource(t, 7, 3<<10))
-	for _, src := range sources {
-		for _, mode := range []struct {
-			label string
-			opts  streamtok.Options
-		}{
-			{"fused", streamtok.Options{}},
-			{"split", streamtok.Options{MaxFusedTableBytes: -1}},
-		} {
-			t.Run(src.name+"/"+mode.label, func(t *testing.T) {
-				input := src.input
-				tokA := src.compile(t, mode.opts)
-				tokB := src.compile(t, mode.opts)
-				wantToks, wantRest := tokA.TokenizeBytes(input)
-				src.checkRanks(t, wantToks)
-
-				const chunk = 3
-				// Single pass: cursor at every chunk boundary.
-				type mark struct {
-					cursor  []byte
-					emitted int // tokens emitted before the boundary
-				}
-				var marks []mark
-				var live []streamtok.Token
-				s := tokA.AcquireStreamer()
-				for off := 0; off < len(input); off += chunk {
-					end := off + chunk
-					if end > len(input) {
-						end = len(input)
-					}
-					cur, err := s.Checkpoint()
-					if err != nil {
-						t.Fatalf("checkpoint at %d: %v", off, err)
-					}
-					marks = append(marks, mark{cur, len(live)})
-					feedChunks(t, s, input[off:end], input, chunk, &live)
-				}
-				if rest := s.Close(func(tk streamtok.Token, text []byte) {
-					live = append(live, tk)
-				}); rest != wantRest {
-					t.Fatalf("checkpointed pass rest %d, want %d", rest, wantRest)
-				}
-				tokA.ReleaseStreamer(s)
-				if len(live) != len(wantToks) {
-					t.Fatalf("checkpointed pass emitted %d tokens, want %d (Checkpoint perturbed the stream)",
-						len(live), len(wantToks))
-				}
-				for i := range wantToks {
-					if live[i] != wantToks[i] {
-						t.Fatalf("checkpointed pass token %d = %+v, want %+v", i, live[i], wantToks[i])
-					}
-				}
-
-				// Resume every cursor and drive it to EOF.
-				for mi, m := range marks {
-					boundary := mi * chunk
-					r, err := streamtok.Resume(tokB, m.cursor)
-					if err != nil {
-						t.Fatalf("resume cursor at byte %d: %v", boundary, err)
-					}
-					var suffix []streamtok.Token
-					feedChunks(t, r, input[boundary:], input, 64, &suffix)
-					rest := r.Close(func(tk streamtok.Token, text []byte) {
-						suffix = append(suffix, tk)
-					})
-					tokB.ReleaseStreamer(r)
-					if rest != wantRest {
-						t.Fatalf("cursor at %d: rest %d, want %d", boundary, rest, wantRest)
-					}
-					want := wantToks[m.emitted:]
-					if len(suffix) != len(want) {
-						t.Fatalf("cursor at %d: resumed stream emitted %d tokens, want %d",
-							boundary, len(suffix), len(want))
-					}
-					for i := range want {
-						if suffix[i] != want[i] {
-							t.Fatalf("cursor at %d: token %d = %+v, want %+v",
-								boundary, i, suffix[i], want[i])
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestResumeCrossEngine: a cursor taken under the fused engine resumes
-// on a split-engine build of the same source (and vice versa), for a
-// grammar and for a vocabulary (whose pretokenizer is what the options
-// switch). The cursor carries byte-level state only, so it is portable
-// across engine representations; the QA cross-check is skipped when
-// modes differ.
-func TestResumeCrossEngine(t *testing.T) {
-	for _, src := range []checkpointSource{
-		catalogSource(t, "json", 11, 800),
-		vocabSource(t, 11, 3<<10),
-	} {
-		fused := src.compile(t, streamtok.Options{})
-		split := src.compile(t, streamtok.Options{MaxFusedTableBytes: -1})
-		if fused.Engine().Mode == split.Engine().Mode {
-			t.Run(src.name, func(t *testing.T) {
-				t.Skipf("%s compiles to %q under both option sets; cross-engine resume not exercisable", src.name, fused.Engine().Mode)
-			})
-			continue
-		}
-		input := src.input
-		wantToks, wantRest := fused.TokenizeBytes(input)
-		src.checkRanks(t, wantToks)
-
-		for _, dir := range []struct {
-			label      string
-			from, onto *streamtok.Tokenizer
-		}{
-			{"fused->split", fused, split},
-			{"split->fused", split, fused},
-		} {
-			name := dir.label
-			if src.ranks != nil {
-				name = src.name + "/" + name
-			}
-			t.Run(name, func(t *testing.T) {
-				cut := 413 // mid-token on purpose: any byte offset is checkpointable
-				s := dir.from.AcquireStreamer()
-				var prefix []streamtok.Token
-				feedChunks(t, s, input[:cut], input, 7, &prefix)
-				cur, err := s.Checkpoint()
-				if err != nil {
-					t.Fatal(err)
-				}
-				dir.from.ReleaseStreamer(s)
-
-				r, err := streamtok.Resume(dir.onto, cur)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := append([]streamtok.Token(nil), prefix...)
-				feedChunks(t, r, input[cut:], input, 7, &got)
-				rest := r.Close(func(tk streamtok.Token, _ []byte) { got = append(got, tk) })
-				dir.onto.ReleaseStreamer(r)
-				if rest != wantRest || len(got) != len(wantToks) {
-					t.Fatalf("rest %d tokens %d, want %d/%d", rest, len(got), wantRest, len(wantToks))
-				}
-				for i := range wantToks {
-					if got[i] != wantToks[i] {
-						t.Fatalf("token %d = %+v, want %+v", i, got[i], wantToks[i])
-					}
-				}
-			})
-		}
 	}
 }
 

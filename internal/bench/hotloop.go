@@ -10,7 +10,6 @@ import (
 	"streamtok/internal/grammars"
 	"streamtok/internal/tepath"
 	"streamtok/internal/tokdfa"
-	"streamtok/internal/token"
 	"streamtok/internal/workload"
 )
 
@@ -22,24 +21,16 @@ import (
 // long CSV fields) are where the accel states pay off; the realistic
 // workload rows show the action-table fusion alone. The yaml and
 // prompts rows (the BPE pretokenizer on prompt text) cover the packed
-// K=2 single-table engine.
+// K=2 single-table engine. The three engines run trial by trial in
+// turn and each keeps its fastest trial (interleavedMBps), so the
+// speedup column does not follow the host's load between engines.
 func Hotloop(cfg Config) Table {
 	t := Table{
 		Title: "Hotloop: fused engine vs split loops (MB/s)",
-		Note: fmt.Sprintf("fused = action-table fusion + accel states; noaccel isolates the fusion layer; MB/s are host-dependent (host %s/%s %s NumCPU=%d)",
+		Note: fmt.Sprintf("fused = action-table fusion + accel states; noaccel isolates the fusion layer; each engine's fastest of interleaved trials; MB/s are host-dependent (host %s/%s %s NumCPU=%d)",
 			runtime.GOOS, runtime.GOARCH, runtime.Version(), runtime.NumCPU()),
 		Header: []string{"workload", "grammar", "mode", "accel", "split", "fused-noaccel", "fused", "speedup"},
 	}
-	emit := func(token.Token, []byte) {}
-	measure := func(tok *core.Tokenizer, input []byte) float64 {
-		d := timeIt(cfg.Trials, func() {
-			s := tok.NewStreamer()
-			s.Feed(input, emit)
-			s.Close(emit)
-		})
-		return float64(len(input)) / 1e6 / d.Seconds()
-	}
-
 	type workloadCase struct {
 		name    string
 		grammar string
@@ -88,9 +79,8 @@ func Hotloop(cfg Config) Table {
 		if err != nil {
 			panic(err)
 		}
-		sp := measure(split, c.input)
-		na := measure(noaccel, c.input)
-		fu := measure(fusedTok, c.input)
+		r := interleavedMBps(cfg.Trials, c.input, split, noaccel, fusedTok)
+		sp, na, fu := r[0], r[1], r[2]
 		t.Rows = append(t.Rows, []string{
 			c.name, c.grammar, fusedTok.EngineMode(), itoa(fusedTok.AccelStates()),
 			fmt.Sprintf("%.1f", sp), fmt.Sprintf("%.1f", na), fmt.Sprintf("%.1f", fu),

@@ -24,38 +24,6 @@ func ObsOverhead(cfg Config) Table {
 		Note:   "no-obs is a benchmark-only variant; overhead = 1 - obs/no-obs",
 		Header: []string{"workload", "grammar", "mode", "no-obs", "obs", "overhead"},
 	}
-	emit := func(token.Token, []byte) {}
-	run := func(tok *core.Tokenizer, input []byte) time.Duration {
-		start := time.Now()
-		s := tok.NewStreamer()
-		s.Feed(input, emit)
-		s.Close(emit)
-		return time.Since(start)
-	}
-	// Interleave the variants trial-by-trial and keep each one's minimum:
-	// alternating runs see the same machine drift, and the minimum
-	// approximates the noise-free time better than the median on shared
-	// hardware.
-	measurePair := func(a, b *core.Tokenizer, input []byte) (float64, float64) {
-		run(a, input) // warm the tables and the page cache
-		run(b, input)
-		trials := cfg.Trials
-		if trials < 1 {
-			trials = 1
-		}
-		minA, minB := time.Duration(1<<62), time.Duration(1<<62)
-		for i := 0; i < trials; i++ {
-			if d := run(a, input); d < minA {
-				minA = d
-			}
-			if d := run(b, input); d < minB {
-				minB = d
-			}
-		}
-		mbps := func(d time.Duration) float64 { return float64(len(input)) / 1e6 / d.Seconds() }
-		return mbps(minA), mbps(minB)
-	}
-
 	type workloadCase struct {
 		name    string
 		grammar string
@@ -94,7 +62,8 @@ func ObsOverhead(cfg Config) Table {
 		if err != nil {
 			panic(err)
 		}
-		no, ob := measurePair(noObs, obsTok, c.input)
+		r := interleavedMBps(cfg.Trials, c.input, noObs, obsTok)
+		no, ob := r[0], r[1]
 		overhead := 1 - ob/no
 		sumOverhead += overhead
 		t.Rows = append(t.Rows, []string{
@@ -108,4 +77,36 @@ func ObsOverhead(cfg Config) Table {
 		fmt.Sprintf("%+.1f%%", sumOverhead/float64(len(cases))*100),
 	})
 	return t
+}
+
+// interleavedMBps times one stream over input on each tokenizer, trial
+// by trial in turn, and returns each tokenizer's fastest trial as MB/s.
+// Alternating runs see the same machine drift, and the minimum
+// approximates the noise-free time better than the median on shared
+// hardware, so ratios between the tokenizers track the code rather
+// than the host's load.
+func interleavedMBps(trials int, input []byte, toks ...*core.Tokenizer) []float64 {
+	emit := func(token.Token, []byte) {}
+	run := func(tok *core.Tokenizer) time.Duration {
+		start := time.Now()
+		s := tok.NewStreamer()
+		s.Feed(input, emit)
+		s.Close(emit)
+		return time.Since(start)
+	}
+	best := make([]time.Duration, len(toks))
+	for i, tok := range toks {
+		run(tok) // warm the tables and the page cache
+		best[i] = time.Duration(1 << 62)
+	}
+	for trial := 0; trial < max(trials, 1); trial++ {
+		for i, tok := range toks {
+			best[i] = min(best[i], run(tok))
+		}
+	}
+	out := make([]float64, len(toks))
+	for i, d := range best {
+		out[i] = float64(len(input)) / 1e6 / d.Seconds()
+	}
+	return out
 }

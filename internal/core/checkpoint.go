@@ -14,9 +14,9 @@ import (
 // checkpoint carries the stream offset of the pending token's first
 // byte (a true token boundary — see PendingStart) and the bytes the
 // engine has consumed past it but not yet resolved into an emitted
-// token (carry ++ the split k==1 delay slot ++ the delay ring, in
-// stream order). Restore rebases a fresh streamer at the boundary and
-// replays those bytes through the ordinary Feed path.
+// token (carry ++ the delay ring, in stream order). Restore rebases a
+// fresh streamer at the boundary and replays those bytes through the
+// ordinary Feed path.
 //
 // Replay is exact because at a token boundary the tokenization DFA
 // restarts, and tokenization from a true boundary is deterministic
@@ -48,8 +48,8 @@ type CheckpointState struct {
 	Boundary int
 	// Pending holds every byte the engine consumed at or past Boundary,
 	// in stream order: the carry (the pending token's prefix A has
-	// consumed), the split k==1 one-byte delay slot if occupied, then
-	// the delay-ring contents (bytes B has consumed but A has not).
+	// consumed), then the delay-ring contents (bytes B has consumed but
+	// A has not).
 	Pending []byte
 	// QA is the tokenization DFA A's state at suspension — recomputable
 	// from Pending, recorded as an integrity cross-check.
@@ -80,11 +80,8 @@ func (s *Streamer) CheckpointState() (CheckpointState, error) {
 	if s.stopped {
 		return CheckpointState{}, errors.New("streamtok: cannot checkpoint a stopped stream")
 	}
-	pending := make([]byte, 0, len(s.carry)+1+s.filled)
+	pending := make([]byte, 0, len(s.carry)+s.filled)
 	pending = append(pending, s.carry...)
-	if s.prevOK {
-		pending = append(pending, s.prev)
-	}
 	if s.filled > 0 {
 		pending = append(pending, s.ringContents()...)
 	}
@@ -108,7 +105,7 @@ func (s *Streamer) CheckpointState() (CheckpointState, error) {
 // The streamer must be fresh (just constructed, acquired, or Reset).
 // On error the streamer's state is unspecified; Reset or release it.
 func (s *Streamer) Restore(cs CheckpointState) error {
-	if s.stopped || s.pos != 0 || s.startP != 0 || s.filled != 0 || s.prevOK || len(s.carry) != 0 {
+	if s.stopped || s.pos != 0 || s.startP != 0 || s.filled != 0 || len(s.carry) != 0 {
 		return errors.New("streamtok: Restore requires a fresh streamer")
 	}
 	if cs.Boundary < 0 {
@@ -126,16 +123,12 @@ func (s *Streamer) Restore(cs CheckpointState) error {
 		s.Feed(cs.Pending, nil)
 	}
 	s.noObs = savedObs
-	delayed := s.filled
-	if s.prevOK {
-		delayed++
-	}
 	switch {
 	case s.stopped:
 		return errCheckpointf("pending bytes die under this grammar")
 	case s.startP != cs.Boundary:
 		return errCheckpointf("pending bytes complete a token (boundary is not a true token boundary)")
-	case s.pos+delayed != cs.Boundary+len(cs.Pending):
+	case s.Offset() != cs.Boundary+len(cs.Pending):
 		return errCheckpointf("pending bytes not conserved by replay")
 	case cs.CheckQA && s.stateA() != cs.QA:
 		return errCheckpointf("tokenization DFA state mismatch after replay")

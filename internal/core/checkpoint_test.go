@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"streamtok/internal/core"
-	"streamtok/internal/reference"
-	"streamtok/internal/token"
 )
 
 // TestRestoreRefusals: Restore rejects non-fresh streamers and
@@ -69,72 +67,4 @@ func TestRestoreRefusals(t *testing.T) {
 	if err := fresh().Restore(good); err != nil {
 		t.Errorf("same-mode restore with QA check: %v", err)
 	}
-}
-
-// FuzzCheckpointResume: arbitrary input, cut point, and chunking —
-// suspend at the cut, restore on a fresh streamer, and the combined
-// emission must equal the uninterrupted reference tokenization.
-func FuzzCheckpointResume(f *testing.F) {
-	f.Add(0, uint8(1), uint8(3), []byte("123 456 78"))
-	f.Add(1, uint8(3), uint8(0), []byte("3.14 . 5"))
-	f.Add(2, uint8(7), uint8(200), []byte("12e+3 x"))
-	f.Add(3, uint8(2), uint8(5), []byte(`a,"b""c",d`))
-	f.Fuzz(func(t *testing.T, pick int, chunk, cutSel uint8, input []byte) {
-		fuzzOnce.Do(fuzzSetup)
-		if len(fuzzToks) == 0 {
-			t.Skip("no bounded grammars")
-		}
-		if pick < 0 {
-			pick = -pick
-		}
-		tok := fuzzToks[pick%len(fuzzToks)]
-		m := fuzzMachs[pick%len(fuzzMachs)]
-		step := int(chunk)
-		if step == 0 {
-			step = 1
-		}
-		cut := 0
-		if len(input) > 0 {
-			cut = int(cutSel) % (len(input) + 1)
-		}
-
-		want, wantRest := reference.Tokens(m, input)
-
-		var got []token.Token
-		collect := func(tk token.Token, _ []byte) { got = append(got, tk) }
-		s := tok.NewStreamer()
-		for i := 0; i < cut; i += step {
-			end := i + step
-			if end > cut {
-				end = cut
-			}
-			s.Feed(input[i:end], collect)
-		}
-		if s.Stopped() {
-			// The prefix already died; nothing to suspend.
-			return
-		}
-		cs, err := s.CheckpointState()
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		r := tok.NewStreamer()
-		cs.CheckQA = true // same engine build: the recorded state must replay exactly
-		if err := r.Restore(cs); err != nil {
-			t.Fatalf("restore at cut %d of %q: %v", cut, input, err)
-		}
-		for i := cut; i < len(input); i += step {
-			end := i + step
-			if end > len(input) {
-				end = len(input)
-			}
-			r.Feed(input[i:end], collect)
-		}
-		rest := r.Close(collect)
-		if !reference.Equal(got, want) || rest != wantRest {
-			t.Fatalf("grammar %d cut %d chunk %d on %q: got %v rest %d, want %v rest %d",
-				pick%len(fuzzToks), cut, step, input, got, rest, want, wantRest)
-		}
-	})
 }

@@ -144,7 +144,7 @@ func (s *Streamer) feedFusedGeneral(chunk []byte, emit EmitFunc) {
 	gInfos := e.Infos
 	gAccelIdx := e.AccelIdx
 	ring := s.ring
-	mask := s.ringMask
+	mask := len(ring) - 1 // the ring is power-of-two sized
 	k := s.k
 	qa, sb, h, pos := s.qa, s.s, s.head, s.pos
 	base := pos + s.filled // stream offset of chunk[0]

@@ -5,38 +5,12 @@ import (
 	"math/rand"
 	"testing"
 
-	"streamtok/internal/analysis"
 	"streamtok/internal/core"
 	"streamtok/internal/reference"
 	"streamtok/internal/tepath"
-	"streamtok/internal/testutil"
 	"streamtok/internal/tokdfa"
 	"streamtok/internal/token"
 )
-
-// TestLazyMatchesReference forces the lazy TeDFA and re-runs the
-// differential test on bounded corpus grammars with K >= 2.
-func TestLazyMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	for _, c := range testutil.Corpus() {
-		m := c.Compile(false)
-		res := analysis.Analyze(m)
-		if !res.Bounded() || res.MaxTND < 2 {
-			continue
-		}
-		tok, err := core.NewWithK(m, res.MaxTND, tepath.Limits{MaxDFAStates: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
-		}
-		if mode := tok.EngineMode(); mode != "split-general-lazy" {
-			t.Fatalf("%s: mode %s, want split-general-lazy", c.Name, mode)
-		}
-		for i := 0; i < 30; i++ {
-			in := testutil.RandomInput(rng, c.Alphabet, rng.Intn(128))
-			checkAgainstReference(t, c.Name+"-lazy", m, tok, in)
-		}
-	}
-}
 
 // TestLazyOnExponentialFamily: StreamTok must handle r_k for large k via
 // the lazy fallback (the eager TeDFA has 2^(k+1)-2 states), and still

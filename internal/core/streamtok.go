@@ -84,14 +84,11 @@ type Streamer struct {
 	latK       int          // EmitLatency bucket for latency K (every Feed-path emission)
 	tailTokens uint64       // tokens the Close drain emitted (latency < K)
 
-	qa       int    // current state of A, or of a packed product (see stateA)
-	s        int    // current state of the token-extension DFA B
-	ring     []byte // delay ring: bytes B has consumed but A has not
-	ringMask int    // len(ring)-1 when the ring is power-of-two sized (fused general mode), else 0
-	head     int    // ring read index
-	filled   int    // bytes currently in the ring (≤ k)
-	prevOK   bool   // split k==1 mode: the one-byte delay slot is occupied
-	prev     byte   // split k==1 mode: the delayed byte
+	qa     int    // current state of A, or of a packed product (see stateA)
+	s      int    // current state of the token-extension DFA B
+	ring   []byte // delay ring: bytes B has consumed but A has not (split k==1: the one delayed byte)
+	head   int    // ring read index
+	filled int    // bytes currently in the ring (≤ k)
 
 	// ringScratch backs ringContents so the Close drain does not
 	// allocate per final-position check.
@@ -292,8 +289,8 @@ func (t *Tokenizer) AccelStates() int {
 
 // RingBytes returns the exact size in bytes of the delay ring each of
 // this tokenizer's streams allocates: 0 when no ring is needed (k ≤ 1
-// fused, or k == 0), 1 for the split k == 1 delay slot, k for the split
-// general loops and the packed single-table engine (which copies each
+// fused, or k == 0), k for the split loops (Fig. 5's one delayed byte
+// at k == 1) and the packed single-table engine (which copies each
 // chunk's last k bytes into it), and the next power of two ≥ k for the
 // pair-action fused loop (which indexes the ring with a mask). This is
 // the per-stream figure resource certificates bind; the observed RingMax
@@ -302,10 +299,8 @@ func (t *Tokenizer) RingBytes() int {
 	switch {
 	case t.fe != nil && t.fe.Mode == fused.ModeGeneral:
 		return nextPow2(t.k)
-	case t.k >= 2:
+	case t.k >= 2 || t.fe == nil && t.k == 1:
 		return t.k
-	case t.fe == nil && t.k == 1:
-		return 1 // the split Fig. 5 one-byte delay slot
 	default:
 		return 0
 	}
@@ -366,18 +361,11 @@ func (t *Tokenizer) NewStreamer() *Streamer {
 			s.latK = obs.LatencyBuckets - 1
 		}
 	}
-	switch {
-	case t.fe != nil && t.fe.Mode == fused.ModeGeneral:
-		// The fused loop indexes the ring with a mask, so size it to the
-		// next power of two ≥ k.
-		c := nextPow2(t.k)
-		s.ring = make([]byte, c)
-		s.ringMask = c - 1
-	case t.k >= 2:
-		s.ring = make([]byte, t.k)
-		if t.te != nil && !t.te.Complete() {
-			s.te = t.te.Clone()
-		}
+	if n := t.RingBytes(); n > 0 {
+		s.ring = make([]byte, n)
+	}
+	if t.te != nil && !t.te.Complete() {
+		s.te = t.te.Clone()
 	}
 	s.start()
 	return s
@@ -399,7 +387,6 @@ func (s *Streamer) start() {
 		s.s = s.te.Start
 	}
 	s.head, s.filled = 0, 0
-	s.prevOK, s.prev = false, 0
 	s.startP, s.pos = 0, 0
 	s.stopped, s.rest = false, 0
 	s.done = false
@@ -519,9 +506,6 @@ func (s *Streamer) snapshot() obs.Counters {
 func (s *Streamer) snapshotInto(c *obs.Counters) {
 	s.c.CloneInto(c)
 	c.NoteCarry(len(s.carry))
-	if s.prevOK {
-		c.NoteRing(1) // split k==1: the one-byte delay slot
-	}
 	c.NoteRing(s.filled)
 	var total uint64
 	for _, n := range c.TokensByRule {
@@ -599,9 +583,6 @@ func (s *Streamer) subtractInherited(c *obs.Counters) {
 // survive into snapshots taken after the buffers drain).
 func (s *Streamer) noteBuffers() {
 	s.c.NoteCarry(len(s.carry))
-	if s.prevOK {
-		s.c.NoteRing(1) // split k==1: the one-byte delay slot
-	}
 	s.c.NoteRing(s.filled)
 }
 
@@ -696,15 +677,9 @@ func (s *Streamer) PendingStart() int { return s.startP }
 // Offset returns the absolute stream offset of the next byte Feed will
 // consume — the total bytes fed into the logical stream, counting any
 // suspended segments replayed by Restore. It is pos plus the bytes B
-// has consumed but A has not (the delay slot and ring), an invariant
-// that holds in every engine mode.
-func (s *Streamer) Offset() int {
-	d := s.filled
-	if s.prevOK {
-		d++
-	}
-	return s.pos + d
-}
+// has consumed but A has not (the delay ring), an invariant that holds
+// in every engine mode.
+func (s *Streamer) Offset() int { return s.pos + s.filled }
 
 // feedK0: max-TND 0 means no token extends another, so A emits the moment
 // it reaches a final state.
@@ -733,22 +708,20 @@ func (s *Streamer) feedK0(chunk []byte, emit EmitFunc) {
 }
 
 // feedK1 implements Fig. 5: A runs one byte behind the input so each
-// table check T[q][a] sees the next byte as lookahead.
+// table check T[q][a] sees the next byte as lookahead. The delayed byte
+// lives in ring[0] (filled 0 or 1), kept in locals while the chunk runs.
 func (s *Streamer) feedK1(chunk []byte, emit EmitFunc) {
 	d := s.m.DFA
 	trans := d.Trans
 	classOf := &d.ClassOf
 	nc := d.NumClasses()
 	k1 := s.k1
-	base := s.pos // stream offset chunk[0] will have for A
-	if s.prevOK {
-		base++ // the delayed byte precedes the chunk
-	}
+	base := s.pos + s.filled // stream offset of chunk[0]; the delayed byte precedes it
 	qa, pos := s.qa, s.pos
-	prev, prevOK := s.prev, s.prevOK
+	prev, filled := s.ring[0], s.filled
 	for _, b := range chunk {
-		if !prevOK {
-			prev, prevOK = b, true
+		if filled == 0 {
+			prev, filled = b, 1
 			continue
 		}
 		a := prev
@@ -762,7 +735,7 @@ func (s *Streamer) feedK1(chunk []byte, emit EmitFunc) {
 		pos++
 		if act := k1.Action(qa, b); act != tepath.ActContinue {
 			if act == tepath.ActDead {
-				s.qa, s.pos, s.prev, s.prevOK = qa, pos, prev, prevOK
+				s.qa, s.pos, s.ring[0], s.filled = qa, pos, prev, filled
 				s.stop()
 				return
 			}
@@ -771,7 +744,7 @@ func (s *Streamer) feedK1(chunk []byte, emit EmitFunc) {
 			qa = s.qa // emitToken restarted A
 		}
 	}
-	s.qa, s.pos, s.prev, s.prevOK = qa, pos, prev, prevOK
+	s.qa, s.pos, s.ring[0], s.filled = qa, pos, prev, filled
 	s.saveCarry(chunk, base)
 }
 
@@ -841,52 +814,25 @@ func (s *Streamer) Close(emit EmitFunc) int {
 	d := s.m.DFA
 	// Stream length, for the drained tokens' emission latency: A's
 	// position plus whatever input is still delayed ahead of it.
-	streamEnd := s.pos
-	if s.k == 1 && s.fe == nil && s.prevOK {
-		streamEnd++
-	} else if s.k > 1 {
-		streamEnd += s.filled
-	}
+	streamEnd := s.pos + s.filled
 	switch {
 	case s.k <= 0:
 		// Nothing delayed.
-	case s.k == 1:
-		if s.fe != nil {
-			// The fused small engine runs A undelayed: the whole stream
-			// is already consumed and carried, so the only question is
-			// whether the pending suffix is itself a final token.
-			if s.pos > s.startP && d.IsFinal(s.qa) {
-				s.emitTail(emit, d.Rule(s.qa), streamEnd)
-			}
-		} else if s.prevOK {
-			a := s.prev
-			s.prevOK = false
-			s.carry = append(s.carry, a)
-			s.qa = d.Step(s.qa, a)
-			s.pos++
-			if d.IsFinal(s.qa) {
-				s.emitTail(emit, d.Rule(s.qa), streamEnd)
-			} else if s.m.IsDead(s.qa) {
-				s.stop()
-				return s.rest
-			}
+	case s.k == 1 && s.fe != nil:
+		// The fused small engine runs A undelayed: the whole stream is
+		// already consumed and carried, so the only question is whether
+		// the pending suffix is itself a final token.
+		if s.pos > s.startP && d.IsFinal(s.qa) {
+			s.emitTail(emit, d.Rule(s.qa), streamEnd)
 		}
 	default:
 		// Drain the ring: for the last positions B has no K-byte
 		// lookahead, so maximality is checked directly against the
-		// remaining tail (< K bytes). The fused general ring is
-		// power-of-two sized, hence the mask-aware advance.
+		// remaining tail (< K bytes; empty after split k==1's one byte).
 		s.qa = s.stateA()
 		for s.filled > 0 {
 			a := s.ring[s.head]
-			if s.ringMask != 0 {
-				s.head = (s.head + 1) & s.ringMask
-			} else {
-				s.head++
-				if s.head == s.k {
-					s.head = 0
-				}
-			}
+			s.head = (s.head + 1) % len(s.ring)
 			s.filled--
 			s.carry = append(s.carry, a)
 			s.qa = d.Step(s.qa, a)
@@ -949,11 +895,7 @@ func (s *Streamer) ringContents() []byte {
 	}
 	out := s.ringScratch[:0]
 	for i := 0; i < s.filled; i++ {
-		if s.ringMask != 0 {
-			out = append(out, s.ring[(s.head+i)&s.ringMask])
-		} else {
-			out = append(out, s.ring[(s.head+i)%s.k])
-		}
+		out = append(out, s.ring[(s.head+i)%len(s.ring)])
 	}
 	s.ringScratch = out
 	return out

@@ -13,7 +13,7 @@ import (
 // Cursor blobs: the wire format of suspended streams (resumable-stream
 // checkpoints). A cursor serializes the engine-independent O(K) live
 // state exported by internal/core — the token-boundary offset, the
-// pending bytes (carry ++ delay slot ++ ring), the tokenization DFA
+// pending bytes (carry ++ delay ring), the tokenization DFA
 // state, and the stream's raw observability counters — bound to the
 // grammar it was suspended under, so a cursor can only resume on a
 // tokenizer whose certificate carries the same grammar hash.
@@ -66,7 +66,7 @@ type Cursor struct {
 	// QA is the tokenization DFA state at suspension.
 	QA int64
 	// Pending is the suspended stream's unresolved bytes in stream
-	// order (carry ++ delay slot ++ ring).
+	// order (carry ++ delay ring).
 	Pending []byte
 	// Counters is the stream's raw observability block; only the
 	// portable subset listed in the format comment round-trips.
