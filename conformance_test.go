@@ -1,6 +1,7 @@
 package streamtok_test
 
 import (
+	"strings"
 	"testing"
 
 	"streamtok/internal/conformance"
@@ -70,5 +71,40 @@ func FuzzConformance(f *testing.F) {
 	f.Add(conformance.FuzzPick("json"), uint8(4), uint8(9), uint8(20), []byte(`{"a": [1, 2.5e3, true], "b": null}`))
 	f.Add(vocab, uint8(1), uint8(5), uint8(17), []byte("Hello, world! It's 42 degrees outside."))
 	f.Add(vocab, uint8(64), uint8(2), uint8(30), []byte(" exvocion inverting disscribs Outdictions vertions"))
+	f.Add(conformance.FuzzPick("scientific"), uint8(7), uint8(7), uint8(200), []byte("12e+3 x"))
+	f.Add(conformance.FuzzPick("keywords"), uint8(64), uint8(2), uint8(0), []byte("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa b"))
+	f.Add(conformance.FuzzPick("comments"), uint8(3), uint8(17), uint8(0), []byte("/*ab*/ xxxxxxxxxxxxxxxxxxxxxxxx\n"))
+	for _, in := range []string{
+		"café 日本語 🙂",
+		"for i in range(10):\n    print(i)\n",
+		"\xff\xc2\x80\x20\x27\x73",
+		"       \t\n\r  ",
+		strings.Repeat("the ", 64),
+		// Greedy misfits: the longest-token scan fails the validity check.
+		" Semistructment intermitment encedment injectment",
+		" convocness dejectness subcedions autovener antimem",
+		// Cache churn: over 1000 distinct near-maximal pieces.
+		distinctWords(1200, 50),
+	} {
+		f.Add(vocab, uint8(1), uint8(5), uint8(128), []byte(in))
+	}
 	f.Fuzz(conformance.Fuzz)
+}
+
+// distinctWords is n distinct words of wordLen letters, space-separated:
+// word i spells i in base 16 with the letters a–p, padded with q.
+func distinctWords(n, wordLen int) string {
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		w := []byte{}
+		for v := i; ; v /= 16 {
+			w = append(w, byte('a'+v%16))
+			if v < 16 {
+				break
+			}
+		}
+		sb.Write(w)
+		sb.WriteString(strings.Repeat("q", wordLen-len(w)) + " ")
+	}
+	return sb.String()
 }

@@ -34,14 +34,22 @@ func TestAnalysisMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestAnalysisMatchesEnumeration validates the corpus cases against the
-// most literal reading of Definition 7: exhaustive string enumeration.
+// TestAnalysisMatchesEnumeration pins the analysis to every bounded
+// corpus case's known max-TND, and validates the cases up to 3 against
+// the most literal reading of Definition 7: exhaustive string
+// enumeration.
 func TestAnalysisMatchesEnumeration(t *testing.T) {
 	for _, c := range testutil.Corpus() {
-		if c.KnownTND < 0 || c.KnownTND > 3 {
-			continue // enumeration horizon too small for deep or unbounded cases
+		if c.KnownTND < 0 {
+			continue // unbounded or unchecked
 		}
 		m := c.Compile(false)
+		if got := Analyze(m).MaxTND; got != c.KnownTND {
+			t.Errorf("%s: analysis says max-TND %d, corpus says %d", c.Name, got, c.KnownTND)
+		}
+		if c.KnownTND > 3 {
+			continue // enumeration horizon too small for deep cases
+		}
 		got, pairs := reference.NeighborPairsUpTo(m, c.Alphabet, c.KnownTND+5)
 		if got != c.KnownTND {
 			t.Errorf("%s: enumeration found max distance %d (over %d pairs), want %d",

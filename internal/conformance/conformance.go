@@ -12,10 +12,11 @@
 //   - Fuzz: one fuzz body over all of it.
 //
 // Sources are the bounded catalog grammars, ad-hoc rules (the
-// testutil corpus), machine files and a trained vocabulary; engine
-// paths are the settings fused (the default), split, lazy (a one-state
-// TeDFA cap) and noaccel (core.NewNoAccelWithK). The package is test
-// support: only _test files import it.
+// testutil corpus and a 1k-rule keyword grammar), machine files and a
+// trained vocabulary; engine paths are the settings fused (the
+// default), split, lazy (a one-state TeDFA cap) and noaccel
+// (core.NewNoAccelWithK). The package is test support: only _test
+// files import it.
 package conformance
 
 import (
@@ -54,6 +55,7 @@ type Source struct {
 	minimize bool
 	m        *tokdfa.Machine // Definition 1's DFA (grammar sources)
 	inputs   [][]byte
+	resume   []byte // the resume rows' input, if not resumeInput's pick
 
 	once    sync.Once
 	engines []*Engine
@@ -99,7 +101,9 @@ var (
 // Sources returns the matrix's sources in a fixed order: the ad-hoc
 // rule grammars (testutil.Corpus's bounded grammars unminimized, and
 // the pretokenizer also minimized, which packs), the vocabulary, the
-// bounded catalog grammars, and two machine files.
+// bounded catalog grammars, two machine files, and big-1k, the 1k-rule
+// keyword grammar of the big-grammar benchmark. New sources go last:
+// the committed FuzzConformance seeds pick sources by index.
 func Sources() []*Source {
 	sourcesOnce.Do(func() {
 		rng := rand.New(rand.NewSource(29))
@@ -133,6 +137,21 @@ func Sources() []*Source {
 				sources = append(sources, &Source{Name: c.Name + ".mach", Kind: "machine", rules: c.rules, minimize: true, m: c.m, inputs: c.inputs})
 			}
 		}
+		rules, err := workload.BigGrammarRules(1000)
+		if err != nil {
+			panic(err)
+		}
+		sample, err := workload.BigGrammarInput(29, 2<<10, 1000)
+		if err != nil {
+			panic(err)
+		}
+		// Newlines widened into separator runs, which the accel states skip.
+		sample = bytes.ReplaceAll(sample, []byte("\n"), []byte(" \n\n  \n "))
+		m := tokdfa.MustCompile(tokdfa.MustParseGrammar(rules...), tokdfa.Options{Minimize: true})
+		// Its separator run would tokenize furthest; resume on keywords.
+		resume := sample[:bytes.LastIndexByte(sample[:300], ' ')+1]
+		inputs := grammarInputs(rng, sample, []byte("abhyz \nq"), 6, 200)
+		sources = append(sources, &Source{Name: "big-1k", Kind: "rules", rules: rules, minimize: true, m: m, inputs: inputs, resume: resume})
 	})
 	return sources
 }
@@ -149,7 +168,8 @@ func Lookup(name string) *Source {
 
 // grammarInputs is a grammar source's inputs: a realistic sample (if
 // any), one 300-byte run of every alphabet byte (the accel states'
-// target shape), and n random inputs of up to maxLen bytes.
+// target shape), n random inputs of up to maxLen bytes, and the empty
+// input.
 func grammarInputs(rng *rand.Rand, sample, alphabet []byte, n, maxLen int) [][]byte {
 	var out [][]byte
 	if len(sample) > 0 {
@@ -161,7 +181,7 @@ func grammarInputs(rng *rand.Rand, sample, alphabet []byte, n, maxLen int) [][]b
 	for i := 0; i < n; i++ {
 		out = append(out, testutil.RandomInput(rng, alphabet, rng.Intn(maxLen)))
 	}
-	return out
+	return append(out, nil)
 }
 
 // vocabInputs are prompt-shaped text and the byte-level edge cases of
@@ -175,12 +195,13 @@ func vocabInputs() [][]byte {
 		[]byte("café über 日本語 🙂 αλφα привет →"),
 		[]byte("x = {\"key\": 42}\n\tif x: return [1, 2.5e3]\n"),
 		[]byte("    \t\r\n  spaces   everywhere \n\n"),
-		[]byte(" exvocion inverting disscribs Outdictions vertions"),
+		[]byte(" Semistructment intermitment encedment injectment convocness dejectness subcedions"),
 		{0xff, 0xfe, 0x80, 0x41, 0xc2},
 		{},
 		[]byte("a"),
 		[]byte("'"),
 		bytes.Repeat([]byte("ab"), 300),
+		[]byte(" "),
 	}
 }
 
@@ -484,7 +505,7 @@ func suspendAndResume(t *testing.T, src *Source, e *Engine, onto []*Engine, in [
 }
 
 // Resume runs the resume rows of one engine path of src on the
-// source's input that tokenizes furthest (up to 300 bytes): at every
+// source's resume input (up to 300 bytes, see resumeInput): at every
 // chunking a cursor at every chunk boundary, resumed on the source's
 // engines in turn starting with e, so every ordered pair of engines
 // meets at some boundary. A cursor with a tampered DFA state must be
@@ -521,9 +542,12 @@ func resumeOnto(t *testing.T, src *Source, e *Engine, engines []*Engine) {
 	}
 }
 
-// resumeInput is the source's input that tokenizes furthest, cut to n
-// bytes.
+// resumeInput is the source's resume input if it has one, else its
+// input that tokenizes furthest, cut to n bytes.
 func (src *Source) resumeInput(n int) []byte {
+	if src.resume != nil {
+		return src.resume[:min(len(src.resume), n)]
+	}
 	var best []byte
 	bestRest := -1
 	for _, in := range src.inputs {
@@ -606,16 +630,17 @@ func Fuzz(t *testing.T, pick int, c1, c2, cut uint8, input []byte) {
 	}
 }
 
-// RulePick maps a pick over the ad-hoc rule sources alone (the corpus
+// RulePick maps a pick over the corpus's ad-hoc rule sources alone (the
 // order internal/core's fuzz seeds were recorded in) to a Fuzz pick.
 func RulePick(pick int) int {
 	n := 0
 	for _, src := range Sources() {
-		if src.Kind == "rules" {
-			n++
+		if src.Kind != "rules" {
+			break // the corpus rule sources come first; big-1k is not one
 		}
+		n++
 	}
-	return index(pick, n) // the rule sources come first
+	return index(pick, n)
 }
 
 // index maps a fuzzed pick to [0, n) by its absolute value.

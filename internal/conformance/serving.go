@@ -64,7 +64,7 @@ func Scheduler(t *testing.T) {
 // HTTP: a ?hold=1 suspend resumed by ?cursor=, a byte-budget cut
 // resumed the same way, and dead input (grammars only), each checked
 // token by token — offsets, rule and text — against the oracle, with
-// the summary's rest, offset and complete. A registry over its memory
+// the summary's bytes_in, rest, offset and complete. A registry over its memory
 // budget refuses with 422.
 func Serving(t *testing.T) {
 	dir := t.TempDir()
@@ -110,11 +110,11 @@ func Serving(t *testing.T) {
 			want, _ := src.Want(in)
 			q := ts.URL + "/tokenize?text=1&" + row.query
 			cut := len(in)/2 + 3
-			if msg := checkSuspendResume(t, q+"&hold=1", in[:cut], in, want); msg != "" {
-				t.Fatalf("held stream reports error %q", msg)
+			if sum := checkSuspendResume(t, q+"&hold=1", in[:cut], in, want); sum.Error != "" || sum.BytesIn != int64(cut) || sum.Rest >= cut {
+				t.Fatalf("held stream: summary %+v, want no error, bytes_in %d and pending bytes", sum, cut)
 			}
-			if msg := checkSuspendResume(t, q+"&max_bytes="+strconv.Itoa(cut), in, in, want); !strings.Contains(msg, "limit") {
-				t.Fatalf("cut stream reports error %q, want a byte-limit error", msg)
+			if sum := checkSuspendResume(t, q+"&max_bytes="+strconv.Itoa(cut), in, in, want); !strings.Contains(sum.Error, "limit") {
+				t.Fatalf("cut stream reports error %q, want a byte-limit error", sum.Error)
 			}
 			if src.Kind == "vocab" {
 				return
@@ -154,8 +154,8 @@ func Serving(t *testing.T) {
 // resumes from the returned cursor with the bytes of in the first
 // request did not feed. The suspended summary's rest must be the end
 // of the last delivered token, and the two token streams together the
-// oracle's. It returns the suspended summary's error.
-func checkSuspendResume(t *testing.T, q string, body, in []byte, want []token.Token) string {
+// oracle's. It returns the suspended summary.
+func checkSuspendResume(t *testing.T, q string, body, in []byte, want []token.Token) line {
 	t.Helper()
 	toks1, sum1 := post(t, q, body)
 	if sum1.Cursor == "" || sum1.Complete == nil || *sum1.Complete {
@@ -174,7 +174,7 @@ func checkSuspendResume(t *testing.T, q string, body, in []byte, want []token.To
 		t.Fatalf("%s: resumed summary %+v, want offset %d, rest %d, complete", q, sum2, fed, len(in))
 	}
 	checkLines(t, q, append(toks1, toks2...), in, want)
-	return sum1.Error
+	return sum1
 }
 
 // line is one NDJSON line of a /tokenize response: a token, or the

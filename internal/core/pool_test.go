@@ -452,55 +452,3 @@ func TestBigGrammarFusedZeroAllocs(t *testing.T) {
 	}
 	_ = last
 }
-
-// TestBigGrammarDifferential: on a 1k-rule keyword grammar the
-// compressed fused engine and the split interpreter loops emit
-// byte-identical token streams under adversarial chunking — the
-// correctness half of the big-grammar scaling claim.
-func TestBigGrammarDifferential(t *testing.T) {
-	rules, err := workload.BigGrammarRules(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := tokdfa.MustCompile(tokdfa.MustParseGrammar(rules...), tokdfa.Options{Minimize: true})
-	res := analysis.Analyze(m)
-	fusedTok, err := core.NewWithK(m, res.MaxTND, tepath.Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	splitTok, err := core.NewWithKBudget(m, res.MaxTND, tepath.Limits{}, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	input, err := workload.BigGrammarInput(11, 64<<10, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(13))
-	collect := func(tok *core.Tokenizer, chunks [][]byte) []token.Token {
-		var out []token.Token
-		emit := func(tk token.Token, _ []byte) { out = append(out, tk) }
-		s := tok.NewStreamer()
-		for _, c := range chunks {
-			s.Feed(c, emit)
-		}
-		s.Close(emit)
-		return out
-	}
-	for round := 0; round < 4; round++ {
-		var chunks [][]byte
-		for off := 0; off < len(input); {
-			n := 1 + rng.Intn(777)
-			if off+n > len(input) {
-				n = len(input) - off
-			}
-			chunks = append(chunks, input[off:off+n])
-			off += n
-		}
-		got := collect(fusedTok, chunks)
-		want := collect(splitTok, chunks)
-		if len(got) == 0 || !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: fused (%d tokens) and split (%d tokens) streams differ", round, len(got), len(want))
-		}
-	}
-}

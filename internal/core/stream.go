@@ -172,13 +172,3 @@ func TokenizeBytes(e Engine, input []byte) (toks []token.Token, rest int) {
 	e.ReleaseStream(s)
 	return toks, rest
 }
-
-// Count tokenizes the stream and returns only the number of tokens and
-// total token bytes; used by benchmarks to avoid measuring consumer cost.
-func (t *Tokenizer) Count(r io.Reader, bufSize int) (tokens int, bytes int, rest int, err error) {
-	rest, err = t.Tokenize(r, bufSize, func(tok token.Token, _ []byte) {
-		tokens++
-		bytes += tok.Len()
-	})
-	return tokens, bytes, rest, err
-}

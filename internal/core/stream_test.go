@@ -24,18 +24,6 @@ func newTok(t *testing.T, rules ...string) *core.Tokenizer {
 	return tok
 }
 
-// TestCount tallies tokens and bytes without materializing them.
-func TestCount(t *testing.T) {
-	tok := newTok(t, `[0-9]+`, `[ ]+`)
-	tokens, bytes_, rest, err := tok.Count(strings.NewReader("12 345 6"), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tokens != 5 || bytes_ != 8 || rest != 8 {
-		t.Errorf("Count = %d tokens, %d bytes, rest %d", tokens, bytes_, rest)
-	}
-}
-
 // errReader fails after yielding a prefix.
 type errReader struct {
 	data []byte

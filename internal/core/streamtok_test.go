@@ -68,30 +68,6 @@ func checkAgainstReference(t *testing.T, name string, m *tokdfa.Machine, tok *co
 	}
 }
 
-// TestStreamTokCorpus checks Theorem 20 on the whole grammar corpus with
-// deterministic and random inputs, across chunk sizes.
-func TestStreamTokCorpus(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, c := range testutil.Corpus() {
-		tok, m, k := buildTokenizer(t, c)
-		if tok == nil {
-			continue // unbounded: StreamTok does not apply
-		}
-		if c.KnownTND >= 0 && k != c.KnownTND {
-			t.Errorf("%s: analysis says TND %d, corpus says %d", c.Name, k, c.KnownTND)
-		}
-		var inputs [][]byte
-		inputs = append(inputs, nil, []byte(string(c.Alphabet)))
-		for trial := 0; trial < 40; trial++ {
-			inputs = append(inputs, testutil.RandomInput(rng, c.Alphabet, rng.Intn(64)))
-		}
-		inputs = append(inputs, testutil.RandomInput(rng, c.Alphabet, 4096))
-		for _, in := range inputs {
-			checkAgainstReference(t, c.Name, m, tok, in)
-		}
-	}
-}
-
 // TestStreamTokRandomGrammars is the main property test: random grammars,
 // random inputs, StreamTok must equal the executable specification
 // whenever the analysis says the grammar is bounded.

@@ -23,100 +23,6 @@ func postTokenize(t *testing.T, ts string, path, body string) ([]tokenLine, toke
 	return readNDJSON(t, resp.Body)
 }
 
-// TestTokenizeHoldResume drives one logical stream through two requests:
-// the first uploads a prefix cut mid-token and suspends with ?hold=1,
-// the second resumes from the returned cursor with the rest of the
-// input. The union of the two token streams must be byte-identical to a
-// single-shot request over the whole input — same offsets, same rules,
-// same text — and the resumed summary must reconcile (offset = suspend
-// point, complete = true).
-func TestTokenizeHoldResume(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	input := `{"key": [1, 2.5, true, null], "s": "streaming", "n": 12345}`
-	cut := len(input)/2 + 3 // mid-token, so the suspension has pending bytes
-
-	// Reference: the whole input in one request.
-	wantToks, wantSum := postTokenize(t, ts.URL, "/tokenize?grammar=json&text=1", input)
-	if wantSum.Complete == nil || !*wantSum.Complete {
-		t.Fatalf("reference input should tokenize completely: %+v", wantSum)
-	}
-
-	toks1, sum1 := postTokenize(t, ts.URL, "/tokenize?grammar=json&text=1&hold=1", input[:cut])
-	if sum1.Error != "" || sum1.Done == nil {
-		t.Fatalf("hold summary is an error: %+v", sum1)
-	}
-	if sum1.Cursor == "" {
-		t.Fatal("hold=1 summary has no cursor")
-	}
-	if sum1.BytesIn != int64(cut) {
-		t.Errorf("hold bytes_in = %d, want %d", sum1.BytesIn, cut)
-	}
-	if sum1.Complete == nil || *sum1.Complete {
-		t.Errorf("mid-token suspension must not report complete: %+v", sum1)
-	}
-	// rest on a suspension is the pending token's start: everything
-	// before it was delivered, everything after rides in the cursor.
-	if last := toks1[len(toks1)-1].End; sum1.Rest != last {
-		t.Errorf("suspended rest = %d, want last delivered end %d", sum1.Rest, last)
-	}
-
-	toks2, sum2 := postTokenize(t, ts.URL, "/tokenize?grammar=json&text=1&cursor="+sum1.Cursor, input[cut:])
-	if sum2.Error != "" {
-		t.Fatalf("resume failed: %+v", sum2)
-	}
-	if sum2.Offset != int64(cut) {
-		t.Errorf("resumed offset = %d, want %d", sum2.Offset, cut)
-	}
-	if sum2.Complete == nil || !*sum2.Complete {
-		t.Errorf("resumed stream should finish complete: %+v", sum2)
-	}
-	if sum2.Rest != len(input) {
-		t.Errorf("resumed rest = %d, want %d", sum2.Rest, len(input))
-	}
-
-	got := append(append([]tokenLine(nil), toks1...), toks2...)
-	if len(got) != len(wantToks) {
-		t.Fatalf("suspend+resume emitted %d tokens, single shot %d", len(got), len(wantToks))
-	}
-	for i, tk := range got {
-		w := wantToks[i]
-		if *tk.Start != *w.Start || tk.End != w.End || tk.Rule != w.Rule || tk.Text != w.Text {
-			t.Fatalf("token %d: got %+v, want %+v", i, tk, w)
-		}
-	}
-}
-
-// TestTokenizeCutReturnsCursor: a stream cut by the byte budget reports
-// the limit error AND a cursor; since every fed byte rides in the cursor
-// (the cut happens after the over-budget chunk was fed), a resume with
-// the unfed remainder finishes the stream exactly.
-func TestTokenizeCutReturnsCursor(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	input := strings.Repeat("12 345 6789 ", 40) // 480 bytes
-	_, sum := postTokenize(t, ts.URL,
-		"/tokenize?rule=%5B0-9%5D%2B&rule=%5B%20%5D%2B&max_bytes=64", input)
-	if sum.Error == "" || !strings.Contains(sum.Error, "limit") {
-		t.Fatalf("summary %+v, want a byte-limit error", sum)
-	}
-	if sum.Cursor == "" {
-		t.Fatal("budget-cut stream returned no cursor")
-	}
-	if sum.Complete == nil || *sum.Complete {
-		t.Errorf("cut stream must not report complete: %+v", sum)
-	}
-	// The whole body arrived in one chunk, so it was all fed before the
-	// budget check cut the stream; the resume has nothing left to send.
-	unfed := input[sum.BytesIn:]
-	_, sum2 := postTokenize(t, ts.URL,
-		"/tokenize?rule=%5B0-9%5D%2B&rule=%5B%20%5D%2B&cursor="+sum.Cursor, unfed)
-	if sum2.Error != "" || sum2.Complete == nil || !*sum2.Complete {
-		t.Fatalf("resume after cut: %+v", sum2)
-	}
-	if sum2.Rest != len(input) {
-		t.Errorf("resumed rest = %d, want %d", sum2.Rest, len(input))
-	}
-}
-
 // TestTokenizeCursorRejections: transport garbage is a 400, structurally
 // valid blobs that fail validation (tampering, wrong grammar) are 422 —
 // all before any streaming output, and all counted as rejections.

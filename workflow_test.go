@@ -5,9 +5,11 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"unicode"
@@ -44,6 +46,39 @@ func TestWorkflowSelectors(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no go test commands found in the workflows")
+	}
+}
+
+// TestFuzzCorpusTargets fails when a testdata/fuzz/<Name> seed corpus
+// has no fuzz target <Name> in its package. go test silently ignores
+// such a directory, so a deleted or renamed target would leave its
+// seeds behind, never run.
+func TestFuzzCorpusTargets(t *testing.T) {
+	funcs := map[string][]string{}
+	corpora := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if d.Name() == ".git" {
+			return filepath.SkipDir
+		}
+		fuzz := filepath.Dir(path)
+		if filepath.Base(fuzz) != "fuzz" || filepath.Base(filepath.Dir(fuzz)) != "testdata" {
+			return nil
+		}
+		corpora++
+		pkg := filepath.Dir(filepath.Dir(fuzz))
+		if !isTestName(d.Name(), "Fuzz") || !slices.Contains(testFuncs(t, pkg, funcs), d.Name()) {
+			t.Errorf("%s: no fuzz target %s in package %s", path, d.Name(), pkg)
+		}
+		return filepath.SkipDir
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if corpora == 0 {
+		t.Fatal("no testdata/fuzz seed corpora found")
 	}
 }
 
