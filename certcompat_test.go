@@ -22,11 +22,16 @@ import (
 // and K and the ring must be unchanged. The stored engine half is not
 // trusted: csv.mach was written when fused-k1 still built and counted
 // the split K1 table, so it comes back recertified with exactly that
-// table's bytes fewer; tsv.mach and yaml.mach were written when K=2
-// grammars served from the pair-action tables (mode fused-general), so
-// they come back recertified with the packed engine's mode and bytes
-// (its words, and no TeDFA: the product folds B into its states).
-// The other fixtures' engine halves still match.
+// table's bytes fewer; tsv.mach, yaml.mach, json.mach and xml.mach were
+// written when K ≥ 2 grammars served from the retired pair-action tables
+// (mode fused-general), so they come back recertified: tsv, yaml and
+// json with the packed engine's mode and bytes (its words, and no TeDFA:
+// the product folds B into its states), xml, whose product passes the
+// construction's work bound, with the split Fig. 6 loop's (A and the
+// eager TeDFA, a k-byte ring in place of the pair-action loop's
+// power-of-two one). The other fixture's engine half still matches.
+// TestResumeFusedGeneralCursor resumes cursors on the json and xml
+// files.
 func TestCertificateCompat(t *testing.T) {
 	cases := []struct {
 		file        string
@@ -37,8 +42,8 @@ func TestCertificateCompat(t *testing.T) {
 		recertified bool
 		now         int // derived table bytes when recertified without the K1 table
 	}{
-		{"json.mach", 3, "fused-general", 4, 24140, false, 0},
-		{"xml.mach", 6, "fused-general", 8, 168980, false, 0},
+		{"json.mach", 3, "fused-k3", 3, 24140, true, 35176},
+		{"xml.mach", 6, "split-general", 6, 168980, true, 50964},
 		{"csv.mach", 1, "fused-k1", 0, 1405, true, 0},
 		{"rk12.mach", 12, "split-general-lazy", 12, 499, false, 0},
 		{"tsv.mach", 2, "fused-k2", 2, 2780, true, 2040},

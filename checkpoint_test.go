@@ -47,13 +47,17 @@ func feedChunks(t *testing.T, s *streamtok.Streamer, input, full []byte, chunk i
 }
 
 // TestResumeFusedGeneralCursor resumes cursors committed under
-// testdata/cursors, written by a build that served tsv and yaml from the
-// pair-action engine (mode fused-general). Each was taken after the
-// first 1500 bytes of workload.Generate(name, 7, 4096), fed in 100-byte
-// chunks; the packed engine now serving both must continue it exactly.
+// testdata/cursors, written by builds that served tsv, yaml, json and
+// xml from the retired pair-action engine (mode fused-general). Each was
+// taken after the first 1500 bytes of workload.Generate(name, 7, 4096),
+// fed in 100-byte chunks; the engine now serving the grammar must
+// continue it exactly: the packed product for tsv and yaml (fused-k2)
+// and json (fused-k3), the split Fig. 6 loop for xml. json and xml
+// resume on the tokenizer loaded from their testdata/certcompat machine
+// files, which were written under the pair-action engine too.
 func TestResumeFusedGeneralCursor(t *testing.T) {
 	const cut, chunk = 1500, 100
-	for _, name := range []string{"tsv", "yaml"} {
+	for name, mode := range map[string]string{"tsv": "fused-k2", "yaml": "fused-k2", "json": "fused-k3", "xml": "split-general"} {
 		t.Run(name, func(t *testing.T) {
 			blob, err := os.ReadFile(filepath.Join("testdata", "cursors", name+"-fused-general.cur"))
 			if err != nil {
@@ -63,9 +67,23 @@ func TestResumeFusedGeneralCursor(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tok := compileCatalog(t, name, streamtok.Options{Minimize: true})
-			if cur.EngineMode != "fused-general" || tok.Engine().Mode != "fused-k2" {
-				t.Fatalf("cursor mode %s, engine %s; want fused-general onto fused-k2", cur.EngineMode, tok.Engine().Mode)
+			var tok *streamtok.Tokenizer
+			if name == "json" || name == "xml" {
+				data, err := os.ReadFile(filepath.Join("testdata", "certcompat", name+".mach"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tok, _, err = streamtok.LoadCompiled(bytes.NewReader(data)); err != nil {
+					t.Fatal(err)
+				}
+				if !tok.Certificate().Recertified {
+					t.Errorf("%s.mach: engine half not recertified", name)
+				}
+			} else {
+				tok = compileCatalog(t, name, streamtok.Options{Minimize: true})
+			}
+			if cur.EngineMode != "fused-general" || tok.Engine().Mode != mode {
+				t.Fatalf("cursor mode %s, engine %s; want fused-general onto %s", cur.EngineMode, tok.Engine().Mode, mode)
 			}
 			input, err := workload.Generate(name, 7, 4096)
 			if err != nil {

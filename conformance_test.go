@@ -50,15 +50,6 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 	}
 }
 
-// TestResumeCrossEngine resumes json and vocabulary cursors from the
-// fused engine onto the split one and back.
-func TestResumeCrossEngine(t *testing.T) {
-	conformance.ResumeAcross(t, conformance.Lookup("json"), "fused", "split")
-	t.Run("vocab", func(t *testing.T) {
-		conformance.ResumeAcross(t, conformance.Lookup("vocab"), "fused", "split")
-	})
-}
-
 // FuzzConformance is the one differential fuzz target: any source of
 // the matrix, any input, any two alternating chunk sizes and a
 // checkpoint/resume cut, on every engine path (see conformance.Fuzz).

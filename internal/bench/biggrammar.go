@@ -60,7 +60,7 @@ func Biggrammar(cfg Config) Table {
 		name := fmt.Sprintf("big-%dk", rules/1000)
 		t.Rows = append(t.Rows, bigGrammarRow(cfg, name, tokdfa.MustParseGrammar(srcs...), in))
 	}
-	t.Note = fmt.Sprintf("dense_dfa_bytes is the 256-ary layout the pre-v3 format stored; ratio = dfa_bytes/dense_dfa_bytes (~C/256); resident_bytes is the certified full-engine footprint; packed_states is the minimized K>=2 product a fused-k<K> engine runs (0 for K<=1 and for products past the 1024-state cap); input %d B per row; compile_s and mbps are host-dependent (host %s/%s %s NumCPU=%d)",
+	t.Note = fmt.Sprintf("dense_dfa_bytes is the 256-ary layout the pre-v3 format stored; ratio = dfa_bytes/dense_dfa_bytes (~C/256); resident_bytes is the certified full-engine footprint; packed_states is the minimized K>=2 product a fused-k<K> engine runs (0 for K<=1 and for grammars that do not pack); input %d B per row; compile_s and mbps are host-dependent (host %s/%s %s NumCPU=%d)",
 		n, runtime.GOOS, runtime.GOARCH, runtime.Version(), runtime.NumCPU())
 	return t
 }

@@ -14,8 +14,8 @@
 // Sources are the bounded catalog grammars, ad-hoc rules (the
 // testutil corpus and a 1k-rule keyword grammar), machine files and a
 // trained vocabulary; engine paths are the settings fused (the
-// default), split, lazy (a one-state TeDFA cap) and noaccel
-// (core.NewNoAccelWithK). The package is test support: only _test
+// default), split, lazy (the split loop over a one-state TeDFA cap) and
+// noaccel (core.NewNoAccelWithK). The package is test support: only _test
 // files import it.
 package conformance
 
@@ -55,7 +55,7 @@ type Source struct {
 	minimize bool
 	m        *tokdfa.Machine // Definition 1's DFA (grammar sources)
 	inputs   [][]byte
-	resume   []byte // the resume rows' input, if not resumeInput's pick
+	resume   []byte // the resume rows' input: the sample cut at a token boundary, if any
 
 	once    sync.Once
 	engines []*Engine
@@ -90,7 +90,9 @@ var settings = []struct {
 }{
 	{"fused", streamtok.Options{}},
 	{"split", streamtok.Options{MaxFusedTableBytes: -1}},
-	{"lazy", streamtok.Options{MaxTeDFAStates: 1}},
+	// A grammar that packs never builds a TeDFA, so lazy needs the split
+	// loop too.
+	{"lazy", streamtok.Options{MaxTeDFAStates: 1, MaxFusedTableBytes: -1}},
 }
 
 var (
@@ -117,9 +119,10 @@ func Sources() []*Source {
 				sample = workload.Prompts(29, 2<<10)
 			}
 			inputs := grammarInputs(rng, sample, c.Alphabet, 10, 160)
-			sources = append(sources, &Source{Name: c.Name, Kind: "rules", rules: c.Rules, m: m, inputs: inputs})
+			resume := resumeCut(m, sample)
+			sources = append(sources, &Source{Name: c.Name, Kind: "rules", rules: c.Rules, m: m, inputs: inputs, resume: resume})
 			if c.Name == "pretok" {
-				sources = append(sources, &Source{Name: "pretok-min", Kind: "rules", rules: c.Rules, minimize: true, m: c.Compile(true), inputs: inputs})
+				sources = append(sources, &Source{Name: "pretok-min", Kind: "rules", rules: c.Rules, minimize: true, m: c.Compile(true), inputs: inputs, resume: resume})
 			}
 		}
 		sources = append(sources, &Source{Name: "vocab", Kind: "vocab", inputs: vocabInputs()})
@@ -129,12 +132,15 @@ func Sources() []*Source {
 				continue
 			}
 			sample, _ := workload.Generate(spec.Name, 29, 2<<10)
+			if spec.Name == "sql-inserts" {
+				sample = workload.SQLInserts(29, 2<<10)
+			}
 			inputs := grammarInputs(rng, sample, []byte("abc019 \t\n,:\"{}<>/=.-_"), 6, 200)
-			sources = append(sources, &Source{Name: spec.Name, Kind: "catalog", rules: spec.Rules, minimize: true, m: m, inputs: inputs})
+			sources = append(sources, &Source{Name: spec.Name, Kind: "catalog", rules: spec.Rules, minimize: true, m: m, inputs: inputs, resume: resumeCut(m, sample)})
 		}
 		for _, c := range sources {
 			if c.Name == "csv" || c.Name == "json" {
-				sources = append(sources, &Source{Name: c.Name + ".mach", Kind: "machine", rules: c.rules, minimize: true, m: c.m, inputs: c.inputs})
+				sources = append(sources, &Source{Name: c.Name + ".mach", Kind: "machine", rules: c.rules, minimize: true, m: c.m, inputs: c.inputs, resume: c.resume})
 			}
 		}
 		rules, err := workload.BigGrammarRules(1000)
@@ -148,10 +154,8 @@ func Sources() []*Source {
 		// Newlines widened into separator runs, which the accel states skip.
 		sample = bytes.ReplaceAll(sample, []byte("\n"), []byte(" \n\n  \n "))
 		m := tokdfa.MustCompile(tokdfa.MustParseGrammar(rules...), tokdfa.Options{Minimize: true})
-		// Its separator run would tokenize furthest; resume on keywords.
-		resume := sample[:bytes.LastIndexByte(sample[:300], ' ')+1]
 		inputs := grammarInputs(rng, sample, []byte("abhyz \nq"), 6, 200)
-		sources = append(sources, &Source{Name: "big-1k", Kind: "rules", rules: rules, minimize: true, m: m, inputs: inputs, resume: resume})
+		sources = append(sources, &Source{Name: "big-1k", Kind: "rules", rules: rules, minimize: true, m: m, inputs: inputs, resume: resumeCut(m, sample)})
 	})
 	return sources
 }
@@ -164,6 +168,29 @@ func Lookup(name string) *Source {
 		}
 	}
 	panic("conformance: no source " + name)
+}
+
+// resumeLen bounds the resume rows' input.
+const resumeLen = 300
+
+// resumeCut is a grammar source's resume input: its realistic sample
+// cut at the last of Definition 1's token boundaries within resumeLen
+// bytes, so cursors land inside and between real tokens of the format
+// (a single-byte run, which tokenizes furthest, is one token); nil when
+// there is no sample or no token ends in time.
+func resumeCut(m *tokdfa.Machine, sample []byte) []byte {
+	toks, _ := reference.Tokens(m, sample)
+	end := 0
+	for _, tk := range toks {
+		if tk.End > resumeLen {
+			break
+		}
+		end = tk.End
+	}
+	if end == 0 {
+		return nil
+	}
+	return sample[:end]
 }
 
 // grammarInputs is a grammar source's inputs: a realistic sample (if
@@ -454,14 +481,13 @@ func Stream(t *testing.T, src *Source, note func(mode string)) {
 
 // suspendAndResume feeds in through a stream of e in chunks ending at
 // bounds, taking a cursor before each chunk and after the last wherever
-// cut allows; the live pass must still match the oracle (checkpointing does
-// not perturb the stream). Cursor i then resumes on onto[i%len(onto)]
-// and is fed the remaining chunks: it must emit exactly the oracle's
-// tokens the suspended stream had not, with the same rest. It returns
-// the cursors.
-func suspendAndResume(t *testing.T, src *Source, e *Engine, onto []*Engine, in []byte, bounds []int, cut func(at int) bool) [][]byte {
+// cut allows; the live pass must still match the oracle's want and
+// wantRest for in (checkpointing does not perturb the stream). Cursor i
+// then resumes on onto[i%len(onto)] and is fed the remaining chunks: it
+// must emit exactly the oracle's tokens the suspended stream had not,
+// with the same rest. It returns the cursors.
+func suspendAndResume(t *testing.T, e *Engine, onto []*Engine, in []byte, want []token.Token, wantRest int, bounds []int, cut func(at int) bool) [][]byte {
 	t.Helper()
-	want, wantRest := src.Want(in)
 	type mark struct{ at, emitted int }
 	var marks []mark
 	var cursors [][]byte
@@ -505,15 +531,15 @@ func suspendAndResume(t *testing.T, src *Source, e *Engine, onto []*Engine, in [
 }
 
 // Resume runs the resume rows of one engine path of src on the
-// source's resume input (up to 300 bytes, see resumeInput): at every
-// chunking a cursor at every chunk boundary, resumed on the source's
-// engines in turn starting with e, so every ordered pair of engines
-// meets at some boundary. A cursor with a tampered DFA state must be
-// refused by e.
-func Resume(t *testing.T, src *Source, e *Engine) { resumeOnto(t, src, e, src.Engines(t)) }
-
-func resumeOnto(t *testing.T, src *Source, e *Engine, engines []*Engine) {
-	in := src.resumeInput(300)
+// source's resume input (up to resumeLen bytes, see resumeInput): at
+// every chunking a cursor at every chunk boundary, resumed on the
+// source's engines in turn starting with e, so every ordered pair of
+// engines meets at some boundary. A cursor with a tampered DFA state
+// must be refused by e.
+func Resume(t *testing.T, src *Source, e *Engine) {
+	engines := src.Engines(t)
+	in := src.resumeInput()
+	want, wantRest := src.Want(in)
 	var onto []*Engine
 	for i, o := range engines {
 		if o == e {
@@ -522,7 +548,7 @@ func resumeOnto(t *testing.T, src *Source, e *Engine, engines []*Engine) {
 	}
 	all := func(int) bool { return true }
 	for _, chunk := range chunkings {
-		cursors := suspendAndResume(t, src, e, onto, in, boundaries(0, len(in), chunk), all)
+		cursors := suspendAndResume(t, e, onto, in, want, wantRest, boundaries(0, len(in), chunk), all)
 		if chunk != 7 || len(cursors) < 2 {
 			continue
 		}
@@ -543,15 +569,15 @@ func resumeOnto(t *testing.T, src *Source, e *Engine, engines []*Engine) {
 }
 
 // resumeInput is the source's resume input if it has one, else its
-// input that tokenizes furthest, cut to n bytes.
-func (src *Source) resumeInput(n int) []byte {
+// input that tokenizes furthest, cut to resumeLen bytes.
+func (src *Source) resumeInput() []byte {
 	if src.resume != nil {
-		return src.resume[:min(len(src.resume), n)]
+		return src.resume
 	}
 	var best []byte
 	bestRest := -1
 	for _, in := range src.inputs {
-		in = in[:min(len(in), n)]
+		in = in[:min(len(in), resumeLen)]
 		if _, rest := src.Want(in); rest > bestRest {
 			best, bestRest = in, rest
 		}
@@ -559,33 +585,12 @@ func (src *Source) resumeInput(n int) []byte {
 	return best
 }
 
-// ResumeAcross runs Resume between src's engines of settings a and b
-// only, in both directions, as subtests "a->b" and "b->a".
-func ResumeAcross(t *testing.T, src *Source, a, b string) {
-	var pair []*Engine
-	for _, setting := range []string{a, b} {
-		for _, e := range src.Engines(t) {
-			if e.Setting == setting {
-				pair = append(pair, e)
-			}
-		}
-	}
-	if len(pair) != 2 {
-		t.Fatalf("%s has no separate %s and %s engines", src.Name, a, b)
-	}
-	for i, e := range pair {
-		t.Run(e.Setting+"->"+pair[1-i].Setting, func(t *testing.T) {
-			resumeOnto(t, src, e, []*Engine{pair[1-i], e})
-		})
-	}
-}
-
 // required are the engine paths the code can select.
 var required = []string{
-	"fused-k0", "fused-k1", "fused-k2", "fused-general",
+	"fused-k0", "fused-k1", "fused-k2", "fused-k3",
 	"split-k0", "split-k1", "split-general", "split-general-lazy",
 	"bpe+fused-k2", "bpe+split-general",
-	"fused-k1 noaccel", "fused-k2 noaccel", "fused-general noaccel",
+	"fused-k1 noaccel", "fused-k2 noaccel",
 }
 
 // Coverage fails unless exercised (the modes stream rows ran) holds
@@ -623,9 +628,10 @@ func Fuzz(t *testing.T, pick int, c1, c2, cut uint8, input []byte) {
 	steps := []int{max(int(c1), 1), max(int(c2), 1)}
 	at := int(cut) % (len(input) + 1)
 	bounds := append(boundaries(0, at, steps...), boundaries(at, len(input), steps...)...)
+	want, wantRest := src.Want(input)
 	for i, e := range engines {
 		for _, o := range []*Engine{e, engines[(i+1)%len(engines)]} {
-			suspendAndResume(t, src, e, []*Engine{o}, input, bounds, func(a int) bool { return a == at })
+			suspendAndResume(t, e, []*Engine{o}, input, want, wantRest, bounds, func(a int) bool { return a == at })
 		}
 	}
 }

@@ -104,7 +104,7 @@ func Serving(t *testing.T) {
 		t.Run(row.src.Kind, func(t *testing.T) {
 			src := row.src
 			src.Engines(t) // builds the oracle too
-			in := src.resumeInput(400)
+			in := src.resumeInput()
 			_, rest := src.Want(in)
 			in = in[:rest] // tokenizes to the end, into the same tokens
 			want, _ := src.Want(in)

@@ -13,9 +13,10 @@ import (
 )
 
 // TestFusedEngineSelected pins the mode auto-selection: the data
-// formats must actually get the fused engine (this is the tentpole's
-// default path), the split constructor must never have it, and the
-// run-heavy formats must end up with accel states.
+// formats must actually get the fused engine (the default path) and end
+// up with accel states, except xml, whose packed product (K = 6) passes
+// the construction's work bound and keeps the split Fig. 6 loop; the
+// split constructor must never have it.
 func TestFusedEngineSelected(t *testing.T) {
 	for _, spec := range grammars.DataFormats() {
 		m := spec.Machine()
@@ -26,6 +27,12 @@ func TestFusedEngineSelected(t *testing.T) {
 		tok, err := core.NewWithK(m, res.MaxTND, tepath.Limits{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if spec.Name == "xml" {
+			if tok.EngineMode() != "split-general" {
+				t.Errorf("xml: mode %s, want split-general", tok.EngineMode())
+			}
+			continue
 		}
 		if !tok.Fused() {
 			t.Errorf("%s: fused engine not selected (mode %s)", spec.Name, tok.EngineMode())
@@ -51,9 +58,10 @@ func TestFusedEngineSelected(t *testing.T) {
 	}
 }
 
-// TestFusedLazyFallback: when the TeDFA goes lazy the fused engine must
-// bow out (it needs the eager powerstate space), and tokenization must
-// still match the reference.
+// TestFusedLazyFallback: a grammar that does not pack (rk12's product
+// passes the work bound) and whose TeDFA passes the eager cap runs the
+// split loop over a lazily grown TeDFA, and tokenization must still
+// match the reference.
 func TestFusedLazyFallback(t *testing.T) {
 	c := testutil.GrammarCase{Rules: []string{`a{0,12}b`, `a`}, Alphabet: []byte("ab")}
 	m := c.Compile(false)
@@ -62,7 +70,7 @@ func TestFusedLazyFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if tok.Fused() {
-		t.Fatalf("fused engine selected over a lazy TeDFA (mode %s)", tok.EngineMode())
+		t.Fatalf("fused engine selected for rk12 (mode %s)", tok.EngineMode())
 	}
 	if tok.EngineMode() != "split-general-lazy" {
 		t.Fatalf("mode = %s, want split-general-lazy", tok.EngineMode())

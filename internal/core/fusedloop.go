@@ -127,193 +127,3 @@ func (s *Streamer) keepDelayed(b []byte) {
 	copy(s.ring[keep:], b)
 	s.filled = keep + len(b)
 }
-
-// feedFusedGeneral is the k ≥ 2 fast path over the eager TeDFA: B and A
-// step their own flat tables (independent loads; B on the current byte,
-// A on the byte k positions back via the power-of-two delay ring) and
-// the maximality + dead + rule decisions collapse into one action word
-// indexed by the (q_A, s_B) pair.
-func (s *Streamer) feedFusedGeneral(chunk []byte, emit EmitFunc) {
-	e := s.fe
-	at := s.m.DFA.Trans
-	bt := e.TeTrans
-	act := e.Act
-	nS := e.TeStates
-	classOf := &e.ClassOf // shared A/B class map, hoisted for the loop
-	nc := e.NumClasses
-	gInfos := e.Infos
-	gAccelIdx := e.AccelIdx
-	ring := s.ring
-	mask := len(ring) - 1 // the ring is power-of-two sized
-	k := s.k
-	qa, sb, h, pos := s.qa, s.s, s.head, s.pos
-	base := pos + s.filled // stream offset of chunk[0]
-	n := len(chunk)
-	i := 0
-	// Fill phase: only B steps until the ring holds k bytes (happens
-	// once per stream).
-	for ; i < n && s.filled < k; i++ {
-		b := chunk[i]
-		sb = int(bt[sb*nc+int(classOf[b])])
-		ring[(h+s.filled)&mask] = b
-		s.filled++
-	}
-	// Accel attempts are suppressed below noAccel: briefly mid-run after a
-	// failed probe, and for long stretches when the profitability governor
-	// decides attempts are not paying (attempts roughly double the work
-	// over the run they scan, so inputs dominated by short fragmented runs
-	// are stepped, not scanned). Suppressed stretches run a copy of the
-	// loop with the accel arm compiled out, so an accel-flagged continue
-	// word costs the same as a plain one; the governor's exponential
-	// backoff makes hopeless inputs converge to that loop while regime
-	// changes are still noticed.
-	noAccel := 0
-	attempts, ringFails, skipped := 0, 0, 0
-	pausePen := 1 << 12
-	for i < n {
-		if lim := noAccel - 1; i < lim {
-			if lim > n {
-				lim = n
-			}
-			for ; i < lim; i++ {
-				b := chunk[i]
-				sb = int(bt[sb*nc+int(classOf[b])])
-				a := ring[h]
-				ring[(h+k)&mask] = b
-				h = (h + 1) & mask
-				if pos < base {
-					s.carry = append(s.carry, a)
-				}
-				qa = int(at[qa*nc+int(classOf[a])])
-				pos++
-				w := act[qa*nS+sb] & fused.GActionBit
-				if w == fused.GContinue {
-					continue
-				}
-				if w == fused.GDead {
-					s.qa, s.s, s.head, s.pos = qa, sb, h, pos
-					s.noteAccel(attempts, skipped)
-					s.stop()
-					return
-				}
-				s.pos = pos
-				s.emitToken(emit, int(w-fused.GEmitBase), chunk, base)
-				qa = s.m.DFA.Start // emitToken restarted A
-			}
-			continue
-		}
-		// Active loop: runs until an attempt fails (which sets noAccel and
-		// falls back to the suppressed loop above). The dispatch guarantees
-		// i+1 ≥ noAccel throughout, so the accel arm does not re-check it.
-		for ; i < n; i++ {
-			b := chunk[i]
-			sb = int(bt[sb*nc+int(classOf[b])]) // B is k symbols ahead of A
-			a := ring[h]
-			ring[(h+k)&mask] = b
-			h = (h + 1) & mask
-			if pos < base {
-				// a came from a previous chunk: preserve it for the
-				// pending token's text.
-				s.carry = append(s.carry, a)
-			}
-			qa = int(at[qa*nc+int(classOf[a])])
-			pos++
-			w := act[qa*nS+sb]
-			if w == fused.GContinue {
-				continue
-			}
-			if w&fused.GAccelBit != 0 {
-				// The (qa, sb) pair self-loops on a byte class. A consumes
-				// the ring before the scanned bytes, so the run is only
-				// skippable when the ring is inside the class too — which
-				// it is whenever both machines are already mid-run.
-				if i+1 >= n {
-					continue
-				}
-				if (attempts >= 64 && skipped < attempts*8) ||
-					(ringFails >= 256 && skipped < ringFails*2) {
-					noAccel = i + pausePen
-					if pausePen < 1<<20 {
-						pausePen <<= 1
-					}
-					s.noteAccel(attempts, skipped)
-					if !s.noObs {
-						s.c.AccelBackoffs++
-						s.c.FusedFallbacks++
-					}
-					attempts, ringFails, skipped = 0, 0, 0
-					i++
-					break
-				}
-				inf := &gInfos[gAccelIdx[qa*nS+sb]]
-				if bad := ringBad(inf, ring, h, mask, k); bad >= 0 {
-					// A still has an out-of-class byte to consume;
-					// cheap to detect, so skip the scan entirely and
-					// retry once that byte has left the ring.
-					ringFails++
-					if !s.noObs {
-						s.c.FusedFallbacks++
-					}
-					noAccel = i + 2 + bad
-					i++
-					break
-				}
-				attempts++ // scans cost O(run); ringBad rejects only O(k)
-				j := inf.ScanRun(chunk, i+1)
-				r := j - (i + 1)
-				// Any run long enough to refill the ring is worth
-				// skipping: the scan is already paid, and the run's
-				// interior then never re-enters this branch.
-				if r >= k {
-					if pos < base {
-						cnt := base - pos
-						if cnt > r {
-							cnt = r
-						}
-						for t := 0; t < cnt; t++ {
-							s.carry = append(s.carry, ring[(h+t)&mask])
-						}
-					}
-					pos += r
-					skipped += r
-					// The ring now holds the run's last k bytes.
-					copy(ring[:k], chunk[j-k:j])
-					h = 0
-					i = j - 1
-					continue
-				}
-				noAccel = j
-				if !s.noObs {
-					s.c.FusedFallbacks++
-				}
-				i++
-				break
-			}
-			if w == fused.GDead {
-				s.qa, s.s, s.head, s.pos = qa, sb, h, pos
-				s.noteAccel(attempts, skipped)
-				s.stop()
-				return
-			}
-			s.pos = pos
-			s.emitToken(emit, int(w-fused.GEmitBase), chunk, base)
-			qa = s.m.DFA.Start // emitToken restarted A
-		}
-	}
-	s.qa, s.s, s.head, s.pos = qa, sb, h, pos
-	s.noteAccel(attempts, skipped)
-	s.saveCarry(chunk, base)
-}
-
-// ringBad returns the highest ring index (in consumption order) holding
-// a byte outside the accel class, or -1 when all k delayed bytes are
-// inside it. The latter is a precondition for bulk skipping: A consumes
-// the ring during the skip while the skip assumes its state cannot move.
-func ringBad(inf *fused.AccelInfo, ring []byte, h, mask, k int) int {
-	for t := k - 1; t >= 0; t-- {
-		if !inf.Contains(ring[(h+t)&mask]) {
-			return t
-		}
-	}
-	return -1
-}

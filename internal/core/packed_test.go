@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"streamtok/internal/analysis"
@@ -27,9 +28,11 @@ func mustK(t *testing.T, m *tokdfa.Machine) *core.Tokenizer {
 }
 
 // TestPackedEngineSelection pins which grammars the packed product
-// serves: tsv, yaml and the pretokenizer pack, while json, xml,
-// sql-inserts and the 1k/10k-rule keyword grammars pass the state cap
-// and keep the pair-action engine.
+// serves: tsv, yaml, the pretokenizer, json and sql-inserts pack, while
+// xml passes the construction's work bound and the 1k/10k-rule keyword
+// grammars do not fit the action byte, so they keep the split Fig. 6
+// loop over an eager TeDFA; rk12-lazy, whose TeDFA passes the eager cap,
+// runs it lazily.
 func TestPackedEngineSelection(t *testing.T) {
 	catalog := func(name string) *tokdfa.Machine {
 		spec, err := grammars.Lookup(name)
@@ -38,21 +41,18 @@ func TestPackedEngineSelection(t *testing.T) {
 		}
 		return spec.Machine()
 	}
-	packed := map[string]*tokdfa.Machine{"tsv": catalog("tsv"), "yaml": catalog("yaml")}
+	want := map[string]string{}
+	machines := map[string]*tokdfa.Machine{}
+	for name, mode := range map[string]string{"tsv": "fused-k2", "yaml": "fused-k2", "json": "fused-k3", "sql-inserts": "fused-k3", "xml": "split-general"} {
+		want[name], machines[name] = mode, catalog(name)
+	}
 	for _, c := range testutil.Corpus() {
-		if c.Name == "pretok" {
-			packed[c.Name] = c.Compile(true)
+		switch c.Name {
+		case "pretok":
+			want[c.Name], machines[c.Name] = "fused-k2", c.Compile(true)
+		case "rk12-lazy":
+			want[c.Name], machines[c.Name] = "split-general-lazy", c.Compile(true)
 		}
-	}
-	for name, m := range packed {
-		tok := mustK(t, m)
-		if tok.EngineMode() != "fused-k2" || tok.PackedStates() == 0 {
-			t.Errorf("%s: mode %s, %d packed states; want fused-k2", name, tok.EngineMode(), tok.PackedStates())
-		}
-	}
-	general := map[string]*tokdfa.Machine{}
-	for _, name := range []string{"json", "xml", "sql-inserts"} {
-		general[name] = catalog(name)
 	}
 	for _, n := range []int{1000, 10000} {
 		if n == 10000 && testing.Short() {
@@ -62,12 +62,17 @@ func TestPackedEngineSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		general[rules[0]] = tokdfa.MustCompile(tokdfa.MustParseGrammar(rules...), tokdfa.Options{Minimize: true})
+		want[rules[0]] = "split-general"
+		machines[rules[0]] = tokdfa.MustCompile(tokdfa.MustParseGrammar(rules...), tokdfa.Options{Minimize: true})
 	}
-	for name, m := range general {
+	for name, m := range machines {
 		tok := mustK(t, m)
-		if tok.EngineMode() != "fused-general" || tok.PackedStates() != 0 {
-			t.Errorf("%.20s: mode %s, %d packed states; want fused-general", name, tok.EngineMode(), tok.PackedStates())
+		packed := tok.PackedStates() > 0
+		if tok.EngineMode() != want[name] || packed != strings.HasPrefix(want[name], "fused") {
+			t.Errorf("%.20s: mode %s, %d packed states; want %s", name, tok.EngineMode(), tok.PackedStates(), want[name])
+		}
+		if packed && tok.TeDFASize() != 0 {
+			t.Errorf("%.20s: packed engine kept a %d-state TeDFA", name, tok.TeDFASize())
 		}
 	}
 }

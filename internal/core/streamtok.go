@@ -51,7 +51,7 @@ const batchCap = 512
 type Tokenizer struct {
 	m  *tokdfa.Machine
 	k  int
-	te *tepath.Table   // k ≥ 2 unless packed: complete, or the template lazy streams clone
+	te *tepath.Table   // split k ≥ 2 only: complete, or the template lazy streams clone
 	k1 *tepath.K1Table // split k == 1 only; fused-k1 never reads it
 	fe *fused.Engine   // fused fast engine, nil → split loops
 
@@ -73,7 +73,7 @@ type Tokenizer struct {
 type Streamer struct {
 	m   *tokdfa.Machine
 	k   int
-	te  *tepath.Table   // general modes (k >= 2, not packed): shared if complete, else this stream's own clone
+	te  *tepath.Table   // split k ≥ 2: shared if complete, else this stream's own clone
 	k1  *tepath.K1Table // Fig. 5 mode (split k == 1)
 	fe  *fused.Engine   // fused fast engine, nil → split loops
 	tok *Tokenizer      // owner, for the observability registry
@@ -150,28 +150,28 @@ func New(m *tokdfa.Machine, limits tepath.Limits) (*Tokenizer, int, error) {
 // analysis). k must be an upper bound on TkDist(r̄); the algorithm is
 // correct for any finite upper bound, and fastest when k is exact.
 //
-// For k ≥ 2 the token-extension DFA is expanded eagerly, up to
-// limits.MaxDFAStates powerstates (eagerTeDFACap when 0). Past the cap
-// (the TeDFA can be exponential in k) the tokenizer keeps the table
-// unexpanded and each stream grows its own copy on first use of every
-// transition — same O(1) steady-state cost, memory proportional to the
-// powerstates the stream actually visits, and not capped.
-//
-// When the tables fit the fused-engine budget, the tokenizer additionally
-// compiles the per-byte decision sequence into the internal/fused fast
-// path (packed action tables + run-skipping accel states) and streams
-// through it; the split loops remain the fallback and the ablation
-// baseline (a negative NewWithKBudget budget).
+// The tokenizer first compiles the per-byte decision sequence into the
+// internal/fused fast path (one packed table + run-skipping accel
+// states) and streams through it when it fits the fused-engine budget;
+// for k ≥ 2 that is the packed product, which needs no token-extension
+// DFA. The split loops remain the fallback and the ablation baseline (a
+// negative NewWithKBudget budget). Only a k ≥ 2 grammar that does not
+// pack builds the token-extension DFA for the split Fig. 6 loop,
+// expanded eagerly up to limits.MaxDFAStates powerstates
+// (eagerTeDFACap when 0). Past the cap (the TeDFA can be exponential in
+// k) the tokenizer keeps the table unexpanded and each stream grows its
+// own copy on first use of every transition — same O(1) steady-state
+// cost, memory proportional to the powerstates the stream actually
+// visits, and not capped.
 func NewWithK(m *tokdfa.Machine, k int, limits tepath.Limits) (*Tokenizer, error) {
 	return NewWithKBudget(m, k, limits, 0)
 }
 
 // NewWithKBudget is NewWithK with an explicit fused-table byte budget
 // (0 selects the 16 MB default, a negative budget keeps the split
-// loops). The budget caps every array the fused hot loop touches —
-// packed/action tables, accel index, class maps, and the compressed A/B
-// transition rows — so raising it lets larger grammars stay fused and
-// lowering it forces the split loops earlier.
+// loops). The budget caps every array the fused hot loop touches — the
+// packed table, accel index and class map — so raising it lets larger
+// grammars stay fused and lowering it forces the split loops earlier.
 func NewWithKBudget(m *tokdfa.Machine, k int, limits tepath.Limits, fusedBudget int) (*Tokenizer, error) {
 	return newWithFused(m, k, limits, fused.Options{MaxTableBytes: fusedBudget})
 }
@@ -208,7 +208,14 @@ func newWithFused(m *tokdfa.Machine, k int, limits tepath.Limits, opts fused.Opt
 		return nil, fmt.Errorf("streamtok: machine has no class transition table (sparse scanner machines cannot drive the streaming engines)")
 	}
 	t := &Tokenizer{m: m, k: k, live: map[*Streamer]struct{}{}}
-	if k >= 2 {
+	t.fe = fused.Build(m, k, opts)
+	switch {
+	case t.fe != nil:
+		// The fused words fold the Fig. 5 table (k == 1) or B (a packed
+		// product) into their states; the Close drain needs only A.
+	case k == 1:
+		t.k1 = tepath.BuildK1(m)
+	case k >= 2:
 		te, err := tepath.New(m, k, limits)
 		if err != nil {
 			return nil, err
@@ -224,17 +231,6 @@ func newWithFused(m *tokdfa.Machine, k int, limits tepath.Limits, opts fused.Opt
 			t.te = eager
 		}
 	}
-	t.fe = fused.Build(m, k, t.te, opts)
-	switch {
-	case t.fe == nil && k == 1:
-		// Only the split loop reads the Fig. 5 table; fused-k1 packs the
-		// same decision into its own words.
-		t.k1 = tepath.BuildK1(m)
-	case t.fe.PackedStates() > 0:
-		// A packed product folded B into its states; the Close drain
-		// needs only A.
-		t.te = nil
-	}
 	return t, nil
 }
 
@@ -246,7 +242,7 @@ func (t *Tokenizer) Machine() *tokdfa.Machine { return t.m }
 
 // TeDFASize returns the size of the eager token-extension DFA (0 when
 // k ≤ 1, when the streams grow the TeDFA lazily, or when a packed fused
-// engine folded it into its states).
+// engine serves and no TeDFA was built).
 func (t *Tokenizer) TeDFASize() int {
 	if t.te == nil || !t.te.Complete() {
 		return 0
@@ -255,10 +251,9 @@ func (t *Tokenizer) TeDFASize() int {
 }
 
 // EngineMode names the execution mode the tokenizer selected:
-// "fused-k<K>" for the single-table fused engine (K ≥ 2: the packed
-// product) or "fused-general" for the pair-action one when the fused fast
-// engine is active; "split-k0", "split-k1", "split-general", or
-// "split-general-lazy" for the interpreted loops.
+// "fused-k<K>" for the fused engine (K ≥ 2: the packed product), or
+// "split-k0", "split-k1", "split-general", or "split-general-lazy" for
+// the interpreted loops.
 func (t *Tokenizer) EngineMode() string {
 	if t.fe != nil {
 		return t.fe.ModeName()
@@ -288,32 +283,26 @@ func (t *Tokenizer) AccelStates() int {
 }
 
 // RingBytes returns the exact size in bytes of the delay ring each of
-// this tokenizer's streams allocates: 0 when no ring is needed (k ≤ 1
-// fused, or k == 0), k for the split loops (Fig. 5's one delayed byte
-// at k == 1) and the packed single-table engine (which copies each
-// chunk's last k bytes into it), and the next power of two ≥ k for the
-// pair-action fused loop (which indexes the ring with a mask). This is
-// the per-stream figure resource certificates bind; the observed RingMax
-// high-water mark never exceeds it.
+// this tokenizer's streams allocates: k for the split loops (Fig. 5's
+// one delayed byte at k == 1) and the packed engine (which copies each
+// chunk's last k bytes into it), and 0 when no ring is needed (k ≤ 1
+// fused, or k == 0). This is the per-stream figure resource certificates
+// bind; the observed RingMax high-water mark never exceeds it.
 func (t *Tokenizer) RingBytes() int {
-	switch {
-	case t.fe != nil && t.fe.Mode == fused.ModeGeneral:
-		return nextPow2(t.k)
-	case t.k >= 2 || t.fe == nil && t.k == 1:
+	if t.k >= 2 || t.fe == nil && t.k == 1 {
 		return t.k
-	default:
-		return 0
 	}
+	return 0
 }
 
 // PackedStates returns the state count of the packed product the fused
-// engine runs for K ≥ 2 (0 for any other engine, or when the product was
-// too large and the pair-action tables serve).
+// engine runs for K ≥ 2 (0 for any other engine, or when the grammar
+// did not pack and the split Fig. 6 loop serves).
 func (t *Tokenizer) PackedStates() int { return t.fe.PackedStates() }
 
-// AccelSlots returns how many fused states (ModeSmall) or (q_A, s_B)
-// pairs (ModeGeneral) the engine has at all — the denominator of the
-// accel-state coverage fraction. 0 when the fused engine is off.
+// AccelSlots returns how many states the fused engine has at all — the
+// denominator of the accel-state coverage fraction. 0 when the fused
+// engine is off.
 func (t *Tokenizer) AccelSlots() int {
 	if t.fe == nil {
 		return 0
@@ -444,15 +433,6 @@ func (t *Tokenizer) ReleaseStreamer(s *Streamer) {
 	}
 	s.batchSink = nil
 	t.pool.Put(s)
-}
-
-// nextPow2 returns the smallest power of two ≥ n (n ≥ 1).
-func nextPow2(n int) int {
-	c := 1
-	for c < n {
-		c <<= 1
-	}
-	return c
 }
 
 // AggregateCounters snapshots the tokenizer-wide observability aggregate:
@@ -607,10 +587,8 @@ func (s *Streamer) Feed(chunk []byte, emit EmitFunc) {
 		s.c.Chunks++
 	}
 	switch {
-	case s.fe != nil && s.fe.Mode == fused.ModeSmall:
-		s.feedFusedSmall(chunk, emit)
 	case s.fe != nil:
-		s.feedFusedGeneral(chunk, emit)
+		s.feedFusedSmall(chunk, emit)
 	case s.k <= 0:
 		s.feedK0(chunk, emit)
 	case s.k == 1:

@@ -70,7 +70,7 @@ func (inf *AccelInfo) ScanRun(chunk []byte, start int) int {
 }
 
 // infoInterner dedupes accel classes: distinct states very often share
-// one class (e.g. every string-interior pair along the TeDFA).
+// one class (e.g. every string-interior state of a packed product).
 type infoInterner struct {
 	e   *Engine
 	ids map[[4]uint64]int32

@@ -3,27 +3,27 @@ package fused
 import (
 	"fmt"
 
-	"streamtok/internal/tepath"
 	"streamtok/internal/tokdfa"
 )
 
-// PackedStateCap exposes packedStateCap to the external tests.
-const PackedStateCap = packedStateCap
+// PackedWorkCap exposes packedWorkCap to the external tests.
+const PackedWorkCap = packedWorkCap
 
-// PackWork returns the transitions the packed construction explores
-// for m, whether or not it aborts.
-func PackWork(m *tokdfa.Machine, k int, te *tepath.Table) int {
-	_, explored := buildPacked(m, k, te, Options{}.withDefaults())
-	return explored
+// PackWork returns the packed construction's work for m, whether or not
+// it aborts, in packedWorkCap's unit: transitions explored times the
+// (K+1)(K+2)/2 slots of a state's key.
+func PackWork(m *tokdfa.Machine, k int) int {
+	_, explored := buildPacked(m, k, Options{}.withDefaults())
+	return explored * (k + 1) * (k + 2) / 2
 }
 
 // CheckPackedPartition rebuilds the product and its minimization and
 // checks the partition is stable: any two states of one block agree,
 // on every class, on the action and (unless it is dead) on the block
 // of the target. It returns the reachable and minimized state counts,
-// both 0 when the product passes the cap.
-func CheckPackedPartition(m *tokdfa.Machine, k int, te *tepath.Table) (reachable, blocks int, err error) {
-	p, ok := buildProduct(m, k, te)
+// both 0 when the construction passes the work bound.
+func CheckPackedPartition(m *tokdfa.Machine, k int) (reachable, blocks int, err error) {
+	p, ok := buildProduct(m, k)
 	if !ok {
 		return 0, 0, nil
 	}

@@ -6,22 +6,20 @@ import (
 	"streamtok/internal/analysis"
 	"streamtok/internal/fused"
 	"streamtok/internal/grammars"
-	"streamtok/internal/tepath"
 	"streamtok/internal/testutil"
 	"streamtok/internal/tokdfa"
 	"streamtok/internal/workload"
 )
 
-// k2Machine is a bounded machine with K ≥ 2 and its complete TeDFA.
+// k2Machine is a bounded machine with K ≥ 2.
 type k2Machine struct {
 	name string
 	m    *tokdfa.Machine
 	k    int
-	te   *tepath.Table
 }
 
-// k2Machines returns every catalog and corpus grammar with 2 ≤ K whose
-// TeDFA expands eagerly, plus the 1k- and 10k-rule keyword grammars.
+// k2Machines returns every catalog and corpus grammar with 2 ≤ K, plus
+// the 1k- and 10k-rule keyword grammars.
 func k2Machines(t *testing.T) []k2Machine {
 	t.Helper()
 	var out []k2Machine
@@ -30,11 +28,7 @@ func k2Machines(t *testing.T) []k2Machine {
 		if !res.Bounded() || res.MaxTND < 2 {
 			return
 		}
-		te, err := tepath.Build(m, res.MaxTND, tepath.Limits{MaxDFAStates: 1 << 12})
-		if err != nil {
-			return // lazy TeDFA: no fused engine at all
-		}
-		out = append(out, k2Machine{name, m, res.MaxTND, te})
+		out = append(out, k2Machine{name, m, res.MaxTND})
 	}
 	for _, spec := range grammars.All() {
 		add(spec.Name, spec.Machine())
@@ -42,8 +36,7 @@ func k2Machines(t *testing.T) []k2Machine {
 	for _, c := range testutil.Corpus() {
 		add("corpus/"+c.Name, c.Compile(false))
 	}
-	// The pretokenizer minimized, as bpe.Compile builds it (unminimized,
-	// its 17-class product passes the cap).
+	// The pretokenizer minimized, as bpe.Compile builds it.
 	add("pretok", tokdfa.MustCompile(tokdfa.MustParseGrammar(testutil.PretokRules()...), tokdfa.Options{Minimize: true}))
 	for _, n := range []int{1000, 10000} {
 		rules, err := workload.BigGrammarRules(n)
@@ -55,17 +48,17 @@ func k2Machines(t *testing.T) []k2Machine {
 	return out
 }
 
-// TestPackedBuildWorkBounded: the packed construction explores at most
-// PackedStateCap × C transitions on every grammar, so a product that
-// aborts costs a bounded slice of setup, not a walk of its whole state
-// space (json's reaches 118,045 states).
+// TestPackedBuildWorkBounded: on every grammar the packed construction
+// writes at most PackedWorkCap window slots (transitions explored times
+// slots per state), so a product that aborts costs a bounded slice of
+// setup, not a walk of its whole state space (xml's reaches 3,530
+// states of 28 slots, rk12-lazy's 20,452 of 91).
 func TestPackedBuildWorkBounded(t *testing.T) {
 	for _, g := range k2Machines(t) {
-		nc := g.m.DFA.NumClasses()
-		work := fused.PackWork(g.m, g.k, g.te)
-		t.Logf("%s: k=%d C=%d explored %d", g.name, g.k, nc, work)
-		if work > fused.PackedStateCap*nc {
-			t.Errorf("%s: explored %d transitions, bound %d × %d", g.name, work, fused.PackedStateCap, nc)
+		work := fused.PackWork(g.m, g.k)
+		t.Logf("%s: k=%d C=%d work %d", g.name, g.k, g.m.DFA.NumClasses(), work)
+		if work > fused.PackedWorkCap {
+			t.Errorf("%s: work %d, bound %d", g.name, work, fused.PackedWorkCap)
 		}
 	}
 }
@@ -76,18 +69,20 @@ func TestPackedBuildWorkBounded(t *testing.T) {
 // a refinement that stops early merges states it must not.
 func TestPackedPartitionStable(t *testing.T) {
 	want := map[string][2]int{ // reachable, minimized
-		"tsv":    {194, 31},
-		"yaml":   {563, 83},
-		"pretok": {499, 73},
+		"tsv":         {36, 31},
+		"yaml":        {92, 83},
+		"pretok":      {83, 73},
+		"json":        {441, 383},
+		"sql-inserts": {423, 337},
 	}
 	packed := 0
 	for _, g := range k2Machines(t) {
-		reachable, blocks, err := fused.CheckPackedPartition(g.m, g.k, g.te)
+		reachable, blocks, err := fused.CheckPackedPartition(g.m, g.k)
 		if err != nil {
 			t.Fatalf("%s: %v", g.name, err)
 		}
 		if reachable == 0 {
-			continue // the product is past the cap
+			continue // the construction is past the work bound
 		}
 		packed++
 		if w, ok := want[g.name]; ok && (reachable != w[0] || blocks != w[1]) {

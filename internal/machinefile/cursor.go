@@ -57,7 +57,8 @@ type Cursor struct {
 	// tokenizer's certificate and refuses a mismatch.
 	GrammarHash string
 	// EngineMode names the engine mode that produced the cursor (e.g.
-	// "fused-general", "fused-k2", or "bpe+fused-k2" for a vocabulary).
+	// "fused-k3", "split-general", or "bpe+fused-k2" for a vocabulary;
+	// cursors of retired modes such as "fused-general" still load).
 	// Cursors are portable across modes of the same source; the QA
 	// cross-check is enforced only when the resuming mode matches.
 	EngineMode string

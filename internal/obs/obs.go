@@ -46,13 +46,11 @@ type Counters struct {
 	// AccelSkippedBytes is how many input bytes those scans let the
 	// engine skip without stepping the automata.
 	AccelSkippedBytes uint64
-	// AccelBackoffs counts profitability-governor activations (the
-	// engine judged accel attempts were not paying and suppressed them
-	// for an exponentially growing stretch).
-	AccelBackoffs uint64
-	// FusedFallbacks counts drops from the accel-active fused loop to
-	// its suppressed copy: failed ring checks, runs too short to skip,
-	// and governor backoffs.
+	// AccelBackoffs and FusedFallbacks always read 0. They counted the
+	// accel profitability governor and its fallbacks in a retired fused
+	// loop; the cursor's positional counter layout, /statusz and
+	// perfbench's reader still carry them.
+	AccelBackoffs  uint64
 	FusedFallbacks uint64
 
 	// CarryMax is the high-water mark (bytes) of the carry buffer — the

@@ -18,10 +18,9 @@
 package tepath
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"maps"
+	"math/bits"
 	"slices"
 
 	"streamtok/internal/tokdfa"
@@ -99,10 +98,9 @@ type Table struct {
 	// NFA-state set and its interning index, and scratch Grow reuses.
 	nfa    *teNFA
 	sets   [][]int32
-	ids    map[string]int32
+	ids    []int32 // open-addressed powerstate ids (-1 empty), hashed on the set; at most half full
 	next   []int32
-	seen   []bool
-	keyBuf []byte
+	member []uint64 // Grow's successor set as a bitset over NFA states
 }
 
 // NumStates returns the number of powerstates interned so far (the
@@ -170,26 +168,24 @@ func (t *Table) MaximalFinal(q, s int) bool {
 // through per-stream clones.
 func (t *Table) Grow(s, c int) int32 {
 	nfa := t.nfa
-	if t.seen == nil {
-		t.seen = make([]bool, len(nfa.acceptLabel))
+	if t.member == nil {
+		t.member = make([]uint64, len(nfa.initialSet))
+	}
+	// Collect the set as a bitset and read it back in order: no sort.
+	mem := t.member
+	copy(mem, nfa.initialSet)
+	for _, st := range t.sets[s] {
+		if n := nfa.succ[int(st)*t.nc+c]; n >= 0 {
+			mem[n>>6] |= 1 << (n & 63)
+		}
 	}
 	next := t.next[:0]
-	for _, st := range t.sets[s] {
-		if n := nfa.succ[int(st)*t.nc+c]; n >= 0 && !t.seen[n] {
-			t.seen[n] = true
-			next = append(next, n)
+	for w, x := range mem {
+		for ; x != 0; x &= x - 1 {
+			next = append(next, int32(w<<6+bits.TrailingZeros64(x)))
 		}
+		mem[w] = 0
 	}
-	for _, st := range nfa.initial {
-		if !t.seen[st] {
-			t.seen[st] = true
-			next = append(next, st)
-		}
-	}
-	for _, st := range next {
-		t.seen[st] = false
-	}
-	slices.Sort(next)
 	t.next = next
 	id := t.intern(next)
 	t.trans[s*t.nc+c] = id
@@ -200,17 +196,30 @@ func (t *Table) Grow(s, c int) int32 {
 // of uncomputed transitions and its maximality bitsets — when it is new.
 // set may be scratch: it is copied before it is kept.
 func (t *Table) intern(set []int32) int32 {
-	key := t.keyBuf[:0]
-	for _, s := range set {
-		key = binary.LittleEndian.AppendUint32(key, uint32(s))
-	}
-	t.keyBuf = key
-	if id, ok := t.ids[string(key)]; ok {
-		return id
+	mask := uint64(len(t.ids) - 1)
+	slot := hashSet(set) & mask
+	for ; t.ids[slot] >= 0; slot = (slot + 1) & mask {
+		if id := t.ids[slot]; slices.Equal(t.sets[id], set) {
+			return id
+		}
 	}
 	id := int32(len(t.sets))
-	t.ids[string(key)] = id
+	t.ids[slot] = id
 	t.sets = append(t.sets, slices.Clone(set))
+	if 2*len(t.sets) > len(t.ids) {
+		t.ids = make([]int32, 2*len(t.ids))
+		for i := range t.ids {
+			t.ids[i] = -1
+		}
+		mask = uint64(len(t.ids) - 1)
+		for id, set := range t.sets {
+			slot := hashSet(set) & mask
+			for t.ids[slot] >= 0 {
+				slot = (slot + 1) & mask
+			}
+			t.ids[slot] = int32(id)
+		}
+	}
 	for c := 0; c < t.nc; c++ {
 		t.trans = append(t.trans, -1)
 	}
@@ -227,6 +236,15 @@ func (t *Table) intern(set []int32) int32 {
 	}
 	t.emitOK = append(t.emitOK, ok)
 	return id
+}
+
+// hashSet hashes a powerstate's NFA-state set for the id table.
+func hashSet(set []int32) uint64 {
+	h := uint64(14695981039346656037)
+	for _, s := range set {
+		h = (h ^ uint64(uint32(s))) * 1099511628211
+	}
+	return h ^ h>>29
 }
 
 // Expand computes every missing transition breadth-first, in state then
@@ -247,7 +265,7 @@ func (t *Table) Expand(maxStates int) error {
 		}
 	}
 	t.complete = true
-	t.nfa, t.sets, t.ids, t.next, t.seen, t.keyBuf = nil, nil, nil, nil, nil, nil
+	t.nfa, t.sets, t.ids, t.next, t.member = nil, nil, nil, nil, nil
 	return nil
 }
 
@@ -260,8 +278,8 @@ func (t *Table) Clone() *Table {
 	c.extendable = slices.Clone(t.extendable)
 	c.emitOK = slices.Clone(t.emitOK)
 	c.sets = slices.Clone(t.sets)
-	c.ids = maps.Clone(t.ids)
-	c.next, c.seen, c.keyBuf = nil, nil, nil
+	c.ids = slices.Clone(t.ids)
+	c.next, c.member = nil, nil
 	return &c
 }
 
@@ -282,6 +300,8 @@ type teNFA struct {
 	// initial states (q, q, 0) for each final q reachable by Σ⁺, in
 	// increasing order: the restart set I.
 	initial []int32
+	// initialSet is initial as a bitset over the TeNFA's states.
+	initialSet []uint64
 	// finals is the bitset of A's final states.
 	finals []uint64
 }
@@ -303,7 +323,7 @@ func New(m *tokdfa.Machine, k int, limits Limits) (*Table, error) {
 		nc:      nfa.nc,
 		words:   len(nfa.finals),
 		nfa:     nfa,
-		ids:     map[string]int32{},
+		ids:     []int32{-1, -1, -1, -1, -1, -1, -1, -1},
 	}
 	t.Start = int(t.intern(nfa.initial))
 	return t, nil
@@ -421,5 +441,9 @@ func buildTeNFA(m *tokdfa.Machine, k int, limits Limits) (*teNFA, error) {
 			finals[q>>6] |= 1 << (q & 63)
 		}
 	}
-	return &teNFA{succ: succ, nc: nc, acceptLabel: accept, initial: initial, finals: finals}, nil
+	initialSet := make([]uint64, (len(accept)+63)/64)
+	for _, st := range initial {
+		initialSet[st>>6] |= 1 << (st & 63)
+	}
+	return &teNFA{succ: succ, nc: nc, acceptLabel: accept, initial: initial, initialSet: initialSet, finals: finals}, nil
 }

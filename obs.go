@@ -44,10 +44,10 @@ type Stats struct {
 
 	// AccelAttempts counts bulk run-skip scans started by the fused
 	// engine's accel states; AccelSkippedBytes is how much input they let
-	// the engine skip without stepping the automata. AccelBackoffs counts
-	// profitability-governor activations, and FusedFallbacks drops from
-	// the accel-active fused loop to its suppressed copy (failed ring
-	// checks, too-short runs, governor pauses).
+	// the engine skip without stepping the automata. AccelBackoffs and
+	// FusedFallbacks always read 0: they counted the profitability
+	// governor of a retired fused loop, and stay only because the cursor's
+	// counter layout, /statusz and perfbench carry them.
 	AccelAttempts     uint64
 	AccelSkippedBytes uint64
 	AccelBackoffs     uint64
@@ -264,11 +264,10 @@ func (t *Tokenizer) PublishStats(name string) {
 // whether the token-extension DFA is determinized lazily.
 type EngineInfo struct {
 	// Mode is "fused-k<K>" for the single-table fused engine ("fused-k0",
-	// "fused-k1", and "fused-k2" and up for a packed K ≥ 2 product) or
-	// "fused-general" for the pair-action one when the fused engine is
-	// active; "split-k0", "split-k1", "split-general", or
-	// "split-general-lazy" for the interpreter loops. All modes emit
-	// byte-identical token streams.
+	// "fused-k1", and "fused-k2" and up for a packed K ≥ 2 product), or
+	// "split-k0", "split-k1", "split-general", or "split-general-lazy"
+	// for the interpreter loops (a K ≥ 2 grammar that does not pack runs
+	// split-general). All modes emit byte-identical token streams.
 	Mode string
 	// K is the lookahead bound (the grammar's max-TND).
 	K int

@@ -229,10 +229,13 @@ type Options struct {
 	// set by NewWithOptions callers explicitly).
 	Minimize bool
 	// MaxTeDFAStates caps the eager expansion of the token-extension
-	// DFA (0 = 4096 states). A grammar whose TeDFA is larger is served
-	// lazily instead: each stream grows its own copy of the TeDFA on
-	// first use of every transition, and that per-stream cache is not
-	// capped (it holds only the powerstates the stream visits).
+	// DFA (0 = 4096 states). Only a K ≥ 2 grammar the split loop serves
+	// builds a TeDFA: one that does not pack into the fused engine, or
+	// any under a negative MaxFusedTableBytes. When the TeDFA is larger
+	// than the cap the grammar is served lazily: each stream grows its
+	// own copy of the TeDFA on first use of every transition, and that
+	// per-stream cache is not capped (it holds only the powerstates the
+	// stream visits).
 	MaxTeDFAStates int
 	// MaxFusedTableBytes caps the resident bytes of the fused action
 	// tables (0 = the 16 MB default). Grammars whose fused tables exceed
