@@ -248,8 +248,10 @@ func Vocab() (*streamtok.Vocab, error) {
 }
 
 // Engines returns the source's engine paths: one per setting whose
-// engine mode no earlier setting reports, plus noaccel wherever the
-// fused engine has accel states.
+// engine mode no earlier setting reports, plus split always (where the
+// grammar does not pack, the default falls back to the split loop that
+// split asks for, and cursors must cross between the two), plus noaccel
+// wherever the fused engine has accel states.
 func (src *Source) Engines(tb testing.TB) []*Engine {
 	tb.Helper()
 	src.once.Do(func() { src.err = src.build() })
@@ -296,7 +298,7 @@ func (src *Source) build() error {
 		if fused == nil {
 			fused = tok
 		}
-		if mode := tok.Engine().Mode; !seen[mode] {
+		if mode := tok.Engine().Mode; !seen[mode] || st.name == "split" {
 			seen[mode] = true
 			src.engines = append(src.engines, publicEngine(st.name, tok))
 		}

@@ -29,13 +29,14 @@ func statsInput(t *testing.T, name string, n int) []byte {
 }
 
 // TestStatsReconciliation feeds every bounded catalog grammar a matching
-// workload under both engines (one when the default is the split loop)
-// and several chunkings, and checks that the
-// observability snapshot reconciles exactly with the emitted token
-// stream: byte counts, token counts (total and per rule), the latency
-// histogram mass, and the paper's bounds on the high-water marks
-// (RingMax ≤ K ≤ the Lemma 11 dichotomy bound, CarryMax ≤ longest
-// token + K).
+// workload under both settings (default and split) and several
+// chunkings, and checks that the observability snapshot reconciles
+// exactly with the emitted token stream: byte counts, token counts
+// (total and per rule), the latency histogram mass, and the paper's
+// bounds on the high-water marks (RingMax ≤ K ≤ the Lemma 11 dichotomy
+// bound, CarryMax ≤ longest token + K). Subtests are named by setting
+// (fused for the default) and the engine mode's K class, so a grammar
+// that does not pack runs the split loop under fused-general too.
 func TestStatsReconciliation(t *testing.T) {
 	chunkings := []int{1, 7, 4096, 0} // 0 = whole input in one Feed
 	for _, name := range streamtok.Catalog() {
@@ -51,7 +52,6 @@ func TestStatsReconciliation(t *testing.T) {
 			continue // StreamTok does not apply; nothing to reconcile
 		}
 		input := statsInput(t, name, 32<<10)
-		seen := map[string]bool{}
 		for _, budget := range []int{0, -1} { // default (fused), split
 			tok, err := streamtok.NewWithOptions(g, streamtok.Options{
 				Minimize:           true,
@@ -60,12 +60,13 @@ func TestStatsReconciliation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewWithOptions(%q, budget=%d): %v", name, budget, err)
 			}
-			if seen[tok.Engine().Mode] {
-				continue // the default already runs the split loop
+			setting := "fused"
+			if budget < 0 {
+				setting = "split"
 			}
-			seen[tok.Engine().Mode] = true
+			_, class, _ := strings.Cut(tok.Engine().Mode, "-")
 			for _, chunk := range chunkings {
-				t.Run(fmt.Sprintf("%s/%s/chunk=%d", name, tok.Engine().Mode, chunk), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s-%s/chunk=%d", name, setting, class, chunk), func(t *testing.T) {
 					reconcileOneStream(t, tok, an, input, chunk)
 				})
 			}
