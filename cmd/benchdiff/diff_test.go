@@ -212,6 +212,7 @@ func TestAgainstCommittedArtifacts(t *testing.T) {
 		lower, exact    bool
 	}{
 		{file: "BENCH_hotloop.json", keys: "workload,grammar,mode", col: "speedup", tol: 0.25},
+		{file: "BENCH_hotloop.json", keys: "workload,grammar,mode", col: "accel_gain", tol: 0.25},
 		{file: "BENCH_biggrammar.json", keys: "grammar", col: "ratio", tol: 0.01, lower: true},
 		{file: "BENCH_biggrammar.json", keys: "grammar", col: "dfa_bytes", tol: 0.01, lower: true},
 		{file: "BENCH_biggrammar.json", keys: "grammar", col: "mode", exact: true},
@@ -240,6 +241,20 @@ func TestAgainstCommittedArtifacts(t *testing.T) {
 		}
 		if len(res.Regressions) != 0 {
 			t.Errorf("%s %s self-diff regressed: %+v", c.file, c.col, res.Regressions)
+		}
+	}
+	// The floors ci.yml puts on single rows hold on the committed run.
+	tb, err := loadTable(filepath.Join("..", "..", "BENCH_hotloop.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []string{"csv/csv/fused-k1", "prompts/pretok/fused-k2"} {
+		res, err := floorCheck(tb, splitKeys("workload,grammar,mode"), "accel_gain", 1.0, row)
+		if err != nil {
+			t.Fatalf("accel_gain floor on %s: %v", row, err)
+		}
+		if len(res.Regressions) != 0 {
+			t.Errorf("committed accel_gain under its floor on %s: %+v", row, res.Regressions)
 		}
 	}
 }

@@ -195,7 +195,9 @@ func resumeCut(m *tokdfa.Machine, sample []byte) []byte {
 
 // grammarInputs is a grammar source's inputs: a realistic sample (if
 // any), one 300-byte run of every alphabet byte (the accel states'
-// target shape), n random inputs of up to maxLen bytes, and the empty
+// target shape), n random inputs of up to maxLen bytes, one input of
+// 19-byte runs of every alphabet byte each ended by a UTF-8 "é" (runs
+// that cross an 8-byte word and end at a byte ≥ 0x80), and the empty
 // input.
 func grammarInputs(rng *rand.Rand, sample, alphabet []byte, n, maxLen int) [][]byte {
 	var out [][]byte
@@ -208,7 +210,11 @@ func grammarInputs(rng *rand.Rand, sample, alphabet []byte, n, maxLen int) [][]b
 	for i := 0; i < n; i++ {
 		out = append(out, testutil.RandomInput(rng, alphabet, rng.Intn(maxLen)))
 	}
-	return append(out, nil)
+	var high []byte
+	for _, b := range alphabet {
+		high = append(append(high, bytes.Repeat([]byte{b}, 19)...), "é"...)
+	}
+	return append(out, high, nil)
 }
 
 // vocabInputs are prompt-shaped text and the byte-level edge cases of

@@ -49,3 +49,11 @@ func CheckPackedPartition(m *tokdfa.Machine, k int) (reachable, blocks int, err 
 	}
 	return p.n, n, nil
 }
+
+// NewAccelInfo builds the accel info the engine would intern for class.
+func NewAccelInfo(class [4]uint64) AccelInfo { return newAccelInfo(class) }
+
+// Kind names the scan ScanRun runs for the class.
+func (inf *AccelInfo) Kind() string {
+	return [...]string{kindBitmap: "bitmap", kindExits: "exits", kindSWAR: "swar"}[inf.kind]
+}

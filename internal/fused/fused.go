@@ -28,11 +28,14 @@
 //     "continue" and that self-loop on a byte class C — string bodies,
 //     digit runs, whitespace, comment interiors. While the input stays in
 //     C the machine state provably cannot change and no token boundary
-//     can fire, so the engine skips the run in bulk: when the exit set
-//     Σ∖C has ≤ 4 bytes it chains bounded bytes.IndexByte (memchr) scans;
-//     a one-byte class compares word-at-a-time; the rest use a 256-bit
-//     bitmap scan. Exact token offsets are preserved because the skipped
-//     region contributes no actions.
+//     can fire, so the engine skips the run in bulk. When C, or its
+//     complement, is at most 4 ranges of ASCII bytes and C holds all or
+//     none of 0x80–0xff, the scan tests 8 bytes per step (SWAR); a run
+//     past 16 bytes in a class whose exit set Σ∖C has ≤ 4 bytes goes on
+//     with a chain of bounded bytes.IndexByte (memchr) scans, as does
+//     any other class with so few exits; the rest use a 256-bit bitmap
+//     scan. Exact token offsets are preserved because the skipped region
+//     contributes no actions.
 //
 // The engine is built under a byte budget; callers fall back to the
 // split loops when Build returns nil (budget or work bound exceeded, or
@@ -42,6 +45,7 @@ package fused
 import (
 	"math/bits"
 	"strconv"
+	"unsafe"
 
 	"streamtok/internal/tokdfa"
 )
@@ -142,7 +146,7 @@ func (e *Engine) Bytes() int {
 	if e == nil {
 		return 0
 	}
-	return len(e.Words)*4 + len(e.AccelIdx)*4 + len(e.Infos)*40 + 256
+	return len(e.Words)*4 + len(e.AccelIdx)*4 + len(e.Infos)*int(unsafe.Sizeof(AccelInfo{})) + 256
 }
 
 // ModeName names the engine for diagnostics: "fused-k<K>" ("fused-k0",
