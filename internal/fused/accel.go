@@ -2,10 +2,8 @@ package fused
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"math/bits"
-	"slices"
 )
 
 // Accel kinds: how ScanRun finds the first byte outside the class.
@@ -41,14 +39,13 @@ type AccelInfo struct {
 	Class [4]uint64
 	kind  uint8
 	nx    uint8   // number of exit bytes (kindExits, kindSWAR): 0 when > 4
-	nr    uint8   // kindSWAR: number of ranges
 	ex    [4]byte // the exit bytes, when nx > 0
 
 	// kindSWAR: C ∩ [0x00, 0x7f], or its complement there, as ≤ 4 ranges
 	// [lo, hi], broadcast to every lane as top = 128+hi and bot = 128−lo
-	// (unused slots repeat range 0); flip has every lane's top bit set
-	// when the ranges are C's own (a lane outside them exits) and is 0
-	// when they are the exits'; highExit has them set when 0x80–0xff
+	// (unused slots repeat the last range); flip has every lane's top bit
+	// set when the ranges are C's own (a lane outside them exits) and is
+	// 0 when they are the exits'; highExit has them set when 0x80–0xff
 	// are exits.
 	top, bot       [4]uint64
 	flip, highExit uint64
@@ -69,13 +66,7 @@ func (inf *AccelInfo) ScanRun(chunk []byte, start int) int {
 		if inf.nx > 0 {
 			end = min(end, start+swarPrefix)
 		}
-		var i int
-		var hit bool
-		if inf.nr <= 2 {
-			i, hit = inf.swar2(chunk, start, end)
-		} else {
-			i, hit = inf.swar4(chunk, start, end)
-		}
+		i, hit := inf.swar(chunk, start, end)
 		if hit {
 			return i
 		}
@@ -91,29 +82,13 @@ func (inf *AccelInfo) ScanRun(chunk []byte, start int) int {
 	}
 }
 
-// swar2 and swar4 test 8 bytes per step from i while a whole word fits
-// before end, using the first 2 or all 4 ranges. A lane's range test
-// (128+hi−x7) & (x7+128−lo) has its top bit set exactly when
-// lo ≤ x7 ≤ hi, and since x7 < 128 both terms stay within [1, 255], so no
-// lane borrows or carries into the next; lanes whose own top bit is set
-// are judged by highExit alone. They return the lowest exit lane's index
-// and true, or where they stopped and false.
-func (inf *AccelInfo) swar2(chunk []byte, i, end int) (int, bool) {
-	t0, t1, b0, b1 := inf.top[0], inf.top[1], inf.bot[0], inf.bot[1]
-	flip, highExit := inf.flip, inf.highExit
-	for ; i+8 <= end; i += 8 {
-		x := binary.LittleEndian.Uint64(chunk[i : i+8])
-		h := x & lanesHigh
-		x7 := x ^ h
-		in := (t0-x7)&(x7+b0) | (t1-x7)&(x7+b1)
-		if m := (in^flip)&^h&lanesHigh | h&highExit; m != 0 {
-			return i + bits.TrailingZeros64(m)>>3, true
-		}
-	}
-	return i, false
-}
-
-func (inf *AccelInfo) swar4(chunk []byte, i, end int) (int, bool) {
+// swar tests 8 bytes per step from i while a whole word fits before
+// end. A lane's range test (128+hi−x7) & (x7+128−lo) has its top bit set
+// exactly when lo ≤ x7 ≤ hi, and since x7 < 128 both terms stay within
+// [1, 255], so no lane borrows or carries into the next; lanes whose own
+// top bit is set are judged by highExit alone. It returns the lowest exit
+// lane's index and true, or where it stopped and false.
+func (inf *AccelInfo) swar(chunk []byte, i, end int) (int, bool) {
 	t0, t1, t2, t3 := inf.top[0], inf.top[1], inf.top[2], inf.top[3]
 	b0, b1, b2, b3 := inf.bot[0], inf.bot[1], inf.bot[2], inf.bot[3]
 	flip, highExit := inf.flip, inf.highExit
@@ -169,10 +144,6 @@ func (inf *AccelInfo) bitmap(chunk []byte, start int) int {
 func newAccelInfo(class [4]uint64) AccelInfo {
 	inf := AccelInfo{Class: class, kind: kindBitmap}
 	if exits := exitBytes(class); len(exits) <= 4 {
-		// Control bytes (newlines, say) go last: text has fewer of them
-		// than punctuation, and the first hit bounds the later scans.
-		// (a−0x20 wraps them past every other byte.)
-		slices.SortFunc(exits, func(a, b byte) int { return cmp.Compare(a-0x20, b-0x20) })
 		inf.kind = kindExits
 		inf.nx = uint8(copy(inf.ex[:], exits))
 	}
@@ -198,7 +169,7 @@ func newAccelInfo(class [4]uint64) AccelInfo {
 		inf.top[r] = uint64(128+rg[1]) * lanesOne
 		inf.bot[r] = uint64(128-rg[0]) * lanesOne
 	}
-	inf.kind, inf.nr, inf.flip, inf.highExit = kindSWAR, uint8(len(ranges)), flip, highExit
+	inf.kind, inf.flip, inf.highExit = kindSWAR, flip, highExit
 	return inf
 }
 
@@ -232,8 +203,8 @@ func newInfoInterner(e *Engine) *infoInterner {
 
 // intern returns the Infos index for the class, creating it on first
 // use, or -1 when the class is empty (no self-loop worth accelerating).
-func (it *infoInterner) intern(class [4]uint64, size int) int32 {
-	if size == 0 {
+func (it *infoInterner) intern(class [4]uint64) int32 {
+	if class == [4]uint64{} {
 		return -1
 	}
 	if id, ok := it.ids[class]; ok {

@@ -131,6 +131,8 @@ func TestScanRunMatchesBitmap(t *testing.T) {
 		{complement(rangeClass([][2]int{{1, 1}, {3, 3}, {5, 5}, {7, 7}, {9, 9}}, false)), "bitmap"},
 		// The high half split: UTF-8 continuation bytes, ASCII plus lead bytes.
 		{[4]uint64{0, 0, ^uint64(0), 0}, "bitmap"},
+		// One high byte (the self-loop of \xff+): 255 exits, the high half split.
+		{[4]uint64{0, 0, 0, 1 << 63}, "bitmap"},
 		{rangeClass([][2]int{{0x30, 0x39}}, false), "swar"},
 		{rangeClass([][2]int{{0x41, 0x5a}, {0x61, 0x7a}}, false), "swar"},
 		// Few exits, one of them a high byte.

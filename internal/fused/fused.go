@@ -43,7 +43,6 @@
 package fused
 
 import (
-	"math/bits"
 	"strconv"
 	"unsafe"
 
@@ -262,7 +261,7 @@ func (e *Engine) addSmallAccel(n int) {
 				}
 			}
 		}
-		e.AccelIdx[q] = interned.intern(class, popcount(class))
+		e.AccelIdx[q] = interned.intern(class)
 		if e.AccelIdx[q] >= 0 {
 			e.accelStates++
 		}
@@ -273,13 +272,4 @@ func (e *Engine) addSmallAccel(n int) {
 			e.Words[i] = w | SmallAccelBit
 		}
 	}
-}
-
-// popcount reports |C| for a class bitmap.
-func popcount(class [4]uint64) int {
-	n := 0
-	for _, w := range class {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
